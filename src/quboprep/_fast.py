@@ -1,12 +1,13 @@
-"""Vectorized branch analysis for probing on integer-coefficient problems.
+"""Vectorized branch analysis for probing.
 
 Probing runs two persistency analyses per variable; going through dict-based
 fix/posiform/network construction costs several O(terms) Python passes each.
-This mirror keeps the problem as flat int64 arrays and fuses variable fixing,
-the posiform rewrite and arc construction into numpy operations, feeding the
-same max-flow and label-extraction code as the dict path.  The branch
-problem keeps the full index space (the probed variable just loses its
-terms), so returned labels are in the problem's own indices.
+Here the problem is held once as flat int64 arrays (coefficients scaled by
+the lcm of their denominators, so int and Fraction inputs share one path),
+and variable fixing, the posiform rewrite and arc construction are fused
+into numpy operations that feed the shared max-flow and label-extraction
+code.  The branch problem keeps the full index space (the probed variable
+just loses its terms), so returned labels are in the problem's own indices.
 """
 
 from __future__ import annotations
@@ -16,49 +17,45 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Qubo
-from .network import SINK, SOURCE, ImplicationNetwork, _merge_arcs, max_flow
+from .model import Coeff, Qubo
+from .network import SINK, SOURCE, ImplicationNetwork, _denominator_lcm, _merge_arcs, max_flow
 from .persistency import extract_labels
+
+
+def _scaled(values, scale: int, count: int) -> np.ndarray:
+    if scale == 1:
+        return np.fromiter(values, dtype=np.int64, count=count)
+    return np.fromiter((int(a * scale) for a in values), dtype=np.int64, count=count)
 
 
 @dataclass(frozen=True)
 class IntArrays:
-    """Flat int64 view of a Qubo with all-integer coefficients."""
+    """Flat int64 view of a Qubo: coefficients times ``scale``, exact offset."""
 
     num_vars: int
+    scale: int
     lin: np.ndarray
     qi: np.ndarray
     qj: np.ndarray
     qv: np.ndarray
-    offset: int
+    offset: Coeff
 
     @classmethod
-    def from_qubo(cls, q: Qubo) -> "IntArrays | None":
-        """None when any coefficient is non-integer."""
-        if isinstance(q.offset, Fraction):
-            return None
-        if any(isinstance(a, Fraction) for a in q.linear.values()):
-            return None
-        if any(isinstance(a, Fraction) for a in q.quadratic.values()):
-            return None
+    def from_qubo(cls, q: Qubo) -> "IntArrays":
+        scale = _denominator_lcm(q.linear.values(), q.quadratic.values())
         lin = np.zeros(q.num_vars, dtype=np.int64)
-        for i, a in q.linear.items():
-            lin[i] = a
+        n_lin = len(q.linear)
+        lin[np.fromiter(q.linear.keys(), dtype=np.int64, count=n_lin)] = _scaled(
+            q.linear.values(), scale, n_lin
+        )
         m = len(q.quadratic)
         if m:
             keys = np.array(list(q.quadratic.keys()), dtype=np.int64)
             qi, qj = keys[:, 0], keys[:, 1]
-            qv = np.fromiter(q.quadratic.values(), dtype=np.int64, count=m)
+            qv = _scaled(q.quadratic.values(), scale, m)
         else:
             qi = qj = qv = np.empty(0, dtype=np.int64)
-        return cls(q.num_vars, lin, qi, qj, qv, int(q.offset))
-
-    def energy(self, values: np.ndarray) -> int:
-        """Exact energy of a 0/1 vector (int64 arithmetic)."""
-        e = self.offset + int(values @ self.lin)
-        if len(self.qv):
-            e += int((values[self.qi] * values[self.qj]) @ self.qv)
-        return e
+        return cls(q.num_vars, scale, lin, qi, qj, qv, q.offset)
 
 
 def analyze_branch(
@@ -90,7 +87,7 @@ def analyze_branch(
 
     lpos = lin > 0
     lneg = lin < 0
-    constant = arr.offset + delta + int(lin[lneg].sum())
+    constant = delta + int(lin[lneg].sum())  # scaled, offset excluded
     lcodes = np.concatenate([2 * np.nonzero(lpos)[0], 2 * np.nonzero(lneg)[0] + 1])
     lvals = np.concatenate([lin[lpos], -lin[lneg]])
 
@@ -102,11 +99,12 @@ def analyze_branch(
 
     if len(caps) == 0:
         weak = {v: 0 for v in range(arr.num_vars) if v != u}
-        return {}, weak, Fraction(constant)
+        return {}, weak, arr.offset + Fraction(constant, arr.scale)
 
-    net = ImplicationNetwork(arr.num_vars, 2, *_merge_arcs(tails, heads, caps, num_nodes))
+    scale = 2 * arr.scale
+    net = ImplicationNetwork(arr.num_vars, scale, *_merge_arcs(tails, heads, caps, num_nodes))
     flow = max_flow(net, backend=backend)
-    bound = Fraction(constant) + Fraction(flow.flow_value, 2)
+    bound = arr.offset + Fraction(2 * constant + flow.flow_value, scale)
     strong, weak = extract_labels(flow, arr.num_vars)
     strong.pop(u, None)
     weak.pop(u, None)

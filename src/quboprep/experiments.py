@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import graphs, problems
-from .decompose import default_leaf_solver, max_clique_split
+from .decompose import default_leaf_solver, splitting_savings
 from .model import Qubo, ising_to_qubo
 from .oracle import exact_max_clique
 from .persistency import analyze
@@ -221,27 +221,18 @@ def _fig3_row(args) -> dict:
     n, m_expected, seed, threshold = args
     p = m_expected / (n * (n - 1) / 2)
     g = graphs.gen_gnp(n, p, seed)
-    solver = default_leaf_solver(threshold)
     t0 = time.perf_counter()
-    clique_with, stats_with = max_clique_split(g, solver, use_persistency=True)
-    clique_without, stats_without = max_clique_split(g, solver, use_persistency=False)
-    if len(clique_with) != len(clique_without):
-        raise AssertionError("split modes disagree on the clique size")
-    ratio = (
-        (stats_with.n_calls - stats_without.n_calls) / stats_without.n_calls
-        if stats_without.n_calls
-        else 0.0
-    )
+    row = splitting_savings([g], default_leaf_solver(threshold))[0]
     return {
         "n": n,
         "expected_edges": m_expected,
         "seed": seed,
         "threshold": threshold,
         "num_edges": g.num_edges,
-        "n_qpbo": stats_with.n_calls,
-        "n_no_qpbo": stats_without.n_calls,
-        "ratio": f"{ratio:.4f}",
-        "clique_size": len(clique_with),
+        "n_qpbo": row.n_qpbo,
+        "n_no_qpbo": row.n_no_qpbo,
+        "ratio": f"{row.ratio:.4f}",
+        "clique_size": row.clique_size,
         "seconds": f"{time.perf_counter() - t0:.2f}",
     }
 

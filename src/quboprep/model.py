@@ -231,10 +231,6 @@ def spins_to_binary(values: Sequence[int]) -> tuple[int, ...]:
     return tuple((s + 1) // 2 for s in values)
 
 
-def binary_to_spins(values: Sequence[int]) -> tuple[int, ...]:
-    return tuple(2 * x - 1 for x in values)
-
-
 @dataclass(frozen=True)
 class Reduction:
     """Record of how an original QUBO maps onto a smaller one.

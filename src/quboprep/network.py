@@ -86,18 +86,6 @@ class ImplicationNetwork:
             for u, v, c in zip(self.tails, self.heads, self.caps)
         }
 
-    def capacity_fraction(self, u: int, v: int) -> Fraction:
-        """Capacity of arc (u, v) in energy units."""
-        return Fraction(self.arc_dict().get((u, v), 0), self.scale)
-
-    def to_edge_list_text(self) -> str:
-        """Debug export: one ``<from> <to> <capacity>`` line per arc."""
-        lines = [
-            f"{int(u)} {int(v)} {int(c)}"
-            for u, v, c in zip(self.tails, self.heads, self.caps)
-        ]
-        return "\n".join(lines)
-
     @classmethod
     def from_arcs(cls, num_vars: int, arcs, scale: int = 2) -> "ImplicationNetwork":
         """Build directly from (tail, head, capacity) triples (test helper).
@@ -121,20 +109,19 @@ def _merge_arcs(tails, heads, caps, num_nodes):
     return out_tails, m.indices.astype(np.int64), m.data.astype(np.int64)
 
 
-def _denominator_lcm(p: Posiform) -> int:
+def _denominator_lcm(*groups) -> int:
+    """lcm of the denominators of the Fraction coefficients in ``groups``."""
     lcm = 1
-    for a in p.linear.values():
-        if isinstance(a, Fraction):
-            lcm = math.lcm(lcm, a.denominator)
-    for a in p.quadratic.values():
-        if isinstance(a, Fraction):
-            lcm = math.lcm(lcm, a.denominator)
+    for group in groups:
+        for a in group:
+            if isinstance(a, Fraction):
+                lcm = math.lcm(lcm, a.denominator)
     return lcm
 
 
 def build_network(p: Posiform) -> ImplicationNetwork:
     """Implication network of ``p``; skew-symmetric by construction."""
-    denom = _denominator_lcm(p)
+    denom = _denominator_lcm(p.linear.values(), p.quadratic.values())
     scale = 2 * denom
     num_nodes = 2 * p.num_vars + 2
     chunks_t, chunks_h, chunks_c = [], [], []

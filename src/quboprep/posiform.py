@@ -62,15 +62,6 @@ class Posiform:
                 e += a
         return e
 
-    def linear_terms(self):
-        """Iterate (Literal, coeff), sorted by code."""
-        for code in sorted(self.linear):
-            yield Literal.from_code(code), self.linear[code]
-
-    def quadratic_terms(self):
-        for key in sorted(self.quadratic):
-            yield Literal.from_code(key[0]), Literal.from_code(key[1]), self.quadratic[key]
-
     def validate(self) -> None:
         for code, a in self.linear.items():
             if a <= 0:
@@ -86,13 +77,6 @@ class Posiform:
                 raise ValueError(f"pair ({cu},{cv}) uses one variable twice")
             if not (0 <= cu >> 1 < self.num_vars and 0 <= cv >> 1 < self.num_vars):
                 raise ValueError(f"pair ({cu},{cv}) out of range")
-
-    def dump(self) -> str:
-        """Human-readable debug form."""
-        parts = [str(self.constant)]
-        parts += [f"{a}*{lit}" for lit, a in self.linear_terms()]
-        parts += [f"{a}*{u}*{v}" for u, v, a in self.quadratic_terms()]
-        return " + ".join(parts)
 
 
 def to_posiform(q: Qubo) -> Posiform:

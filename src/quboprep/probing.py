@@ -8,9 +8,9 @@ global optimum (the first and last preserve all of them):
 * one labeled opposite ways yields a relation x_j = x_u (or its complement),
   applied by substitution;
 * strong labels of a single branch are implications (x_u=b forces x_j=v in
-  every optimum of that branch); they are added to a working copy of the
-  problem as nonnegative penalty terms that vanish on every optimum, which
-  enriches later flow analyses without changing the set of minimizers;
+  every optimum of that branch); they become nonnegative penalty terms that
+  vanish on every optimum, added to the problem for later flow analyses,
+  which they enrich without changing the set of minimizers;
 * a branch whose roof-dual bound exceeds a known feasible energy is dead,
   so the probed variable is fixed the other way.  Feasible energies are
   harvested automatically from branches whose weak labels cover every
@@ -30,7 +30,7 @@ problem); reports state the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._fast import IntArrays, analyze_branch
@@ -88,121 +88,108 @@ def _normalize(x) -> Coeff:
 
 
 class _ProbeState:
-    """True reduction chain plus the implication-enriched working problem.
+    """True reduction chain plus the implication penalties.
 
-    The working problem always has the same variable space as the true
-    reduced problem ``cur`` and lives in the same frame: both are shifted by
-    ``total.delta`` to give energies of the original problem.  Invariant, for
-    every assignment y of ``cur``::
+    ``penalty`` holds only the implication-penalty terms, over the variables
+    of the true reduced problem ``cur`` and in the same frame: both are
+    shifted by ``total.delta`` to give energies of the original problem.
+    Invariant, for every assignment y of ``cur``::
 
-        working(y) >= cur(y), with equality whenever y minimizes cur
+        penalty(y) >= 0, with equality whenever y minimizes cur
 
-    so the two problems have the same minimizers, and working persistency
-    labels and roof-dual bounds (plus ``total.delta``) hold for the original
-    problem.  ``apply`` keeps the invariant by carrying the constants that a
-    step folds into its ``delta`` over into the working offset, less the
-    true step's ``delta`` that ``total`` already absorbs.
+    so the working problem cur + penalty has the same minimizers as ``cur``,
+    and its persistency labels and roof-dual bounds (plus ``total.delta``)
+    hold for the original problem.  Fixing and substitution are linear in
+    the coefficients, so ``apply`` runs the same steps on the penalty and
+    folds the penalty step's ``delta`` into its offset.
     """
 
     def __init__(self, q: Qubo, backend: str):
         self.backend = backend
         self.total = Reduction.identity(q)
-        self.w_lin: dict[int, Coeff] = {}
-        self.w_quad: dict[tuple[int, int], Coeff] = {}
-        self.w_offset: Coeff = 0
-        self.enriched = False
-        self._w_arrays: IntArrays | None = None
-        self._w_dirty = True
+        self.penalty = Qubo(q.num_vars)
+        self._arrays: IntArrays | None = None  # of working_qubo(); None when stale
         self._impl_seen: set[tuple[int, int, int, int]] = set()
 
     @property
     def cur(self) -> Qubo:
         return self.total.reduced
 
-    def working_qubo(self) -> Qubo:
-        if not self.enriched:
-            return self.cur
-        return Qubo.from_terms(
-            self.cur.num_vars, self.w_lin, self.w_quad, self.w_offset
-        )
+    @property
+    def enriched(self) -> bool:
+        """Whether an implication has been recorded."""
+        return bool(self._impl_seen)
 
-    def w_arrays(self) -> IntArrays | None:
-        if self._w_dirty:
-            self._w_arrays = IntArrays.from_qubo(self.working_qubo())
-            self._w_dirty = False
-        return self._w_arrays
+    def working_qubo(self) -> Qubo:
+        """cur + penalty."""
+        c, p = self.cur, self.penalty
+        if not self.enriched:
+            return c
+        lin, quad = dict(c.linear), dict(c.quadratic)
+        for i, a in p.linear.items():
+            lin[i] = lin.get(i, 0) + a
+        for key, a in p.quadratic.items():
+            quad[key] = quad.get(key, 0) + a
+        return Qubo.from_terms(c.num_vars, lin, quad, c.offset + p.offset)
 
     def analyze_branches(self, u: int):
         """(strong, weak, bound) per branch, labels in current indices."""
-        arrays = self.w_arrays()
-        out = []
-        if arrays is not None:
-            for b in (0, 1):
-                out.append(analyze_branch(arrays, u, b, self.backend))
-        else:
-            w = self.working_qubo()
-            for b in (0, 1):
-                red = fix_variables(w, {u: b})
-                res = analyze(red.reduced, backend=self.backend)
-                strong = {red.surviving[j]: v for j, v in res.strong.items()}
-                weak = {red.surviving[j]: v for j, v in res.weak.items()}
-                out.append((strong, weak, res.bound + red.delta))
-        return out
+        if self._arrays is None:
+            self._arrays = IntArrays.from_qubo(self.working_qubo())
+        return [analyze_branch(self._arrays, u, b, self.backend) for b in (0, 1)]
 
-    def add_implication(self, u: int, b: int, j: int, v: int) -> None:
-        """Penalize x_u=b ∧ x_j≠v in the working problem (zero on optima)."""
-        orig_u, orig_j = self.total.surviving[u], self.total.surviving[j]
-        if (orig_u, b, orig_j, v) in self._impl_seen:
+    def add_implications(self, u: int, implied) -> None:
+        """Penalize x_u=b ∧ x_j≠v for each (b, j, v) in ``implied`` (zero on
+        optima); skips implications already recorded or already carried by a
+        coupling of the right sign."""
+        if not implied:
             return
-        if not self.enriched:
-            c = self.cur
-            self.w_lin, self.w_quad = dict(c.linear), dict(c.quadratic)
-            self.w_offset = c.offset
-        key = (u, j) if u < j else (j, u)
-        existing = self.w_quad.get(key, 0)
+        lin, quad = dict(self.penalty.linear), dict(self.penalty.quadratic)
+        offset = self.penalty.offset
         p = IMPLICATION_WEIGHT
-        if b == 1 and v == 0:
-            if existing > 0:
-                return  # a co-selection penalty already carries this arc
-            self._bump_quad(key, p)
-        elif b == 1 and v == 1:
-            if existing < 0:
-                return
-            self._bump_lin(u, p)
-            self._bump_quad(key, -p)
-        elif v == 0:  # b == 0: x_j implies x_u
-            if existing < 0:
-                return
-            self._bump_lin(j, p)
-            self._bump_quad(key, -p)
-        else:  # b == 0, v == 1: penalize both zero
-            if existing > 0:
-                return
-            self.w_offset = self.w_offset + p
-            self._bump_lin(u, -p)
-            self._bump_lin(j, -p)
-            self._bump_quad(key, p)
-        self._impl_seen.add((orig_u, b, orig_j, v))
-        self.enriched = True
-        self._w_dirty = True
+        orig_u = self.total.surviving[u]
 
-    def _bump_lin(self, i: int, a) -> None:
-        acc = self.w_lin.get(i, 0) + a
-        if acc:
-            self.w_lin[i] = acc
-        else:
-            self.w_lin.pop(i, None)
+        def bump(terms, key, a) -> None:
+            acc = terms.get(key, 0) + a
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
 
-    def _bump_quad(self, key, a) -> None:
-        acc = self.w_quad.get(key, 0) + a
-        if acc:
-            self.w_quad[key] = acc
-        else:
-            self.w_quad.pop(key, None)
+        for b, j, v in implied:
+            orig_j = self.total.surviving[j]
+            if (orig_u, b, orig_j, v) in self._impl_seen:
+                continue
+            key = (u, j) if u < j else (j, u)
+            existing = self.cur.quadratic.get(key, 0) + quad.get(key, 0)
+            if b == 1 and v == 0:
+                if existing > 0:
+                    continue  # a co-selection penalty already carries this arc
+                bump(quad, key, p)
+            elif b == 1 and v == 1:
+                if existing < 0:
+                    continue
+                bump(lin, u, p)
+                bump(quad, key, -p)
+            elif v == 0:  # b == 0: x_j implies x_u
+                if existing < 0:
+                    continue
+                bump(lin, j, p)
+                bump(quad, key, -p)
+            else:  # b == 0, v == 1: penalize both zero
+                if existing > 0:
+                    continue
+                offset = offset + p
+                bump(lin, u, -p)
+                bump(lin, j, -p)
+                bump(quad, key, p)
+            self._impl_seen.add((orig_u, b, orig_j, v))
+            self._arrays = None
+        self.penalty = Qubo(self.cur.num_vars, lin, quad, offset)
 
     def apply(self, rel_class: tuple[int, dict[int, int]] | None, fixes: dict[int, int]) -> Reduction:
         """Apply a relation class and/or fixes (current indices) to both the
-        true chain and the working problem; returns the step reduction."""
+        true chain and the penalty; returns the step reduction."""
 
         def run_ops(problem: Qubo) -> Reduction:
             step = Reduction.identity(problem)
@@ -224,15 +211,11 @@ class _ProbeState:
                 )
             return step
 
-        w_pre = self.working_qubo() if self.enriched else None
         step = run_ops(self.cur)
         self.total = self.total.compose(step)
-        if w_pre is not None:
-            w_step = run_ops(w_pre)
-            w2 = w_step.reduced
-            self.w_lin, self.w_quad = dict(w2.linear), dict(w2.quadratic)
-            self.w_offset = w2.offset + w_step.delta - step.delta
-        self._w_dirty = True
+        p_step = run_ops(self.penalty)
+        self.penalty = replace(p_step.reduced, offset=p_step.reduced.offset + p_step.delta)
+        self._arrays = None
         return step
 
 
@@ -342,11 +325,12 @@ def probe(
                 elif dead1:
                     fixes[u] = 0
 
-            for b, strong_b in ((0, s0), (1, s1)):
-                for j, v in strong_b.items():
-                    if j in fixes or j in rels or j == u:
-                        continue
-                    state.add_implication(u, b, j, v)
+            state.add_implications(u, [
+                (b, j, v)
+                for b, strong_b in ((0, s0), (1, s1))
+                for j, v in strong_b.items()
+                if j not in fixes and j not in rels and j != u
+            ])
 
             if rels and u in fixes:
                 for j, alpha in rels.items():

@@ -167,11 +167,3 @@ class TestRoofDual:
     def test_fractional_coefficients(self):
         q = Qubo.from_terms(2, {0: Fraction(-1, 3)}, {(0, 1): Fraction(1, 6)})
         assert roof_dual(q) <= exact_min(q)[0]
-
-
-def test_edge_list_export():
-    q = Qubo.from_terms(1, {0: 3})
-    net = build_network(to_posiform(q))
-    lines = net.to_edge_list_text().splitlines()
-    assert len(lines) == 2
-    assert all(len(line.split()) == 3 for line in lines)

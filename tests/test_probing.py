@@ -117,7 +117,7 @@ def test_report_text():
     assert text.startswith("var,value,class")
 
 
-def test_fractional_coefficients_fall_back_to_dict_path():
+def test_fractional_coefficients_keep_optimum():
     q = Qubo.from_terms(3, {0: Fraction(-3, 2), 1: -1}, {(0, 1): Fraction(5, 2)})
     out = probe(q)
     minimum, _ = exact_min(q)
@@ -175,12 +175,24 @@ def test_no_false_dead_branches_on_soundness_sweep_instance():
     assert mn2 + out.reduction.delta == minimum
 
 
-@pytest.mark.parametrize("seed", [7, 20, 31])
-def test_probe_bound_sound_on_random_sweep(seed):
+# Each sweep holds an instance whose probe bound exceeds the minimum when
+# the constants of fixing implied variables are dropped from the penalty.
+@pytest.mark.parametrize(
+    "seed, fractional",
+    [(7, False), (20, False), (31, False), (41, True)],
+    ids=["7", "20", "31", "fraction-41"],
+)
+def test_probe_bound_sound_on_random_sweep(seed, fractional):
     rng = np.random.default_rng(seed)
     for _ in range(150):
         n = int(rng.integers(2, 11))
         q = random_qubo(rng, n, coeff_range=(-4, 4), density=float(rng.uniform(0.2, 0.9)))
+        if fractional:  # a random denominator of 1..4 per coefficient
+            q = Qubo.from_terms(
+                n,
+                {i: Fraction(a, int(rng.integers(1, 5))) for i, a in q.linear.items()},
+                {k: Fraction(a, int(rng.integers(1, 5))) for k, a in q.quadratic.items()},
+            )
         minimum, _ = exact_min(q)
         out = probe(q)
         assert out.bound <= minimum
