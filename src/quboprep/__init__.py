@@ -18,7 +18,7 @@ from .model import (
     substitute,
     write_qubo,
 )
-from .posiform import Literal, Posiform, to_posiform
+from .posiform import IntArrays, Posiform, to_posiform
 from .network import FlowResult, ImplicationNetwork, build_network, max_flow, roof_dual
 from .persistency import PersistencyResult, analyze
 from .probing import ProbeOutcome, probe
@@ -45,9 +45,9 @@ __all__ = [
     "FormatError",
     "Graph",
     "ImplicationNetwork",
+    "IntArrays",
     "IsingModel",
     "LeafSolver",
-    "Literal",
     "PersistencyResult",
     "Posiform",
     "ProbeOutcome",

@@ -21,7 +21,9 @@ class FormatError(QuboprepError):
 
 
 class SizeGuardError(QuboprepError):
-    """An oracle was asked to enumerate beyond its hard size guard."""
+    """A hard size guard was exceeded: an oracle was asked to enumerate too
+    many variables, or coefficients are too large in magnitude for exact
+    int64 arithmetic (Σ|a|·scale ≥ 2**62)."""
 
 
 class SolverValidationError(QuboprepError):

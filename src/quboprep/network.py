@@ -4,14 +4,13 @@ Nodes: 0 is the source (the constant-1 literal), 1 the sink (its
 complement); literal with code c sits at node c + 2.  The complement of any
 node n is n ^ 1.  Each posiform term a·u·v contributes arcs (u → v̄) and
 (v → ū) of capacity a/2; a linear term a·u contributes (source → ū) and
-(u → sink).  Capacities are stored as exact integers after multiplying by
-``scale`` = 2 × (lcm of coefficient denominators): an arc's stored capacity
-is its energy capacity times ``scale``.
+(u → sink).  :func:`build_network` concatenates the posiform's scaled arrays
+into these arcs, so capacities are exact integers: an arc's stored capacity
+is its energy capacity times ``scale`` = 2 × the posiform's scale.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,20 +20,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .model import Coeff, Qubo
-from .posiform import Posiform, to_posiform
+from .posiform import IntArrays, Posiform, to_posiform
 
 SOURCE = 0
 SINK = 1
 
 _INT32_MAX = 2**31 - 1
-
-
-def complement_node(node: int) -> int:
-    return node ^ 1
-
-
-def literal_node(var: int, complemented: bool = False) -> int:
-    return 2 * var + int(complemented) + 2
 
 
 @dataclass(frozen=True)
@@ -80,27 +71,6 @@ class ImplicationNetwork:
     def is_skew_symmetric(self) -> bool:
         return self.skew_index is not None
 
-    def arc_dict(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(u), int(v)): int(c)
-            for u, v, c in zip(self.tails, self.heads, self.caps)
-        }
-
-    @classmethod
-    def from_arcs(cls, num_vars: int, arcs, scale: int = 2) -> "ImplicationNetwork":
-        """Build directly from (tail, head, capacity) triples (test helper).
-
-        Parallel arcs merge by capacity addition; no skew closure is added.
-        """
-        num_nodes = 2 * num_vars + 2
-        if not arcs:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(num_vars, scale, empty, empty, empty)
-        tails = np.array([a[0] for a in arcs], dtype=np.int64)
-        heads = np.array([a[1] for a in arcs], dtype=np.int64)
-        caps = np.array([a[2] for a in arcs], dtype=np.int64)
-        return cls(num_vars, scale, *_merge_arcs(tails, heads, caps, num_nodes))
-
 
 def _merge_arcs(tails, heads, caps, num_nodes):
     m = csr_matrix((caps, (tails, heads)), shape=(num_nodes, num_nodes))
@@ -109,52 +79,14 @@ def _merge_arcs(tails, heads, caps, num_nodes):
     return out_tails, m.indices.astype(np.int64), m.data.astype(np.int64)
 
 
-def _denominator_lcm(*groups) -> int:
-    """lcm of the denominators of the Fraction coefficients in ``groups``."""
-    lcm = 1
-    for group in groups:
-        for a in group:
-            if isinstance(a, Fraction):
-                lcm = math.lcm(lcm, a.denominator)
-    return lcm
-
-
 def build_network(p: Posiform) -> ImplicationNetwork:
     """Implication network of ``p``; skew-symmetric by construction."""
-    denom = _denominator_lcm(p.linear.values(), p.quadratic.values())
-    scale = 2 * denom
+    nu, nv, nl = p.qu + 2, p.qv + 2, p.lin_codes + 2
+    tails = np.concatenate([nu, nv, np.full(len(nl), SOURCE, dtype=np.int64), nl])
+    heads = np.concatenate([nv ^ 1, nu ^ 1, nl ^ 1, np.full(len(nl), SINK, dtype=np.int64)])
+    caps = np.concatenate([p.quad_vals, p.quad_vals, p.lin_vals, p.lin_vals])
     num_nodes = 2 * p.num_vars + 2
-    chunks_t, chunks_h, chunks_c = [], [], []
-    if p.quadratic:
-        keys = np.array(list(p.quadratic.keys()), dtype=np.int64)
-        vals = np.fromiter(
-            (int(a * denom) for a in p.quadratic.values()),
-            dtype=np.int64,
-            count=len(p.quadratic),
-        )
-        nu = keys[:, 0] + 2
-        nv = keys[:, 1] + 2
-        chunks_t += [nu, nv]
-        chunks_h += [nv ^ 1, nu ^ 1]
-        chunks_c += [vals, vals]
-    if p.linear:
-        codes = np.fromiter(p.linear.keys(), dtype=np.int64, count=len(p.linear))
-        vals = np.fromiter(
-            (int(a * denom) for a in p.linear.values()),
-            dtype=np.int64,
-            count=len(p.linear),
-        )
-        nl = codes + 2
-        chunks_t += [np.full(len(nl), SOURCE, dtype=np.int64), nl]
-        chunks_h += [nl ^ 1, np.full(len(nl), SINK, dtype=np.int64)]
-        chunks_c += [vals, vals]
-    if not chunks_t:
-        empty = np.empty(0, dtype=np.int64)
-        return ImplicationNetwork(p.num_vars, scale, empty, empty, empty)
-    tails = np.concatenate(chunks_t)
-    heads = np.concatenate(chunks_h)
-    caps = np.concatenate(chunks_c)
-    return ImplicationNetwork(p.num_vars, scale, *_merge_arcs(tails, heads, caps, num_nodes))
+    return ImplicationNetwork(p.num_vars, 2 * p.scale, *_merge_arcs(tails, heads, caps, num_nodes))
 
 
 @dataclass(frozen=True)
@@ -184,25 +116,6 @@ class FlowResult:
     @cached_property
     def residual2(self) -> np.ndarray:
         return 2 * self.network.caps - self.flow2
-
-    def flow_fractions(self) -> dict[tuple[int, int], Fraction]:
-        """Net symmetrized flow per arc, in energy units."""
-        net = self.network
-        return {
-            (int(u), int(v)): Fraction(int(f2), 2 * net.scale)
-            for u, v, f2 in zip(net.tails, net.heads, self.flow2)
-        }
-
-    def residual_caps(self) -> dict[tuple[int, int], Fraction]:
-        """Residual capacities (energy units) for all residual arcs."""
-        net = self.network
-        out: dict[tuple[int, int], Fraction] = {}
-        arc_set = set(zip(net.tails.tolist(), net.heads.tolist()))
-        for u, v, c, f2 in zip(net.tails, net.heads, net.caps, self.flow2):
-            out[(int(u), int(v))] = Fraction(int(2 * c - f2), 2 * net.scale)
-            if (int(v), int(u)) not in arc_set and f2 > 0:
-                out[(int(v), int(u))] = Fraction(int(f2), 2 * net.scale)
-        return out
 
     def residual_adjacency(self) -> csr_matrix:
         """Boolean CSR over nodes: an entry per positive-residual arc."""
@@ -345,7 +258,7 @@ def max_flow(net: ImplicationNetwork, backend: str = "auto") -> FlowResult:
 
 def roof_dual(q: Qubo, backend: str = "auto") -> Coeff:
     """Max-flow lower bound on min_x q(x); exact when q is submodular."""
-    p = to_posiform(q)
+    p = to_posiform(IntArrays.from_qubo(q))
     net = build_network(p)
     result = max_flow(net, backend=backend)
     bound = p.constant + Fraction(result.flow_value, net.scale)

@@ -25,10 +25,15 @@ logger = logging.getLogger(__name__)
 BRUTE_FORCE_MAX_VARS = 25
 MAX_CUT_MAX_VARS = 25
 _CHUNK_BITS = 18
+_ENERGY_LIMIT = 2**62
 
 
 def _scaled_int_arrays(q: Qubo):
-    """Linear/quadratic coefficient arrays times the denominator lcm."""
+    """Linear/quadratic coefficient arrays times the denominator lcm.
+
+    Raises SizeGuardError unless Σ|a|·denom + |offset·denom| < 2**62, which
+    bounds every energy the enumeration sums in int64.
+    """
     denom = 1
     for a in q.linear.values():
         if isinstance(a, Fraction):
@@ -38,16 +43,19 @@ def _scaled_int_arrays(q: Qubo):
             denom = math.lcm(denom, a.denominator)
     if isinstance(q.offset, Fraction):
         denom = math.lcm(denom, q.offset.denominator)
+    lin_vals = {i: int(a * denom) for i, a in q.linear.items()}
+    pair_list = sorted(q.quadratic)
+    quad_vals = [int(q.quadratic[p] * denom) for p in pair_list]
+    off = int(q.offset * denom)
+    magnitude = sum(map(abs, lin_vals.values())) + sum(map(abs, quad_vals)) + abs(off)
+    if magnitude >= _ENERGY_LIMIT:
+        raise SizeGuardError(f"brute_force_qubo needs scaled |coefficient| sum < 2**62, got {magnitude}")
     lin = np.zeros(q.num_vars, dtype=np.int64)
-    for i, a in q.linear.items():
-        lin[i] = int(a * denom)
-    if q.quadratic:
-        pairs = np.array(sorted(q.quadratic), dtype=np.int64)
-        quad = np.array([int(q.quadratic[tuple(p)] * denom) for p in pairs.tolist()], dtype=np.int64)
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-        quad = np.empty(0, dtype=np.int64)
-    return denom, lin, pairs, quad, int(q.offset * denom)
+    for i, a in lin_vals.items():
+        lin[i] = a
+    pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 2)
+    quad = np.array(quad_vals, dtype=np.int64)
+    return denom, lin, pairs, quad, off
 
 
 def brute_force_qubo(

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .model import Coeff, Qubo, Reduction, fix_variables
 from .network import SOURCE, build_network, max_flow
-from .posiform import to_posiform
+from .posiform import IntArrays, to_posiform
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _normalize(x: Fraction) -> Coeff:
 
 def analyze(q: Qubo, backend: str = "auto") -> PersistencyResult:
     """Roof-dual bound plus strong and weak persistencies of ``q``."""
-    p = to_posiform(q)
+    p = to_posiform(IntArrays.from_qubo(q))
     net = build_network(p)
     flow = max_flow(net, backend=backend)
     bound = _normalize(p.constant + Fraction(flow.flow_value, net.scale))

@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._fast import IntArrays, analyze_branch
+from ._fast import analyze_branch
 from .model import Coeff, Qubo, Reduction, fix_variables, substitute
 from .persistency import analyze
+from .posiform import IntArrays
 
 IMPLICATION_WEIGHT = 1
 

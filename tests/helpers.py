@@ -2,15 +2,19 @@
 
 The max-flow oracle here is a naive Edmonds-Karp sharing no code with the
 package's flow kernel, so value agreement between the two is meaningful.
+The dict views of networks, flows and posiforms below exist only for
+readable assertions.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
 from quboprep.model import Qubo
+from quboprep.network import ImplicationNetwork, _merge_arcs
 
 
 def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
@@ -73,3 +77,54 @@ def random_qubo(rng: np.random.Generator, n: int, coeff_range=(-4, 4), density=0
             if rng.random() < density:
                 quad[(i, j)] = int(rng.integers(coeff_range[0], coeff_range[1] + 1))
     return Qubo.from_terms(n, lin, quad)
+
+
+def posiform_energy(p, values):
+    """Energy of an array posiform at a 0/1 assignment, term by term."""
+
+    def lit(code: int) -> int:
+        v = values[code >> 1]
+        return 1 - v if code & 1 else v
+
+    total = sum(a * lit(c) for c, a in zip(p.lin_codes.tolist(), p.lin_vals.tolist()))
+    total += sum(
+        a * lit(cu) * lit(cv)
+        for cu, cv, a in zip(p.qu.tolist(), p.qv.tolist(), p.quad_vals.tolist())
+    )
+    return p.constant + Fraction(total, p.scale)
+
+
+def literal_node(var: int, complemented: bool = False) -> int:
+    return 2 * var + int(complemented) + 2
+
+
+def arc_dict(net) -> dict[tuple[int, int], int]:
+    return {(int(u), int(v)): int(c) for u, v, c in zip(net.tails, net.heads, net.caps)}
+
+
+def network_from_arcs(num_vars: int, arcs, scale: int = 2) -> ImplicationNetwork:
+    """Network from (tail, head, capacity) triples; parallel arcs merge by
+    capacity addition and no skew closure is added."""
+    tails, heads, caps = (np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3))
+    return ImplicationNetwork(num_vars, scale, *_merge_arcs(tails, heads, caps, 2 * num_vars + 2))
+
+
+def flow_fractions(result) -> dict[tuple[int, int], Fraction]:
+    """Net symmetrized flow per arc, in energy units."""
+    net = result.network
+    return {
+        (int(u), int(v)): Fraction(int(f2), 2 * net.scale)
+        for u, v, f2 in zip(net.tails, net.heads, result.flow2)
+    }
+
+
+def residual_caps(result) -> dict[tuple[int, int], Fraction]:
+    """Residual capacities (energy units) for all residual arcs."""
+    net = result.network
+    out: dict[tuple[int, int], Fraction] = {}
+    arc_set = set(zip(net.tails.tolist(), net.heads.tolist()))
+    for u, v, c, f2 in zip(net.tails, net.heads, net.caps, result.flow2):
+        out[(int(u), int(v))] = Fraction(int(2 * c - f2), 2 * net.scale)
+        if (int(v), int(u)) not in arc_set and f2 > 0:
+            out[(int(v), int(u))] = Fraction(int(f2), 2 * net.scale)
+    return out

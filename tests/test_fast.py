@@ -1,5 +1,6 @@
-"""The vectorized branch analysis must agree with the dict pipeline,
-for integer and Fraction coefficients alike."""
+"""A probe branch, folded into the problem's arrays, must agree with
+analyzing the fixed-out problem (fix_variables, then analyze), for integer
+and Fraction coefficients alike."""
 
 from fractions import Fraction
 

@@ -6,22 +6,27 @@ import numpy as np
 import pytest
 
 from quboprep.model import Qubo
-from quboprep.network import (
-    SINK,
-    SOURCE,
-    ImplicationNetwork,
-    build_network,
-    literal_node,
-    max_flow,
-    roof_dual,
-)
-from quboprep.posiform import to_posiform
+from quboprep.network import SINK, SOURCE, build_network, max_flow, roof_dual
+from quboprep.posiform import IntArrays, to_posiform
 
-from helpers import edmonds_karp, exact_min, random_qubo
+from helpers import (
+    arc_dict,
+    edmonds_karp,
+    exact_min,
+    flow_fractions,
+    literal_node,
+    network_from_arcs,
+    random_qubo,
+    residual_caps,
+)
+
+
+def _network(q: Qubo):
+    return build_network(to_posiform(IntArrays.from_qubo(q)))
 
 
 def test_empty_posiform_network():
-    net = build_network(to_posiform(Qubo.from_terms(0)))
+    net = _network(Qubo.from_terms(0))
     assert net.num_nodes == 2
     assert net.num_arcs == 0
     assert max_flow(net).flow_value == 0
@@ -29,17 +34,17 @@ def test_empty_posiform_network():
 
 def test_single_quadratic_term_arcs():
     q = Qubo.from_terms(2, {}, {(0, 1): 2})
-    net = build_network(to_posiform(q))
+    net = _network(q)
     x0, x1 = literal_node(0), literal_node(1)
-    assert net.arc_dict() == {(x0, x1 ^ 1): 2, (x1, x0 ^ 1): 2}
+    assert arc_dict(net) == {(x0, x1 ^ 1): 2, (x1, x0 ^ 1): 2}
     assert net.scale == 2
 
 
 def test_linear_term_arcs():
     q = Qubo.from_terms(1, {0: 3})
-    net = build_network(to_posiform(q))
+    net = _network(q)
     x0 = literal_node(0)
-    assert net.arc_dict() == {(SOURCE, x0 ^ 1): 3, (x0, SINK): 3}
+    assert arc_dict(net) == {(SOURCE, x0 ^ 1): 3, (x0, SINK): 3}
 
 
 def test_skew_symmetry_of_clique_network():
@@ -47,18 +52,18 @@ def test_skew_symmetry_of_clique_network():
     from quboprep.problems import clique_qubo
 
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    net = build_network(to_posiform(clique_qubo(p3)))
+    net = _network(clique_qubo(p3))
     assert net.is_skew_symmetric
 
 
 def test_parallel_arcs_merge():
-    net = ImplicationNetwork.from_arcs(1, [(0, 2, 1), (0, 2, 2), (2, 1, 5)])
-    assert net.arc_dict()[(0, 2)] == 3
+    net = network_from_arcs(1, [(0, 2, 1), (0, 2, 2), (2, 1, 5)])
+    assert arc_dict(net)[(0, 2)] == 3
 
 
 def test_bottleneck_path():
     # s -> u -> t with capacities 3 and 5; not skew-closed, plain flow only.
-    net = ImplicationNetwork.from_arcs(1, [(SOURCE, 2, 3), (2, SINK, 5)])
+    net = network_from_arcs(1, [(SOURCE, 2, 3), (2, SINK, 5)])
     result = max_flow(net)
     assert result.flow_value == 3
     assert not result.symmetric
@@ -67,7 +72,7 @@ def test_bottleneck_path():
 def test_flow_matches_independent_oracle():
     for seed in range(8):
         q = random_qubo(np.random.default_rng(200 + seed), 10)
-        net = build_network(to_posiform(q))
+        net = _network(q)
         result = max_flow(net)
         oracle_value = edmonds_karp(
             net.num_nodes,
@@ -81,30 +86,29 @@ def test_flow_matches_independent_oracle():
 def test_backends_agree():
     for seed in range(4):
         q = random_qubo(np.random.default_rng(300 + seed), 9)
-        net = build_network(to_posiform(q))
+        net = _network(q)
         assert max_flow(net, "scipy").flow_value == max_flow(net, "dinic").flow_value
 
 
 def test_flow_value_invariant_under_arc_order():
     q = random_qubo(np.random.default_rng(7), 8)
-    p = to_posiform(q)
-    net = build_network(p)
+    net = _network(q)
     shuffled = list(zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist()))
     rng = np.random.default_rng(0)
     rng.shuffle(shuffled)
-    net2 = ImplicationNetwork.from_arcs(q.num_vars, shuffled, scale=net.scale)
+    net2 = network_from_arcs(q.num_vars, shuffled, scale=net.scale)
     assert max_flow(net).flow_value == max_flow(net2).flow_value
 
 
 def test_symmetric_flow_and_residuals():
     q = random_qubo(np.random.default_rng(11), 8)
-    net = build_network(to_posiform(q))
+    net = _network(q)
     result = max_flow(net)
     assert result.symmetric
-    flows = result.flow_fractions()
+    flows = flow_fractions(result)
     for (u, v), f in flows.items():
         assert flows[(v ^ 1, u ^ 1)] == f
-    for value in result.residual_caps().values():
+    for value in residual_caps(result).values():
         assert value >= 0
     # conservation at every non-terminal node (net symmetrized flow)
     balance = {}
@@ -119,7 +123,7 @@ def test_symmetric_flow_and_residuals():
 
 def test_dinic_handles_big_capacities():
     big = 2**40
-    net = ImplicationNetwork.from_arcs(1, [(SOURCE, 2, big), (2, SINK, big // 2)])
+    net = network_from_arcs(1, [(SOURCE, 2, big), (2, SINK, big // 2)])
     assert max_flow(net).flow_value == big // 2
 
 

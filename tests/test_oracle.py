@@ -56,6 +56,15 @@ class TestBruteForce:
         with pytest.raises(SizeGuardError):
             brute_force_qubo(Qubo.from_terms(26))
 
+    def test_magnitude_guard(self):
+        # Summed in int64, these energies would wrap (2**63 reads as -2**63).
+        with pytest.raises(SizeGuardError):
+            brute_force_qubo(Qubo.from_terms(2, {0: 2**62, 1: 2**62}))
+        assert brute_force_qubo(Qubo.from_terms(2, {0: 2**60, 1: -(2**60)}), True) == (
+            -(2**60),
+            [(0, 1)],
+        )
+
 
 class TestExactMaxClique:
     def test_complete_graph(self):

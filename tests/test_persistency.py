@@ -1,10 +1,17 @@
 """Soundness tests for strong/weak persistency extraction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from quboprep._fast import analyze_branch
+from quboprep.errors import SizeGuardError
 from quboprep.model import Qubo, fix_variables
+from quboprep.network import roof_dual
 from quboprep.persistency import PersistencyResult, analyze, reduce
+from quboprep.posiform import IntArrays
+from quboprep.probing import probe
 
 from helpers import exact_min, random_qubo
 
@@ -38,11 +45,7 @@ def test_path_center_vertex_is_strong():
     assert len(res.weak) == 3
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_soundness_on_random_instances(seed):
-    rng = np.random.default_rng(1000 + seed)
-    q = random_qubo(rng, int(rng.integers(2, 11)))
-    res = analyze(q)
+def _assert_sound(q: Qubo, res) -> None:
     minimum, minimizers = exact_min(q)
     assert res.bound <= minimum
     for var, val in res.strong.items():
@@ -50,6 +53,44 @@ def test_soundness_on_random_instances(seed):
     assert any(
         all(m[var] == val for var, val in res.weak.items()) for m in minimizers
     ), "no minimizer realizes the weak assignment"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_soundness_on_random_instances(seed):
+    rng = np.random.default_rng(1000 + seed)
+    q = random_qubo(rng, int(rng.integers(2, 11)))
+    _assert_sound(q, analyze(q))
+
+
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_huge_coefficients_hit_the_size_guard(denominator):
+    # Σ|a| = 2**64: int64 sums wrapped here, and the true minimum is -2**64.
+    a = Fraction(-(2**62), denominator)
+    q = Qubo.from_terms(3, {1: a, 2: a}, {(0, 1): a, (0, 2): a})
+    runs = (analyze, roof_dual, probe, lambda q: analyze_branch(IntArrays.from_qubo(q), 0, 1))
+    for run in runs:
+        with pytest.raises(SizeGuardError):
+            run(q)
+
+
+def test_coefficients_near_2_to_58_stay_sound():
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        # 15 terms of magnitude <= 2**58 + 3 keep Σ|a| below 2**62.
+        q = random_qubo(rng, 5, coeff_range=(-1, 1), density=1.0)
+        q = Qubo.from_terms(
+            5,
+            {i: a * 2**58 + int(rng.integers(-3, 4)) for i, a in q.linear.items()},
+            {k: a * 2**58 + int(rng.integers(-3, 4)) for k, a in q.quadratic.items()},
+        )
+        res = analyze(q)
+        _assert_sound(q, res)
+        assert roof_dual(q) == res.bound
+        strong, weak, bound = analyze_branch(IntArrays.from_qubo(q), 0, 1)
+        red = fix_variables(q, {0: 1})
+        ref = analyze(red.reduced)
+        assert bound == ref.bound + red.delta
+        assert weak == {red.surviving[j]: v for j, v in ref.weak.items()}
 
 
 @pytest.mark.parametrize("seed", range(12))
