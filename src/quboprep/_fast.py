@@ -20,9 +20,7 @@ from .persistency import extract_labels
 from .posiform import IntArrays, to_posiform
 
 
-def analyze_branch(
-    arr: IntArrays, u: int, b: int, backend: str = "auto"
-) -> tuple[dict[int, int], dict[int, int], Fraction]:
+def analyze_branch(arr: IntArrays, u: int, b: int) -> tuple[dict[int, int], dict[int, int], Fraction]:
     """Persistency labels and bound of the subproblem with x_u := b.
 
     Returns (strong, weak, bound); labels use the parent index space and
@@ -46,7 +44,7 @@ def analyze_branch(
         offset=arr.offset + Fraction(delta, arr.scale),
     )
     p = to_posiform(branch)
-    flow = max_flow(build_network(p), backend=backend)
+    flow = max_flow(build_network(p))
     bound = p.constant + Fraction(flow.flow_value, flow.network.scale)
     strong, weak = extract_labels(flow, arr.num_vars)
     strong.pop(u, None)

@@ -151,11 +151,6 @@ class Qubo:
                 e += a
         return e
 
-    def validate(self) -> None:
-        lin, quad = _canonicalize(self.num_vars, self.linear, self.quadratic)
-        if lin != self.linear or quad != self.quadratic:
-            raise ValueError("Qubo is not in canonical form")
-
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -301,6 +296,54 @@ class Reduction:
         )
 
 
+def _fold(
+    q: Qubo, fixed: Mapping[int, int], subs: Mapping[int, tuple[int, bool]]
+) -> Reduction:
+    """Eliminate the variables of ``fixed`` and ``subs`` in one pass.
+
+    Each original variable is written as c + s·y_t over the surviving
+    variables y: a survivor is (0, 1, its new index), x_j := v is
+    (v, 0, None), x_j := x_i is (0, 1, t_i) and x_j := 1 - x_i is
+    (1, -1, t_i).  Every term is expanded through that map with
+    y_t·y_t = y_t; constants go to ``delta``.  Only nonzero constants are
+    added, so an all-int ``delta`` stays an int.
+    """
+    surviving = tuple(k for k in range(q.num_vars) if k not in fixed and k not in subs)
+    image = {orig: (0, 1, k) for k, orig in enumerate(surviving)}
+    for j, v in fixed.items():
+        image[j] = (v, 0, None)
+    for j, (i, complemented) in subs.items():
+        image[j] = (1, -1, image[i][2]) if complemented else image[i]
+    delta: Coeff = 0
+    lin: dict[int, Coeff] = {}
+    quad: dict[tuple[int, int], Coeff] = {}
+    for i, a in q.linear.items():
+        c, s, t = image[i]
+        if c:
+            delta += a
+        if s:
+            lin[t] = lin.get(t, 0) + (a if s > 0 else -a)
+    for (i, j), a in q.quadratic.items():
+        ci, si, ti = image[i]
+        cj, sj, tj = image[j]
+        if ci and cj:
+            delta += a
+        if si and sj and ti == tj:  # y_t·y_t = y_t: one linear coefficient
+            f = si * cj + ci * sj + si * sj
+            if f:
+                lin[ti] = lin.get(ti, 0) + (a if f > 0 else -a)
+            continue
+        if si and cj:
+            lin[ti] = lin.get(ti, 0) + (a if si > 0 else -a)
+        if sj and ci:
+            lin[tj] = lin.get(tj, 0) + (a if sj > 0 else -a)
+        if si and sj:
+            key = canonical_pair(ti, tj)
+            quad[key] = quad.get(key, 0) + (a if si == sj else -a)
+    reduced = Qubo.from_terms(len(surviving), lin, quad, q.offset)
+    return Reduction(q.num_vars, dict(fixed), dict(subs), surviving, reduced, delta)
+
+
 def fix_variables(q: Qubo, partial: Mapping[int, int]) -> Reduction:
     """Fix ``partial`` (index -> {0,1}) and fold the consequences.
 
@@ -312,80 +355,24 @@ def fix_variables(q: Qubo, partial: Mapping[int, int]) -> Reduction:
             raise ValueError(f"index {i} out of range")
         if v not in (0, 1):
             raise ValueError(f"fixed value {v} not in {{0,1}}")
-    fixed = {i: int(v) for i, v in partial.items()}
-    surviving = tuple(i for i in range(q.num_vars) if i not in fixed)
-    new_index = {orig: k for k, orig in enumerate(surviving)}
-    delta: Coeff = 0
-    lin: dict[int, Coeff] = {}
-    quad: dict[tuple[int, int], Coeff] = {}
-    for i, a in q.linear.items():
-        if i in fixed:
-            if fixed[i]:
-                delta += a
-        else:
-            lin[new_index[i]] = lin.get(new_index[i], 0) + a
-    for (i, j), a in q.quadratic.items():
-        fi, fj = i in fixed, j in fixed
-        if fi and fj:
-            if fixed[i] and fixed[j]:
-                delta += a
-        elif fi or fj:
-            fixed_var, free_var = (i, j) if fi else (j, i)
-            if fixed[fixed_var]:
-                k = new_index[free_var]
-                lin[k] = lin.get(k, 0) + a
-        else:
-            key = canonical_pair(new_index[i], new_index[j])
-            quad[key] = quad.get(key, 0) + a
-    reduced = Qubo.from_terms(len(surviving), lin, quad, q.offset)
-    return Reduction(q.num_vars, fixed, {}, surviving, reduced, delta)
+    return _fold(q, {i: int(v) for i, v in partial.items()}, {})
 
 
-def substitute(q: Qubo, j: int, i: int, complemented: bool) -> Reduction:
-    """Eliminate x_j by x_j := x_i (or 1 - x_i when ``complemented``)."""
-    if i == j:
-        raise ValueError("cannot substitute a variable with itself")
-    for k in (i, j):
-        if not 0 <= k < q.num_vars:
-            raise ValueError(f"index {k} out of range")
-    surviving = tuple(k for k in range(q.num_vars) if k != j)
-    new_index = {orig: k for k, orig in enumerate(surviving)}
-    delta: Coeff = 0
-    lin: dict[int, Coeff] = {}
-    quad: dict[tuple[int, int], Coeff] = {}
+def substitute(q: Qubo, relations: Mapping[int, tuple[int, bool]]) -> Reduction:
+    """Eliminate every x_j of ``relations`` ({j: (i, complemented)}) in one
+    pass by x_j := x_i, or x_j := 1 - x_i when ``complemented``.
 
-    def add_lin(orig, a):
-        k = new_index[orig]
-        lin[k] = lin.get(k, 0) + a
-
-    def add_quad(orig_a, orig_b, a):
-        key = canonical_pair(new_index[orig_a], new_index[orig_b])
-        quad[key] = quad.get(key, 0) + a
-
-    for v, a in q.linear.items():
-        if v != j:
-            add_lin(v, a)
-        elif complemented:
-            delta += a
-            add_lin(i, -a)
-        else:
-            add_lin(i, a)
-    for (u, v), a in q.quadratic.items():
-        if j not in (u, v):
-            add_quad(u, v, a)
-            continue
-        other = v if u == j else u
-        if other == i:
-            # x_j x_i with x_j = x_i gives x_i; with x_j = 1-x_i gives 0.
-            if not complemented:
-                add_lin(i, a)
-        elif complemented:
-            add_lin(other, a)
-            add_quad(i, other, -a)
-        else:
-            add_quad(i, other, a)
-    reduced = Qubo.from_terms(len(surviving), lin, quad, q.offset)
-    return Reduction(q.num_vars, {}, {j: (i, complemented)}, surviving, reduced, delta)
+    Targets must survive: no target may itself be substituted.
+    """
+    for j, (i, _) in relations.items():
+        for k in (i, j):
+            if not 0 <= k < q.num_vars:
+                raise ValueError(f"index {k} out of range")
+        if i == j:
+            raise ValueError("cannot substitute a variable with itself")
+        if i in relations:
+            raise ValueError(f"target {i} of x{j} is itself substituted")
+    return _fold(q, {}, relations)
 
 
 # --- QUBO text format -------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .model import Coeff, Qubo
+from .model import Coeff, Qubo, as_coeff
 from .posiform import IntArrays, Posiform, to_posiform
 
 SOURCE = 0
@@ -105,14 +105,6 @@ class FlowResult:
     flow2: np.ndarray
     symmetric: bool
 
-    @property
-    def source(self) -> int:
-        return SOURCE
-
-    @property
-    def sink(self) -> int:
-        return SINK
-
     @cached_property
     def residual2(self) -> np.ndarray:
         return 2 * self.network.caps - self.flow2
@@ -188,7 +180,7 @@ def _dinic(num_nodes: int, tails, heads, caps, source: int, sink: int):
                         break
                     level[u] = -1
                     aid = path.pop()
-                    u = tails_of(aid, head_of)
+                    u = head_of[aid ^ 1]  # tail of arc aid
             if u is None:
                 break
             bottleneck = min(rem[aid] for aid in path)
@@ -200,10 +192,6 @@ def _dinic(num_nodes: int, tails, heads, caps, source: int, sink: int):
         [int(c) - rem[2 * k] for k, c in enumerate(caps.tolist())], dtype=object
     )
     return total, flows
-
-
-def tails_of(aid: int, head_of: list[int]) -> int:
-    return head_of[aid ^ 1]
 
 
 def _cancel_antiparallel(net: ImplicationNetwork, flows: np.ndarray) -> np.ndarray:
@@ -223,18 +211,17 @@ def _cancel_antiparallel(net: ImplicationNetwork, flows: np.ndarray) -> np.ndarr
     return out
 
 
-def max_flow(net: ImplicationNetwork, backend: str = "auto") -> FlowResult:
+def max_flow(net: ImplicationNetwork) -> FlowResult:
     """Exact maximum source→sink flow; symmetrized when the network is
-    skew-symmetric (flow on (u→v) equals flow on (v̄→ū))."""
-    if backend not in ("auto", "scipy", "dinic"):
-        raise ValueError(f"unknown backend {backend!r}")
+    skew-symmetric (flow on (u→v) equals flow on (v̄→ū)).
+
+    scipy's int32 kernel runs when every capacity and the total source
+    capacity fit in int32; otherwise Dinic on Python ints.
+    """
     if net.num_arcs == 0:
         return FlowResult(net, 0, np.empty(0, dtype=np.int64), True)
-    use_scipy = backend == "scipy"
-    if backend == "auto":
-        source_total = int(net.caps[net.tails == SOURCE].sum())
-        use_scipy = int(net.caps.max()) <= _INT32_MAX and source_total <= _INT32_MAX
-    if use_scipy:
+    source_total = int(net.caps[net.tails == SOURCE].sum())
+    if int(net.caps.max()) <= _INT32_MAX and source_total <= _INT32_MAX:
         graph = csr_matrix(
             (net.caps.astype(np.int32), (net.tails, net.heads)),
             shape=(net.num_nodes, net.num_nodes),
@@ -256,10 +243,9 @@ def max_flow(net: ImplicationNetwork, backend: str = "auto") -> FlowResult:
     return FlowResult(net, value, flow2, symmetric)
 
 
-def roof_dual(q: Qubo, backend: str = "auto") -> Coeff:
+def roof_dual(q: Qubo) -> Coeff:
     """Max-flow lower bound on min_x q(x); exact when q is submodular."""
     p = to_posiform(IntArrays.from_qubo(q))
     net = build_network(p)
-    result = max_flow(net, backend=backend)
-    bound = p.constant + Fraction(result.flow_value, net.scale)
-    return int(bound) if bound.denominator == 1 else bound
+    result = max_flow(net)
+    return as_coeff(p.constant + Fraction(result.flow_value, net.scale))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeGuardError
-from .model import Coeff, Qubo
+from .model import Coeff, Qubo, as_coeff
 from .graphs import Graph
 
 logger = logging.getLogger(__name__)
@@ -93,8 +93,7 @@ def brute_force_qubo(
             elif not argmins:
                 argmins = [int(hits[0])]
     assert best is not None
-    minimum = Fraction(best, denom)
-    minimum = int(minimum) if minimum.denominator == 1 else minimum
+    minimum = as_coeff(Fraction(best, denom))
     assignments = [tuple((code >> i) & 1 for i in range(n)) for code in argmins]
     return minimum, assignments
 

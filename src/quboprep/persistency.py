@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .model import Coeff, Qubo, Reduction, fix_variables
+from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables
 from .network import SOURCE, build_network, max_flow
 from .posiform import IntArrays, to_posiform
 
@@ -72,16 +72,12 @@ class PersistencyResult:
         return "\n".join(lines)
 
 
-def _normalize(x: Fraction) -> Coeff:
-    return int(x) if x.denominator == 1 else x
-
-
-def analyze(q: Qubo, backend: str = "auto") -> PersistencyResult:
+def analyze(q: Qubo) -> PersistencyResult:
     """Roof-dual bound plus strong and weak persistencies of ``q``."""
     p = to_posiform(IntArrays.from_qubo(q))
     net = build_network(p)
-    flow = max_flow(net, backend=backend)
-    bound = _normalize(p.constant + Fraction(flow.flow_value, net.scale))
+    flow = max_flow(net)
+    bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
     strong, weak = extract_labels(flow, q.num_vars)
     return PersistencyResult(q.num_vars, strong, weak, bound)
 

@@ -31,10 +31,9 @@ problem); reports state the convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from ._fast import analyze_branch
-from .model import Coeff, Qubo, Reduction, fix_variables, substitute
+from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables, substitute
 from .persistency import analyze
 from .posiform import IntArrays
 
@@ -82,12 +81,6 @@ class ProbeOutcome:
         return "\n".join(lines)
 
 
-def _normalize(x) -> Coeff:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 class _ProbeState:
     """True reduction chain plus the implication penalties.
 
@@ -105,8 +98,7 @@ class _ProbeState:
     folds the penalty step's ``delta`` into its offset.
     """
 
-    def __init__(self, q: Qubo, backend: str):
-        self.backend = backend
+    def __init__(self, q: Qubo):
         self.total = Reduction.identity(q)
         self.penalty = Qubo(q.num_vars)
         self._arrays: IntArrays | None = None  # of working_qubo(); None when stale
@@ -137,7 +129,7 @@ class _ProbeState:
         """(strong, weak, bound) per branch, labels in current indices."""
         if self._arrays is None:
             self._arrays = IntArrays.from_qubo(self.working_qubo())
-        return [analyze_branch(self._arrays, u, b, self.backend) for b in (0, 1)]
+        return [analyze_branch(self._arrays, u, b) for b in (0, 1)]
 
     def add_implications(self, u: int, implied) -> None:
         """Penalize x_u=b ∧ x_j≠v for each (b, j, v) in ``implied`` (zero on
@@ -188,23 +180,12 @@ class _ProbeState:
             self._arrays = None
         self.penalty = Qubo(self.cur.num_vars, lin, quad, offset)
 
-    def apply(self, rel_class: tuple[int, dict[int, int]] | None, fixes: dict[int, int]) -> Reduction:
-        """Apply a relation class and/or fixes (current indices) to both the
-        true chain and the penalty; returns the step reduction."""
+    def apply(self, subs: dict[int, tuple[int, bool]], fixes: dict[int, int]) -> Reduction:
+        """Apply a relation class ``subs`` and then ``fixes`` (both in current
+        indices) to the true chain and the penalty; returns the step reduction."""
 
         def run_ops(problem: Qubo) -> Reduction:
-            step = Reduction.identity(problem)
-            if rel_class is not None:
-                u, rels = rel_class
-                members = {u: 0, **rels}
-                rep = min(members)
-                for m in sorted(members):
-                    if m == rep:
-                        continue
-                    pos = {o: k for k, o in enumerate(step.surviving)}
-                    step = step.compose(
-                        substitute(step.reduced, pos[m], pos[rep], bool(members[m] ^ members[rep]))
-                    )
+            step = substitute(problem, subs) if subs else Reduction.identity(problem)
             if fixes:
                 pos = {o: k for k, o in enumerate(step.surviving)}
                 step = step.compose(
@@ -224,7 +205,6 @@ def probe(
     q: Qubo,
     max_passes: int = 10,
     incumbent: Coeff | None = None,
-    backend: str = "auto",
 ) -> ProbeOutcome:
     """Run probing sweeps on ``q`` until fixpoint or ``max_passes``.
 
@@ -237,7 +217,7 @@ def probe(
     """
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
-    state = _ProbeState(q, backend)
+    state = _ProbeState(q)
     direct_fixed: dict[int, int] = {}
     relations: list[tuple[int, int, bool]] = []
     best_bound: Coeff | None = None
@@ -246,7 +226,7 @@ def probe(
 
     def observe_bound(b) -> None:
         nonlocal best_bound
-        b = _normalize(b)
+        b = as_coeff(b)
         if best_bound is None or b > best_bound:
             best_bound = b
 
@@ -262,11 +242,11 @@ def probe(
             if source == "working" and not state.enriched:
                 break
             cur = state.cur
-            res = analyze(cur if source == "true" else state.working_qubo(), backend=backend)
+            res = analyze(cur if source == "true" else state.working_qubo())
             observe_bound(res.bound + state.total.delta)
             if res.weak:
                 record_fixes(res.weak)
-                state.apply(None, res.weak)
+                state.apply({}, res.weak)
                 changed = True
 
         sweep_ids = list(state.total.surviving)
@@ -310,7 +290,7 @@ def probe(
                 if improves_inc:
                     energy = state.cur.energy(values) + state.total.delta
                     if incumbent is None or energy < incumbent:
-                        incumbent = _normalize(energy)
+                        incumbent = as_coeff(energy)
                         best_assignment = state.total.lift(values)
 
             if incumbent is not None and u not in fixes:
@@ -341,17 +321,20 @@ def probe(
             if not fixes and not rels:
                 continue
             changed = True
-            if rels:
-                members = {u: 0, **rels}
-                rep = min(members)
-                rep_orig = state.total.surviving[rep]
-                for m in sorted(members):
-                    if m != rep:
-                        relations.append(
-                            (state.total.surviving[m], rep_orig, bool(members[m] ^ members[rep]))
-                        )
+            # The representative is the class's lowest index.  Members are
+            # listed highest first: the reduction's dicts, and so its repr,
+            # follow this order.
+            members = {u: 0, **rels}
+            rep = min(members)
+            subs = {
+                m: (rep, bool(alpha ^ members[rep]))
+                for m, alpha in sorted(members.items(), reverse=True)
+                if m != rep
+            }
+            orig = state.total.surviving
+            relations.extend((orig[m], orig[i], comp) for m, (i, comp) in reversed(subs.items()))
             record_fixes(fixes)
-            state.apply((u, rels) if rels else None, fixes)
+            state.apply(subs, fixes)
             cert_candidate = None  # recorded values are in a stale index space
 
         if (
@@ -377,7 +360,7 @@ def probe(
                 commit = {k: 0 for k in range(state.cur.num_vars)}
             if commit is not None:
                 record_fixes(commit)
-                state.apply(None, commit)
+                state.apply({}, commit)
                 changed = True
 
         if not changed or state.cur.num_vars == 0:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Assignment, Coeff, IsingModel, Qubo, as_coeff
+from .model import Assignment, Coeff, IsingModel, Qubo, _check_values, as_coeff
 from .graphs import Graph
 
 COMPLEMENT_PENALTY = "complement-penalty"
@@ -91,13 +91,12 @@ def maxcut_ising(g: Graph) -> IsingModel:
 
 
 def cut_from_ising_energy(g: Graph, energy: Coeff) -> Coeff:
-    v = Fraction(g.num_edges - energy, 2)
-    return int(v) if v.denominator == 1 else v
+    return as_coeff(Fraction(g.num_edges - energy, 2))
 
 
 def decode_clique(g: Graph, assignment) -> tuple[tuple[int, ...], bool]:
     """Support of a binary assignment and whether it induces a clique."""
-    values = _binary_values(assignment, g.n)
+    values = _check_values(assignment, g.n, "binary")
     support = tuple(v for v in range(g.n) if values[v])
     return support, g.is_clique(support)
 
@@ -109,18 +108,6 @@ def decode_cut(g: Graph, assignment) -> tuple[tuple[tuple[int, ...], tuple[int, 
     side1 = tuple(v for v in range(g.n) if values[v])
     cut = sum(1 for u, v in g.edges if values[u] != values[v])
     return (side0, side1), cut
-
-
-def _binary_values(assignment, n: int) -> Sequence[int]:
-    if isinstance(assignment, Assignment):
-        if assignment.kind != "binary":
-            raise ValueError("expected a binary assignment")
-        assignment = assignment.values
-    if len(assignment) != n:
-        raise ValueError(f"assignment length {len(assignment)} != {n}")
-    if any(v not in (0, 1) for v in assignment):
-        raise ValueError("assignment values must be 0/1")
-    return assignment
 
 
 def _side_values(assignment, n: int) -> Sequence[int]:

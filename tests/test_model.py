@@ -13,6 +13,7 @@ from quboprep.model import (
     Assignment,
     IsingModel,
     Qubo,
+    Reduction,
     evaluate,
     fix_variables,
     ising_to_qubo,
@@ -150,25 +151,34 @@ class TestFixVariables:
 class TestSubstitute:
     def test_plain_identifies_square(self):
         q = Qubo.from_terms(2, {}, {(0, 1): 1})
-        red = substitute(q, 1, 0, complemented=False)
+        red = substitute(q, {1: (0, False)})
         assert red.reduced.linear == {0: 1}
         assert red.reduced.quadratic == {}
 
     def test_complemented_vanishes(self):
         q = Qubo.from_terms(2, {}, {(0, 1): 1})
-        red = substitute(q, 1, 0, complemented=True)
+        red = substitute(q, {1: (0, True)})
         assert red.reduced.num_terms == 0
         for b in (0, 1):
             assert q.energy(red.lift((b,))) == red.reduced.energy((b,)) + red.delta
 
     def test_same_variable_rejected(self):
         with pytest.raises(ValueError):
-            substitute(Qubo.from_terms(2), 1, 1, False)
+            substitute(Qubo.from_terms(2), {1: (1, False)})
+
+    @pytest.mark.parametrize(
+        "relations",
+        [{2: (1, False), 1: (0, True)}, {3: (0, False)}, {1: (-1, True)}],
+        ids=["substituted-target", "index-too-large", "negative-index"],
+    )
+    def test_bad_relations_rejected(self, relations):
+        with pytest.raises(ValueError):
+            substitute(Qubo.from_terms(3), relations)
 
     def test_energies_agree_on_consistent_assignments(self):
         rng = np.random.default_rng(2)
         q = random_qubo(rng, 8)
-        red = substitute(q, 5, 3, complemented=True)
+        red = substitute(q, {5: (3, True)})
         for code in range(128):
             sub = tuple((code >> i) & 1 for i in range(7))
             full = red.lift(sub)
@@ -177,13 +187,49 @@ class TestSubstitute:
 
     def test_compose_resolves_fixed_targets(self):
         q = Qubo.from_terms(3, {0: -1}, {(0, 1): 2, (1, 2): 1})
-        r1 = substitute(q, 2, 1, complemented=True)  # x2 := 1 - x1
+        r1 = substitute(q, {2: (1, True)})  # x2 := 1 - x1
         r2 = fix_variables(r1.reduced, {1: 1})  # fixes x1, so x2 resolves to 0
         total = r1.compose(r2)
         assert total.fixed == {1: 1, 2: 0}
         assert total.surviving == (0,)
         for b in (0, 1):
             assert q.energy(total.lift((b,))) == total.reduced.energy((b,)) + total.delta
+
+
+@st.composite
+def _class_and_fixes(draw):
+    """A QUBO (int or Fraction, with offset), one relation class of two or
+    more members with random complement flags, and fixes of other variables."""
+    n = draw(st.integers(2, 7))
+    coeff = st.integers(-4, 4)
+    if draw(st.booleans()):
+        coeff = st.builds(Fraction, coeff, st.integers(1, 4))
+    lin = {i: draw(coeff) for i in range(n)}
+    quad = {(i, j): draw(coeff) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    q = Qubo.from_terms(n, lin, quad, draw(coeff))
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(2, n))
+    cls = {m: (order[0], draw(st.booleans())) for m in order[1:size]}
+    fixes = {v: draw(st.integers(0, 1)) for v in order[size:] if draw(st.booleans())}
+    return q, cls, fixes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_class_and_fixes())
+def test_substitute_class_in_one_pass(case):
+    q, cls, fixes = case
+    one = substitute(q, cls)
+    chain = Reduction.identity(q)
+    for m, (i, comp) in cls.items():
+        pos = {o: k for k, o in enumerate(chain.surviving)}
+        chain = chain.compose(substitute(chain.reduced, {pos[m]: (pos[i], comp)}))
+    fields = ("reduced", "delta", "fixed", "substitutions", "surviving")
+    assert [getattr(one, f) for f in fields] == [getattr(chain, f) for f in fields]
+
+    pos = {o: k for k, o in enumerate(one.surviving)}
+    red = one.compose(fix_variables(one.reduced, {pos[v]: b for v, b in fixes.items()}))
+    for y, energy in enumerate_energies(red.reduced):
+        assert q.energy(red.lift(y)) == energy + red.delta
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Implication-network construction and exact max-flow tests."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -84,10 +85,13 @@ def test_flow_matches_independent_oracle():
 
 
 def test_backends_agree():
+    """Capacities × 2**32 leave int32, so the scaled copy runs on Dinic."""
     for seed in range(4):
         q = random_qubo(np.random.default_rng(300 + seed), 9)
         net = _network(q)
-        assert max_flow(net, "scipy").flow_value == max_flow(net, "dinic").flow_value
+        big = replace(net, caps=net.caps * 2**32)
+        assert int(big.caps.max()) > 2**31 - 1
+        assert max_flow(big).flow_value == 2**32 * max_flow(net).flow_value
 
 
 def test_flow_value_invariant_under_arc_order():

@@ -61,5 +61,7 @@ def test_wrapped_call_sites_are_called():
         "persistency.extract_labels",
         "fast.from_qubo",
         "fast.analyze_branch",
+        "model.fix_variables",
+        "model.substitute",
     ):
         assert calls.get(name, 0) > 0, f"{name} was never called"

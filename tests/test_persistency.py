@@ -62,6 +62,23 @@ def test_soundness_on_random_instances(seed):
     _assert_sound(q, analyze(q))
 
 
+def test_scaled_problem_agrees_across_flow_paths():
+    """2**32·q takes the Dinic path, q the scipy one; labels must agree and
+    bounds scale exactly."""
+    k = 2**32
+    for seed in range(40):
+        q = random_qubo(np.random.default_rng(300 + seed), 9)
+        big = Qubo.from_terms(
+            q.num_vars,
+            {i: k * a for i, a in q.linear.items()},
+            {key: k * a for key, a in q.quadratic.items()},
+        )
+        res, res_big = analyze(q), analyze(big)
+        assert (res_big.strong, res_big.weak) == (res.strong, res.weak)
+        assert res_big.bound == k * res.bound
+        assert roof_dual(big) == k * roof_dual(q)
+
+
 @pytest.mark.parametrize("denominator", [1, 3])
 def test_huge_coefficients_hit_the_size_guard(denominator):
     # Σ|a| = 2**64: int64 sums wrapped here, and the true minimum is -2**64.
