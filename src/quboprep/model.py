@@ -306,7 +306,8 @@ def _fold(
     (v, 0, None), x_j := x_i is (0, 1, t_i) and x_j := 1 - x_i is
     (1, -1, t_i).  Every term is expanded through that map with
     y_t·y_t = y_t; constants go to ``delta``.  Only nonzero constants are
-    added, so an all-int ``delta`` stays an int.
+    added, so an all-int ``delta`` stays an int.  The merged terms form the
+    reduced problem directly, without a second pass through ``from_terms``.
     """
     surviving = tuple(k for k in range(q.num_vars) if k not in fixed and k not in subs)
     image = {orig: (0, 1, k) for k, orig in enumerate(surviving)}
@@ -340,7 +341,13 @@ def _fold(
         if si and sj:
             key = canonical_pair(ti, tj)
             quad[key] = quad.get(key, 0) + (a if si == sj else -a)
-    reduced = Qubo.from_terms(len(surviving), lin, quad, q.offset)
+    # Keys are already canonical and merged: drop zero sums, normalize the rest.
+    reduced = Qubo(
+        len(surviving),
+        {t: as_coeff(a) for t, a in lin.items() if a},
+        {key: as_coeff(a) for key, a in quad.items() if a},
+        as_coeff(q.offset),
+    )
     return Reduction(q.num_vars, dict(fixed), dict(subs), surviving, reduced, delta)
 
 

@@ -6,7 +6,9 @@ node n is n ^ 1.  Each posiform term a·u·v contributes arcs (u → v̄) and
 (v → ū) of capacity a/2; a linear term a·u contributes (source → ū) and
 (u → sink).  :func:`build_network` concatenates the posiform's scaled arrays
 into these arcs, so capacities are exact integers: an arc's stored capacity
-is its energy capacity times ``scale`` = 2 × the posiform's scale.
+is its energy capacity times ``scale`` = 2 × the posiform's scale.  The
+merged arcs form one canonical CSR, which the flow kernel reads directly and
+whose index arrays the residual graph reuses.
 """
 
 from __future__ import annotations
@@ -30,13 +32,21 @@ _INT32_MAX = 2**31 - 1
 
 @dataclass(frozen=True)
 class ImplicationNetwork:
-    """Merged, canonically ordered arc arrays over 2N+2 nodes."""
+    """Merged arcs over 2N+2 nodes, stored as one canonical CSR.
+
+    Arc k runs ``tails[k] → heads[k]``; arcs are sorted by (tail, head), so
+    the arcs leaving node u are ``indptr[u]:indptr[u + 1]``.  ``partner[k]``
+    is the index of arc k's skew partner (v̄ → ū), which has the same
+    capacity.
+    """
 
     num_vars: int
     scale: int
     tails: np.ndarray
     heads: np.ndarray
     caps: np.ndarray
+    indptr: np.ndarray
+    partner: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -51,32 +61,24 @@ class ImplicationNetwork:
         # Sorted because arcs come out of a canonical CSR.
         return self.tails.astype(np.int64) * self.num_nodes + self.heads
 
-    @cached_property
-    def skew_index(self) -> np.ndarray | None:
-        """Index of each arc's complement-reversed partner, or None.
-
-        Partner of (u → v) is (v̄ → ū); the network is skew-symmetric when
-        every arc has a partner of equal capacity.
-        """
-        if self.num_arcs == 0:
-            return np.empty(0, dtype=np.int64)
-        keys = self._arc_keys
-        skew_keys = (self.heads ^ 1).astype(np.int64) * self.num_nodes + (self.tails ^ 1)
-        idx = np.searchsorted(keys, skew_keys)
-        idx = np.clip(idx, 0, len(keys) - 1)
-        ok = (keys[idx] == skew_keys) & (self.caps[idx] == self.caps)
-        return idx if bool(ok.all()) else None
-
-    @property
-    def is_skew_symmetric(self) -> bool:
-        return self.skew_index is not None
-
 
 def _merge_arcs(tails, heads, caps, num_nodes):
-    m = csr_matrix((caps, (tails, heads)), shape=(num_nodes, num_nodes))
-    m.sum_duplicates()
-    out_tails = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(m.indptr))
-    return out_tails, m.indices.astype(np.int64), m.data.astype(np.int64)
+    """Canonical CSR of skew-closed arcs: (tails, heads, caps, indptr, partner).
+
+    Parallel arcs merge by capacity addition.  Skew partnering is a
+    bijection on the merged arcs and its own inverse, so the argsort of the
+    partners' keys is the partner index of each arc.
+    """
+    keys = tails * num_nodes + heads
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    out_tails, out_heads = np.divmod(keys[first], num_nodes)
+    out_caps = np.add.reduceat(caps[order], first) if len(first) else caps
+    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(out_tails, minlength=num_nodes), out=indptr[1:])
+    partner = np.argsort((out_heads ^ 1) * num_nodes + (out_tails ^ 1))
+    return out_tails.astype(np.int32), out_heads.astype(np.int32), out_caps, indptr, partner
 
 
 def build_network(p: Posiform) -> ImplicationNetwork:
@@ -103,24 +105,31 @@ class FlowResult:
     network: ImplicationNetwork
     flow_value: int
     flow2: np.ndarray
-    symmetric: bool
 
     @cached_property
     def residual2(self) -> np.ndarray:
         return 2 * self.network.caps - self.flow2
 
     def residual_adjacency(self) -> csr_matrix:
-        """Boolean CSR over nodes: an entry per positive-residual arc."""
+        """CSR over nodes with an entry per positive-residual arc.
+
+        Forward arcs keep their row order; reverse arcs are placed after them
+        in the row of their tail by a stable sort.  An antiparallel arc pair
+        can give one entry twice, which graph traversals do not mind.  The
+        data are float64 ones, the dtype csgraph works in, so traversals do
+        not copy them.
+        """
         net = self.network
-        n = net.num_nodes
         fwd = self.residual2 > 0
         rev = self.flow2 > 0
-        tails = np.concatenate([net.tails[fwd], net.heads[rev]])
-        heads = np.concatenate([net.heads[fwd], net.tails[rev]])
-        data = np.ones(len(tails), dtype=np.int8)
-        m = csr_matrix((data, (tails, heads)), shape=(n, n))
-        m.sum_duplicates()
-        return m
+        rows = np.concatenate([net.tails[fwd], net.heads[rev]])
+        cols = np.concatenate([net.heads[fwd], net.tails[rev]])
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(net.num_nodes + 1, dtype=net.indptr.dtype)
+        np.cumsum(np.bincount(rows, minlength=net.num_nodes), out=indptr[1:])
+        return csr_matrix(
+            (np.ones(len(cols)), cols[order], indptr), shape=(net.num_nodes, net.num_nodes)
+        )
 
 
 def _net_flow_per_arc(net: ImplicationNetwork, flow_csr) -> np.ndarray:
@@ -212,18 +221,18 @@ def _cancel_antiparallel(net: ImplicationNetwork, flows: np.ndarray) -> np.ndarr
 
 
 def max_flow(net: ImplicationNetwork) -> FlowResult:
-    """Exact maximum source→sink flow; symmetrized when the network is
-    skew-symmetric (flow on (u→v) equals flow on (v̄→ū)).
+    """Exact maximum source→sink flow, symmetrized over skew partners (flow
+    on (u→v) equals flow on (v̄→ū)).
 
-    scipy's int32 kernel runs when every capacity and the total source
-    capacity fit in int32; otherwise Dinic on Python ints.
+    scipy's int32 kernel runs on the network's CSR when every capacity and
+    the total source capacity fit in int32; otherwise Dinic on Python ints.
     """
     if net.num_arcs == 0:
-        return FlowResult(net, 0, np.empty(0, dtype=np.int64), True)
-    source_total = int(net.caps[net.tails == SOURCE].sum())
+        return FlowResult(net, 0, np.empty(0, dtype=np.int64))
+    source_total = int(net.caps[: net.indptr[SOURCE + 1]].sum())
     if int(net.caps.max()) <= _INT32_MAX and source_total <= _INT32_MAX:
         graph = csr_matrix(
-            (net.caps.astype(np.int32), (net.tails, net.heads)),
+            (net.caps.astype(np.int32), net.heads, net.indptr),
             shape=(net.num_nodes, net.num_nodes),
         )
         res = maximum_flow(graph, SOURCE, SINK)
@@ -232,15 +241,7 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
     else:
         value, raw = _dinic(net.num_nodes, net.tails, net.heads, net.caps, SOURCE, SINK)
         flows = _cancel_antiparallel(net, raw)
-    skew = net.skew_index
-    if skew is not None and len(skew):
-        flow2 = flows + flows[skew]
-        symmetric = True
-    else:
-        flow2 = 2 * flows
-        symmetric = skew is not None
-    flow2 = np.asarray(flow2, dtype=object if flow2.dtype == object else np.int64)
-    return FlowResult(net, value, flow2, symmetric)
+    return FlowResult(net, value, flows + flows[net.partner])
 
 
 def roof_dual(q: Qubo) -> Coeff:

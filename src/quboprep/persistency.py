@@ -1,13 +1,17 @@
 """Strong/weak persistency extraction from the residual implication network.
 
-Strong labels: literals residual-reachable from the source hold value 1 in
+All labels come from the residual graph of one symmetrized max flow, built
+once as a CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
+
+Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
-ones over the unlabeled "middle" literals by orienting complementary SCC
-pairs of the residual graph.  An orientation is applied only together with
-its full implication closure, which guarantees the autarky property:
-overwriting any assignment with the weak values never increases energy, so
-at least one minimizer agrees with every reported weak value simultaneously.
-Variables whose two literals share an SCC (frustration) stay unresolved.
+ones over the unlabeled "middle" literals.  One SCC pass finds the frustrated
+variables, whose two literals share a component; they stay unresolved.  The
+other middle variables are oriented greedily, each orientation applied only
+together with its full implication closure (one BFS from the chosen
+literal), which guarantees the autarky property: overwriting any assignment
+with the weak values never increases energy, so at least one minimizer
+agrees with every reported weak value simultaneously.
 """
 
 from __future__ import annotations
@@ -83,7 +87,17 @@ def analyze(q: Qubo) -> PersistencyResult:
 
 
 def extract_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Strong and weak variable labels from a symmetrized max-flow residual."""
+    """Strong and weak variable labels from a symmetrized max-flow residual.
+
+    Middle variables are taken in ascending order; one without a value gets
+    the closure of x̄ (value 0) if that closure is consistent, else that of
+    x (value 1).  A closure is the set of middle literals reachable from the
+    start literal; it is consistent when it reaches no literal valued 0 and
+    no frustrated variable, and not both literals of any variable.  Its
+    unvalued literals become 1 and their complements 0.  The literals valued
+    1 stay closed under reachability, so a variable whose closures both fail
+    is never valued later.
+    """
     net = flow.network
     n_nodes = net.num_nodes
 
@@ -92,89 +106,49 @@ def extract_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]
         return {}, {v: 0 for v in range(num_vars)}
 
     adj = flow.residual_adjacency()
-    reached_nodes = breadth_first_order(
-        adj, SOURCE, directed=True, return_predecessors=False
-    )
     reached = np.zeros(n_nodes, dtype=bool)
-    reached[reached_nodes] = True
-
-    strong: dict[int, int] = {}
-    for node in range(2, n_nodes):
-        if reached[node]:
-            var = (node - 2) >> 1
-            val = 0 if node & 1 else 1
-            if strong.get(var, val) != val:
-                raise AssertionError(
-                    f"both literals of x{var} reachable; max flow is not maximal"
-                )
-            strong[var] = val
-
-    middle = ~reached & ~reached[np.arange(n_nodes) ^ 1]
-    middle[:2] = False
+    reached[breadth_first_order(adj, SOURCE, directed=True, return_predecessors=False)] = True
+    pos, neg = reached[2::2], reached[3::2]
+    both = np.flatnonzero(pos & neg)
+    if len(both):
+        raise AssertionError(
+            f"both literals of x{int(both[0])} reachable; max flow is not maximal"
+        )
+    resolved = pos | neg
+    strong_vars = np.flatnonzero(resolved)
+    strong = dict(zip(strong_vars.tolist(), pos[strong_vars].astype(int).tolist()))
 
     weak = dict(strong)
-    middle_vars = [v for v in range(num_vars) if middle[2 * v + 2]]
-    if middle_vars:
+    middle_vars = np.flatnonzero(~resolved)
+    if len(middle_vars):
         _, labels = connected_components(adj, directed=True, connection="strong")
-        comp_next: dict[int, set[int]] = {}
-        coo = adj.tocoo()
-        rows, cols = coo.row, coo.col
-        both_mid = middle[rows] & middle[cols]
-        for r, c in zip(rows[both_mid].tolist(), cols[both_mid].tolist()):
-            lr, lc = int(labels[r]), int(labels[c])
-            if lr != lc:
-                comp_next.setdefault(lr, set()).add(lc)
-
-        comp_complement: dict[int, int] = {}
-        self_comp: set[int] = set()
-        for node in np.nonzero(middle)[0].tolist():
-            lab = int(labels[node])
-            clab = int(labels[node ^ 1])
-            comp_complement[lab] = clab
-            if lab == clab:
-                self_comp.add(lab)
-
-        comp_value: dict[int, int] = {}
-
-        def closure(start: int) -> set[int] | None:
-            """Components forced to 1 by setting `start` to 1, or None."""
-            seen: set[int] = set()
-            stack = [start]
-            while stack:
-                lab = stack.pop()
-                if lab in seen:
-                    continue
-                if lab in self_comp:
-                    return None
-                prior = comp_value.get(lab)
-                if prior == 0:
-                    return None
-                if prior == 1:
-                    continue  # its own closure is already all-ones
-                seen.add(lab)
-                stack.extend(comp_next.get(lab, ()))
-            for lab in seen:
-                if comp_complement[lab] in seen:
-                    return None
-            return seen
-
-        for var in middle_vars:
-            pos_lab = int(labels[2 * var + 2])
-            neg_lab = comp_complement[pos_lab]
-            if pos_lab in self_comp:
-                continue  # frustrated: x_var and its complement share an SCC
-            if pos_lab in comp_value:
-                weak[var] = comp_value[pos_lab]
+        middle = np.zeros(n_nodes, dtype=bool)
+        middle[2:] = np.repeat(~resolved, 2)
+        frustrated = np.zeros(n_nodes, dtype=bool)
+        frustrated[2:] = np.repeat(labels[2::2] == labels[3::2], 2)
+        value = np.full(n_nodes, -1, dtype=np.int8)
+        in_reach = np.zeros(n_nodes, dtype=bool)
+        for var in middle_vars[~frustrated[2 * middle_vars + 2]].tolist():
+            if value[2 * var + 2] >= 0:
                 continue
             # Prefer the orientation that sets this (lowest unresolved) var to 0.
-            for lab, val in ((neg_lab, 0), (pos_lab, 1)):
-                forced = closure(lab)
-                if forced is not None:
-                    for f in forced:
-                        comp_value[f] = 1
-                        comp_value[comp_complement[f]] = 0
-                    weak[var] = val
+            for start in (2 * var + 3, 2 * var + 2):
+                reach = breadth_first_order(adj, start, directed=True, return_predecessors=False)
+                reach = reach[middle[reach]]
+                in_reach[reach] = True
+                consistent = not (
+                    (value[reach] == 0).any()
+                    or frustrated[reach].any()
+                    or in_reach[reach ^ 1].any()
+                )
+                in_reach[reach] = False
+                if consistent:
+                    new = reach[value[reach] < 0]
+                    value[new] = 1
+                    value[new ^ 1] = 0
                     break
+        labelled = middle_vars[value[2 * middle_vars + 2] >= 0]
+        weak.update(zip(labelled.tolist(), value[2 * labelled + 2].tolist()))
 
     return strong, weak
 

@@ -12,9 +12,10 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from quboprep.model import Qubo
-from quboprep.network import ImplicationNetwork, _merge_arcs
+from quboprep.network import SOURCE, ImplicationNetwork, _merge_arcs
 
 
 def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
@@ -103,10 +104,20 @@ def arc_dict(net) -> dict[tuple[int, int], int]:
 
 
 def network_from_arcs(num_vars: int, arcs, scale: int = 2) -> ImplicationNetwork:
-    """Network from (tail, head, capacity) triples; parallel arcs merge by
-    capacity addition and no skew closure is added."""
+    """Network from skew-closed (tail, head, capacity) triples; parallel arcs
+    merge by capacity addition.  Asserts every merged arc has its partner."""
     tails, heads, caps = (np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3))
-    return ImplicationNetwork(num_vars, scale, *_merge_arcs(tails, heads, caps, 2 * num_vars + 2))
+    net = ImplicationNetwork(num_vars, scale, *_merge_arcs(tails, heads, caps, 2 * num_vars + 2))
+    assert_skew_partners(net)
+    return net
+
+
+def assert_skew_partners(net) -> None:
+    """Arc ``partner[k]`` of every arc k is (v̄ → ū) with the same capacity."""
+    p = net.partner
+    assert (net.tails[p] == net.heads ^ 1).all()
+    assert (net.heads[p] == net.tails ^ 1).all()
+    assert (net.caps[p] == net.caps).all()
 
 
 def flow_fractions(result) -> dict[tuple[int, int], Fraction]:
@@ -128,3 +139,101 @@ def residual_caps(result) -> dict[tuple[int, int], Fraction]:
         if (int(v), int(u)) not in arc_set and f2 > 0:
             out[(int(v), int(u))] = Fraction(int(f2), 2 * net.scale)
     return out
+
+
+def reference_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Strong and weak labels by the component-level closure search that
+    ``persistency.extract_labels`` replaced; kept as its differential oracle."""
+    net = flow.network
+    n_nodes = net.num_nodes
+
+    if net.num_arcs == 0:
+        # Every variable is isolated; both values are optimal, report 0.
+        return {}, {v: 0 for v in range(num_vars)}
+
+    adj = flow.residual_adjacency()
+    reached_nodes = breadth_first_order(
+        adj, SOURCE, directed=True, return_predecessors=False
+    )
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[reached_nodes] = True
+
+    strong: dict[int, int] = {}
+    for node in range(2, n_nodes):
+        if reached[node]:
+            var = (node - 2) >> 1
+            val = 0 if node & 1 else 1
+            if strong.get(var, val) != val:
+                raise AssertionError(
+                    f"both literals of x{var} reachable; max flow is not maximal"
+                )
+            strong[var] = val
+
+    middle = ~reached & ~reached[np.arange(n_nodes) ^ 1]
+    middle[:2] = False
+
+    weak = dict(strong)
+    middle_vars = [v for v in range(num_vars) if middle[2 * v + 2]]
+    if middle_vars:
+        _, labels = connected_components(adj, directed=True, connection="strong")
+        comp_next: dict[int, set[int]] = {}
+        coo = adj.tocoo()
+        rows, cols = coo.row, coo.col
+        both_mid = middle[rows] & middle[cols]
+        for r, c in zip(rows[both_mid].tolist(), cols[both_mid].tolist()):
+            lr, lc = int(labels[r]), int(labels[c])
+            if lr != lc:
+                comp_next.setdefault(lr, set()).add(lc)
+
+        comp_complement: dict[int, int] = {}
+        self_comp: set[int] = set()
+        for node in np.nonzero(middle)[0].tolist():
+            lab = int(labels[node])
+            clab = int(labels[node ^ 1])
+            comp_complement[lab] = clab
+            if lab == clab:
+                self_comp.add(lab)
+
+        comp_value: dict[int, int] = {}
+
+        def closure(start: int) -> set[int] | None:
+            """Components forced to 1 by setting `start` to 1, or None."""
+            seen: set[int] = set()
+            stack = [start]
+            while stack:
+                lab = stack.pop()
+                if lab in seen:
+                    continue
+                if lab in self_comp:
+                    return None
+                prior = comp_value.get(lab)
+                if prior == 0:
+                    return None
+                if prior == 1:
+                    continue  # its own closure is already all-ones
+                seen.add(lab)
+                stack.extend(comp_next.get(lab, ()))
+            for lab in seen:
+                if comp_complement[lab] in seen:
+                    return None
+            return seen
+
+        for var in middle_vars:
+            pos_lab = int(labels[2 * var + 2])
+            neg_lab = comp_complement[pos_lab]
+            if pos_lab in self_comp:
+                continue  # frustrated: x_var and its complement share an SCC
+            if pos_lab in comp_value:
+                weak[var] = comp_value[pos_lab]
+                continue
+            # Prefer the orientation that sets this (lowest unresolved) var to 0.
+            for lab, val in ((neg_lab, 0), (pos_lab, 1)):
+                forced = closure(lab)
+                if forced is not None:
+                    for f in forced:
+                        comp_value[f] = 1
+                        comp_value[comp_complement[f]] = 0
+                    weak[var] = val
+                    break
+
+    return strong, weak

@@ -36,6 +36,8 @@ from quboprep.persistency import analyze, reduce as reduce_by
 from conftest import record_acceptance
 from helpers import random_qubo
 
+pytestmark = pytest.mark.slow
+
 CFAT_PUBLISHED = {
     (200, 1): (1534, 12),
     (200, 5): (8473, 58),

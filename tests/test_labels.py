@@ -1,0 +1,133 @@
+"""Label extraction against the component-level reference, dict order included."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+from quboprep.graphs import Graph
+from quboprep.model import Qubo, ising_to_qubo
+from quboprep.network import FlowResult, build_network, max_flow
+from quboprep.persistency import extract_labels
+from quboprep.posiform import IntArrays, Posiform, to_posiform
+from quboprep.problems import maxcut_ising
+
+from helpers import reference_labels
+
+
+def _flow(q: Qubo) -> FlowResult:
+    return max_flow(build_network(to_posiform(IntArrays.from_qubo(q))))
+
+
+def _random_qubo(rng: np.random.Generator, fractional: bool) -> Qubo:
+    """n in 1..14, random density, ±5 coefficients (over 1..4 when fractional)."""
+    n = int(rng.integers(1, 15))
+    density = rng.random()
+
+    def coeff():
+        a = int(rng.integers(-5, 6))
+        return Fraction(a, int(rng.integers(1, 5))) if fractional else a
+
+    lin = {i: coeff() for i in range(n)}
+    quad = {
+        (i, j): coeff() for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    }
+    offset = Fraction(int(rng.integers(-3, 4)), 3) if fractional else 0
+    return Qubo.from_terms(n, lin, quad, offset)
+
+
+def _random_cases(chunk: int, count: int = 60):
+    rng = np.random.default_rng(9000 + chunk)
+    return [_random_qubo(rng, fractional=k % 2 == 1) for k in range(count)]
+
+
+def _odd_cycle_cuts():
+    """Max-cut of odd cycles, alone, with a vertex joined to two cycle
+    vertices, or with a pendant path; their residuals have frustrated
+    variables."""
+    out = []
+    for n in (3, 5, 7, 9, 11):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        for size, extra in ((n, []), (n + 1, [(0, n), (2, n)]), (n + 2, [(0, n), (n, n + 1)])):
+            g = Graph.from_edges(size, cycle + extra)
+            out.append(ising_to_qubo(maxcut_ising(g)))
+    return out
+
+
+def _same_labels(flow: FlowResult, num_vars: int) -> tuple[dict, dict]:
+    got = extract_labels(flow, num_vars)
+    assert repr(got) == repr(reference_labels(flow, num_vars))
+    return got
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_labels_match_reference_on_random_qubos(chunk):
+    """480 seeded instances, every second one with Fraction coefficients."""
+    for q in _random_cases(chunk):
+        _same_labels(_flow(q), q.num_vars)
+
+
+def test_labels_match_reference_with_frustrated_variables():
+    frustrated_seen = 0
+    for q in _odd_cycle_cuts():
+        _, weak = _same_labels(_flow(q), q.num_vars)
+        frustrated_seen += q.num_vars - len(weak)
+    assert frustrated_seen > 0
+
+
+def _hand_posiform(num_vars, lin, quad) -> Posiform:
+    """Posiform from (code, value) and (code, code, value) triples, scale 1."""
+    lin_codes, lin_vals = (np.array([t[k] for t in lin], dtype=np.int64) for k in range(2))
+    qu, qv, quad_vals = (np.array([t[k] for t in quad], dtype=np.int64) for k in range(3))
+    return Posiform(num_vars, 1, 0, lin_codes, lin_vals, qu, qv, quad_vals)
+
+
+def test_rejected_negative_closure_falls_back_to_positive():
+    """x̄0·ȳ + x̄0·y: x̄0 reaches y and ȳ, so x0 cannot be 0; x0 = 1 alone
+    is consistent, and y then takes its preferred value 0."""
+    p = _hand_posiform(2, [], [(1, 3, 1), (1, 2, 1)])
+    flow = max_flow(build_network(p))
+    assert flow.flow_value == 0
+    assert _same_labels(flow, 2) == ({}, {0: 1, 1: 0})
+
+
+def test_both_literals_reachable_raises():
+    """x0 + x1 + x̄0·x̄1 with a zero flow: the source reaches x0 and x̄0."""
+    p = _hand_posiform(2, [(0, 1), (2, 1)], [(1, 3, 1)])
+    net = build_network(p)
+    flow = FlowResult(net, 0, np.zeros(net.num_arcs, dtype=np.int64))
+    for labels in (extract_labels, reference_labels):
+        with pytest.raises(AssertionError, match="max flow is not maximal"):
+            labels(flow, 2)
+
+
+def _reach_is_consistent(adj, start: int, middle: np.ndarray) -> bool:
+    reach = breadth_first_order(adj, start, directed=True, return_predecessors=False)
+    reach = reach[middle[reach]]
+    return not np.isin(reach ^ 1, reach).any()
+
+
+def test_no_unfrustrated_variable_has_two_failing_closures():
+    """On a skew-symmetric residual, x reaching y and ȳ means x reaches x̄;
+    so if both closures of x fail, x and x̄ share a component (frustrated).
+    This is why no test instance has a variable whose closures both fail."""
+    checked = 0
+    for q in _random_cases(100) + _odd_cycle_cuts():
+        flow = _flow(q)
+        if flow.network.num_arcs == 0:
+            continue
+        adj = flow.residual_adjacency()
+        strong, _ = extract_labels(flow, q.num_vars)
+        _, comp = connected_components(adj, directed=True, connection="strong")
+        middle = np.ones(flow.network.num_nodes, dtype=bool)
+        middle[:2] = False
+        for var in strong:
+            middle[2 * var + 2 : 2 * var + 4] = False
+        for var in range(q.num_vars):
+            x, x_bar = 2 * var + 2, 2 * var + 3
+            if not middle[x] or comp[x] == comp[x_bar]:
+                continue
+            checked += 1
+            assert _reach_is_consistent(adj, x, middle) or _reach_is_consistent(adj, x_bar, middle)
+    assert checked > 0

@@ -6,12 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
+
 from quboprep.model import Qubo
-from quboprep.network import SINK, SOURCE, build_network, max_flow, roof_dual
+from quboprep.network import SINK, SOURCE, _dinic, build_network, max_flow, roof_dual
 from quboprep.posiform import IntArrays, to_posiform
 
 from helpers import (
     arc_dict,
+    assert_skew_partners,
     edmonds_karp,
     exact_min,
     flow_fractions,
@@ -54,20 +58,29 @@ def test_skew_symmetry_of_clique_network():
 
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     net = _network(clique_qubo(p3))
-    assert net.is_skew_symmetric
+    assert_skew_partners(net)
+
+
+def test_random_networks_store_skew_partners():
+    for seed in range(5):
+        assert_skew_partners(_network(random_qubo(np.random.default_rng(600 + seed), 9)))
 
 
 def test_parallel_arcs_merge():
-    net = network_from_arcs(1, [(0, 2, 1), (0, 2, 2), (2, 1, 5)])
-    assert arc_dict(net)[(0, 2)] == 3
+    # (s → x̄0) twice and its partner (x0 → t) once, with the summed capacity.
+    net = network_from_arcs(1, [(SOURCE, 3, 1), (SOURCE, 3, 2), (2, SINK, 3)])
+    assert arc_dict(net) == {(SOURCE, 3): 3, (2, SINK): 3}
+
+
+def _arrays(arcs):
+    return (np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3))
 
 
 def test_bottleneck_path():
-    # s -> u -> t with capacities 3 and 5; not skew-closed, plain flow only.
-    net = network_from_arcs(1, [(SOURCE, 2, 3), (2, SINK, 5)])
-    result = max_flow(net)
-    assert result.flow_value == 3
-    assert not result.symmetric
+    # s -> u -> t with capacities 3 and 5; not skew-closed, so plain Dinic.
+    value, flows = _dinic(3, *_arrays([(SOURCE, 2, 3), (2, SINK, 5)]), SOURCE, SINK)
+    assert value == 3
+    assert flows.tolist() == [3, 3]
 
 
 def test_flow_matches_independent_oracle():
@@ -108,7 +121,6 @@ def test_symmetric_flow_and_residuals():
     q = random_qubo(np.random.default_rng(11), 8)
     net = _network(q)
     result = max_flow(net)
-    assert result.symmetric
     flows = flow_fractions(result)
     for (u, v), f in flows.items():
         assert flows[(v ^ 1, u ^ 1)] == f
@@ -127,8 +139,42 @@ def test_symmetric_flow_and_residuals():
 
 def test_dinic_handles_big_capacities():
     big = 2**40
-    net = network_from_arcs(1, [(SOURCE, 2, big), (2, SINK, big // 2)])
-    assert max_flow(net).flow_value == big // 2
+    value, flows = _dinic(3, *_arrays([(SOURCE, 2, big), (2, SINK, big // 2)]), SOURCE, SINK)
+    assert value == big // 2
+    assert flows.tolist() == [big // 2, big // 2]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_residual_adjacency_matches_residual_caps(seed):
+    """The CSR holds exactly the arcs of positive residual capacity."""
+    rng = np.random.default_rng(700 + seed)
+    result = max_flow(_network(random_qubo(rng, int(rng.integers(2, 12)))))
+    adj = result.residual_adjacency()
+    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    got = set(zip(rows.tolist(), adj.indices.tolist()))
+    want = {arc for arc, r in residual_caps(result).items() if r > 0}
+    assert got == want
+    assert adj.dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_csr_graph_from_stored_indptr_matches_coo(seed):
+    """scipy's flow on the stored CSR equals its flow on a graph built from COO."""
+    net = _network(random_qubo(np.random.default_rng(800 + seed), 10))
+    caps32 = net.caps.astype(np.int32)
+    shape = (net.num_nodes, net.num_nodes)
+    stored = csr_matrix((caps32, net.heads, net.indptr), shape=shape)
+    from_coo = csr_matrix((caps32, (net.tails, net.heads)), shape=shape)
+    for a, b in ((stored.indptr, from_coo.indptr), (stored.indices, from_coo.indices)):
+        assert a.tolist() == b.tolist()
+    f1, f2 = maximum_flow(stored, SOURCE, SINK), maximum_flow(from_coo, SOURCE, SINK)
+    assert (f1.flow != f2.flow).nnz == 0
+    coo = f2.flow.tocoo()
+    by_arc = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+    per_arc = np.array([by_arc[arc] for arc in zip(net.tails.tolist(), net.heads.tolist())])
+    result = max_flow(net)
+    assert result.flow_value == f2.flow_value
+    assert result.flow2.tolist() == (per_arc + per_arc[net.partner]).tolist()
 
 
 class TestRoofDual:
