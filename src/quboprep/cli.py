@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input/parse errors, 3 oracle size-guard violations,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -146,28 +147,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    """Run ``experiments.EXPERIMENTS[args.which]`` with the options it takes."""
     outdir = Path(args.outdir) if args.outdir else experiments.default_outdir()
     name = args.which
-    if name == "table1":
-        rows = experiments.run_table1(with_probe=not args.no_probe, jobs=args.jobs)
-    elif name == "table2":
-        rows = experiments.run_table2(jobs=args.jobs)
-    elif name == "table3":
-        rows = experiments.run_table3(
-            seeds=args.seeds,
-            with_probe=not args.no_probe,
-            jobs=args.jobs,
-            desk_scale=args.desk_scale,
-        )
-    elif name == "fig2":
-        rows = experiments.run_fig2(seeds=args.seeds, jobs=args.jobs)
-    else:
-        rows = experiments.run_fig3(
-            n=args.n or 100,
-            threshold=args.threshold,
-            seeds=args.seeds,
-            jobs=args.jobs,
-        )
+    run = experiments.EXPERIMENTS[name]
+    options = {
+        "seeds": args.seeds,
+        "with_probe": not args.no_probe,
+        "jobs": args.jobs,
+        "desk_scale": args.desk_scale,
+        "n": args.n or 100,
+        "threshold": args.threshold,
+    }
+    accepted = inspect.signature(run).parameters
+    rows = run(**{key: value for key, value in options.items() if key in accepted})
     path = outdir / f"{name}.csv"
     experiments.write_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")

@@ -76,14 +76,16 @@ class PersistencyResult:
         return "\n".join(lines)
 
 
-def analyze(q: Qubo) -> PersistencyResult:
-    """Roof-dual bound plus strong and weak persistencies of ``q``."""
-    p = to_posiform(IntArrays.from_qubo(q))
+def analyze(q: Qubo | IntArrays) -> PersistencyResult:
+    """Roof-dual bound plus strong and weak persistencies of ``q``, given as
+    a Qubo or as its scaled arrays."""
+    arr = q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)
+    p = to_posiform(arr)
     net = build_network(p)
     flow = max_flow(net)
     bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
-    strong, weak = extract_labels(flow, q.num_vars)
-    return PersistencyResult(q.num_vars, strong, weak, bound)
+    strong, weak = extract_labels(flow, arr.num_vars)
+    return PersistencyResult(arr.num_vars, strong, weak, bound)
 
 
 def extract_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -3,22 +3,27 @@
 A problem enters the roof-dual pipeline once, through
 :meth:`IntArrays.from_qubo`: its coefficients are multiplied by the lcm of
 their denominators (so int and Fraction inputs share one path) and stored as
-flat int64 arrays, with the offset kept exact.  :func:`to_posiform` rewrites
-those arrays as a posiform: an exact constant plus strictly positive terms
-over literals x_i / x̄_i, each literal packed into the int code
-``2*var + complemented``.  The network layer only concatenates these arrays.
+flat int64 arrays, with the offset kept exact.  Probing keeps its working
+problem in this form: :meth:`IntArrays.fold` eliminates fixed and
+substituted variables, :meth:`IntArrays.plus` adds two problems, both by a
+sort-and-merge of the quadratic keys, and every result is checked against
+the same magnitude limit.  :func:`to_posiform` rewrites the arrays as a
+posiform: an exact constant plus strictly positive terms over literals
+x_i / x̄_i, each literal packed into the int code ``2*var + complemented``.
+The network layer only concatenates these arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import SizeGuardError
-from .model import Coeff, Qubo
+from .model import Coeff, Qubo, as_coeff
 
 # Σ|a|·scale must stay below this: the largest int64 intermediate downstream
 # is a doubled arc capacity (residual2 = 2·cap − flow2 in the max-flow layer).
@@ -37,6 +42,14 @@ def _denominator_lcm(*groups) -> int:
 
 def _scaled(values, scale: int) -> list[int]:
     return list(values) if scale == 1 else [int(a * scale) for a in values]
+
+
+def _guard(magnitude: int, scale: int) -> None:
+    if magnitude >= _MAGNITUDE_LIMIT:
+        raise SizeGuardError(
+            f"coefficient magnitude sum {magnitude} (scaled by {scale}) "
+            f"reaches the int64 limit 2**62"
+        )
 
 
 @dataclass(frozen=True)
@@ -61,12 +74,7 @@ class IntArrays:
         scale = _denominator_lcm(q.linear.values(), q.quadratic.values())
         lin_vals = _scaled(q.linear.values(), scale)
         quad_vals = _scaled(q.quadratic.values(), scale)
-        magnitude = sum(map(abs, lin_vals)) + sum(map(abs, quad_vals))
-        if magnitude >= _MAGNITUDE_LIMIT:
-            raise SizeGuardError(
-                f"coefficient magnitude sum {magnitude} (scaled by {scale}) "
-                f"reaches the int64 limit 2**62"
-            )
+        _guard(sum(map(abs, lin_vals)) + sum(map(abs, quad_vals)), scale)
         lin = np.zeros(q.num_vars, dtype=np.int64)
         lin[np.fromiter(q.linear.keys(), dtype=np.int64, count=len(lin_vals))] = lin_vals
         if quad_vals:
@@ -76,6 +84,89 @@ class IntArrays:
         else:
             qi = qj = qv = np.empty(0, dtype=np.int64)
         return cls(q.num_vars, scale, lin, qi, qj, qv, q.offset)
+
+    @classmethod
+    def merged(cls, num_vars, scale, lin, qi, qj, qv, offset) -> "IntArrays":
+        """Arrays with the entries of equal (qi, qj) summed, zero sums dropped
+        and keys sorted; raises SizeGuardError like :meth:`from_qubo`.
+
+        Within the limit no int64 sum here wraps: a coefficient of the
+        result is bounded by the magnitude of its inputs.
+        """
+        keys = qi * num_vars + qj
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(qv[order], first) if len(first) else qv
+        keep = sums != 0
+        qi, qj = np.divmod(keys[first[keep]], num_vars)
+        out = cls(num_vars, scale, lin, qi, qj, sums[keep], offset)
+        # The float sum is within a relative 1e-9 of the exact one, so below
+        # 2**61 the exact sum is below the limit; above it, Python ints
+        # recompute it without wrapping.
+        if np.abs(lin, dtype=np.float64).sum() + np.abs(out.qv, dtype=np.float64).sum() >= 2**61:
+            _guard(sum(map(abs, lin.tolist())) + sum(map(abs, out.qv.tolist())), scale)
+        return out
+
+    def plus(self, other: "IntArrays") -> "IntArrays":
+        """The sum of two problems over the same variables and scale."""
+        return IntArrays.merged(
+            self.num_vars,
+            self.scale,
+            self.lin + other.lin,
+            np.concatenate([self.qi, other.qi]),
+            np.concatenate([self.qj, other.qj]),
+            np.concatenate([self.qv, other.qv]),
+            self.offset + other.offset,
+        )
+
+    def fold(
+        self, fixed: Mapping[int, int], subs: Mapping[int, tuple[int, bool]]
+    ) -> tuple["IntArrays", Coeff]:
+        """Array twin of :func:`quboprep.model._fold`: (reduced arrays, delta).
+
+        Variable k becomes c_k + s_k·y_{t_k} over the survivors y, ordered
+        by index: (v, 0, -) when fixed to v, (0, 1, t_i) or (1, -1, t_i) when
+        substituted by x_i or 1 - x_i.  A term a·x_i·x_j expands to
+        a·c_i·c_j (into ``delta``), a·s_i·c_j·y_{t_i} and a·c_i·s_j·y_{t_j}
+        (linear) and a·s_i·s_j·y_{t_i}·y_{t_j}, which is linear when
+        t_i = t_j.  The offset is kept; ``delta`` is exact.
+        """
+        n = self.num_vars
+        c = np.zeros(n, dtype=np.int64)
+        s = np.ones(n, dtype=np.int64)
+        gone = np.zeros(n, dtype=bool)
+        if fixed:
+            idx = np.fromiter(fixed.keys(), dtype=np.int64, count=len(fixed))
+            c[idx] = np.fromiter(fixed.values(), dtype=np.int64, count=len(fixed))
+            s[idx] = 0
+            gone[idx] = True
+        sub_j = np.fromiter(subs.keys(), dtype=np.int64, count=len(subs))
+        gone[sub_j] = True
+        m = n - int(gone.sum())
+        t = np.zeros(n, dtype=np.int64)
+        t[~gone] = np.arange(m)
+        if len(subs):
+            targets = np.array([(i, comp) for i, comp in subs.values()], dtype=np.int64)
+            t[sub_j] = t[targets[:, 0]]
+            c[sub_j] = targets[:, 1]
+            s[sub_j] = 1 - 2 * targets[:, 1]
+
+        lin, qi, qj, qv = self.lin, self.qi, self.qj, self.qv
+        ci, si, ti, cj, sj, tj = c[qi], s[qi], t[qi], c[qj], s[qj], t[qj]
+        delta = int(lin @ c) + int(qv @ (ci * cj))
+        vi, vj, vq = qv * si * cj, qv * ci * sj, qv * si * sj
+        pair = (vq != 0) & (ti != tj)
+        same = (vq != 0) & (ti == tj)
+        lin_at = np.concatenate([t[s != 0], ti[vi != 0], tj[vj != 0], ti[same]])
+        lin_add = np.concatenate([(lin * s)[s != 0], vi[vi != 0], vj[vj != 0], vq[same]])
+        new_lin = np.zeros(m, dtype=np.int64)
+        np.add.at(new_lin, lin_at, lin_add)
+        a, b = ti[pair], tj[pair]
+        out = IntArrays.merged(
+            m, self.scale, new_lin, np.minimum(a, b), np.maximum(a, b), vq[pair], self.offset
+        )
+        return out, as_coeff(Fraction(delta, self.scale))
 
 
 @dataclass(frozen=True)

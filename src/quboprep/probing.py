@@ -23,7 +23,10 @@ that bound it is a certified optimum, and all remaining variables are fixed
 to it (again weak-persistency semantics).
 
 Conclusions are applied immediately, so later probes run on the shrunken
-problem; sweeps repeat until a fixpoint or ``max_passes``.  Resolved
+problem; sweeps repeat until a fixpoint or ``max_passes``.  The shrunken
+problem and the implication penalties stay scaled int64 arrays throughout
+(see :class:`_ProbeState`); the reduced ``Qubo`` of the outcome is built
+once, from the input, when probing ends.  Resolved
 percentages count relation-eliminated variables as resolved (they leave the
 problem); reports state the convention.
 """
@@ -31,6 +34,8 @@ problem); reports state the convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from ._fast import analyze_branch
 from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables, substitute
@@ -82,123 +87,132 @@ class ProbeOutcome:
 
 
 class _ProbeState:
-    """True reduction chain plus the implication penalties.
+    """The reduced problem and the implication penalties, as scaled arrays.
 
-    ``penalty`` holds only the implication-penalty terms, over the variables
-    of the true reduced problem ``cur`` and in the same frame: both are
-    shifted by ``total.delta`` to give energies of the original problem.
-    Invariant, for every assignment y of ``cur``::
+    ``true`` is the input reduced by everything applied so far, and
+    ``penalty`` holds only the implication-penalty terms, over the same
+    variables, at the same scale (the lcm of the input's denominators) and
+    in the same frame: both are shifted by ``total.delta`` to give energies
+    of the input.  Invariant, for every assignment y of ``true``::
 
-        penalty(y) >= 0, with equality whenever y minimizes cur
+        penalty(y) >= 0, with equality whenever y minimizes true
 
-    so the working problem cur + penalty has the same minimizers as ``cur``,
-    and its persistency labels and roof-dual bounds (plus ``total.delta``)
-    hold for the original problem.  Fixing and substitution are linear in
-    the coefficients, so ``apply`` runs the same steps on the penalty and
-    folds the penalty step's ``delta`` into its offset.
+    so the working problem true + penalty has the same minimizers as
+    ``true``, and its persistency labels and roof-dual bounds (plus
+    ``total.delta``) hold for the input.  Fixing and substitution are linear
+    in the coefficients, so ``apply`` folds both arrays through the same
+    map and moves the penalty fold's ``delta`` into its offset.  Both keep
+    their quadratic keys sorted and merged, without zero entries, as
+    :meth:`IntArrays.merged` leaves them; ``add_implications`` looks
+    couplings up by binary search.
+
+    ``total`` does the index bookkeeping only: it composes the applied
+    fixes and substitutions, and accumulates the exact ``delta``, but its
+    ``reduced`` is an empty stand-in; :meth:`reduction` builds the real one.
     """
 
     def __init__(self, q: Qubo):
-        self.total = Reduction.identity(q)
-        self.penalty = Qubo(q.num_vars)
-        self._arrays: IntArrays | None = None  # of working_qubo(); None when stale
+        self.q = q
+        arr = IntArrays.from_qubo(q)
+        self.true = IntArrays.merged(q.num_vars, arr.scale, arr.lin, arr.qi, arr.qj, arr.qv, q.offset)
+        empty = np.empty(0, dtype=np.int64)
+        self.penalty = IntArrays(
+            q.num_vars, arr.scale, np.zeros(q.num_vars, dtype=np.int64), empty, empty, empty, 0
+        )
+        self.total = Reduction.identity(Qubo(q.num_vars))
+        self._working: IntArrays | None = None  # true + penalty; None when stale
         self._impl_seen: set[tuple[int, int, int, int]] = set()
-
-    @property
-    def cur(self) -> Qubo:
-        return self.total.reduced
 
     @property
     def enriched(self) -> bool:
         """Whether an implication has been recorded."""
         return bool(self._impl_seen)
 
-    def working_qubo(self) -> Qubo:
-        """cur + penalty."""
-        c, p = self.cur, self.penalty
+    def working(self) -> IntArrays:
+        """true + penalty."""
         if not self.enriched:
-            return c
-        lin, quad = dict(c.linear), dict(c.quadratic)
-        for i, a in p.linear.items():
-            lin[i] = lin.get(i, 0) + a
-        for key, a in p.quadratic.items():
-            quad[key] = quad.get(key, 0) + a
-        return Qubo.from_terms(c.num_vars, lin, quad, c.offset + p.offset)
+            return self.true
+        if self._working is None:
+            self._working = self.true.plus(self.penalty)
+        return self._working
 
     def analyze_branches(self, u: int):
         """(strong, weak, bound) per branch, labels in current indices."""
-        if self._arrays is None:
-            self._arrays = IntArrays.from_qubo(self.working_qubo())
-        return [analyze_branch(self._arrays, u, b) for b in (0, 1)]
+        arr = self.working()
+        return [analyze_branch(arr, u, b) for b in (0, 1)]
 
     def add_implications(self, u: int, implied) -> None:
         """Penalize x_u=b ∧ x_j≠v for each (b, j, v) in ``implied`` (zero on
         optima); skips implications already recorded or already carried by a
-        coupling of the right sign."""
+        coupling of the right sign.  Each j appears once in ``implied``, so
+        every check reads the working problem as it was before the call."""
         if not implied:
             return
-        lin, quad = dict(self.penalty.linear), dict(self.penalty.quadratic)
-        offset = self.penalty.offset
-        p = IMPLICATION_WEIGHT
+        w = self.working()
+        n = w.num_vars
+        keys = np.array([min(u, j) * n + max(u, j) for _, j, _ in implied], dtype=np.int64)
+        have = w.qi * n + w.qj
+        at = np.minimum(np.searchsorted(have, keys), max(len(have) - 1, 0))
+        existing = np.where(have[at] == keys, w.qv[at], 0) if len(have) else np.zeros_like(keys)
+        p = IMPLICATION_WEIGHT * w.scale
+        lin = np.zeros(n, dtype=np.int64)
+        couplings: list[tuple[int, int]] = []  # (j, value) of a new u–j entry
+        offset = 0
         orig_u = self.total.surviving[u]
-
-        def bump(terms, key, a) -> None:
-            acc = terms.get(key, 0) + a
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-
-        for b, j, v in implied:
+        for (b, j, v), coupling in zip(implied, existing.tolist()):
             orig_j = self.total.surviving[j]
             if (orig_u, b, orig_j, v) in self._impl_seen:
                 continue
-            key = (u, j) if u < j else (j, u)
-            existing = self.cur.quadratic.get(key, 0) + quad.get(key, 0)
             if b == 1 and v == 0:
-                if existing > 0:
+                if coupling > 0:
                     continue  # a co-selection penalty already carries this arc
-                bump(quad, key, p)
+                couplings.append((j, p))
             elif b == 1 and v == 1:
-                if existing < 0:
+                if coupling < 0:
                     continue
-                bump(lin, u, p)
-                bump(quad, key, -p)
+                lin[u] += p
+                couplings.append((j, -p))
             elif v == 0:  # b == 0: x_j implies x_u
-                if existing < 0:
+                if coupling < 0:
                     continue
-                bump(lin, j, p)
-                bump(quad, key, -p)
+                lin[j] += p
+                couplings.append((j, -p))
             else:  # b == 0, v == 1: penalize both zero
-                if existing > 0:
+                if coupling > 0:
                     continue
-                offset = offset + p
-                bump(lin, u, -p)
-                bump(lin, j, -p)
-                bump(quad, key, p)
+                offset += IMPLICATION_WEIGHT
+                lin[u] -= p
+                lin[j] -= p
+                couplings.append((j, p))
             self._impl_seen.add((orig_u, b, orig_j, v))
-            self._arrays = None
-        self.penalty = Qubo(self.cur.num_vars, lin, quad, offset)
+        if not couplings:
+            return
+        js, vals = (np.array(col, dtype=np.int64) for col in zip(*couplings))
+        added = IntArrays(n, w.scale, lin, np.minimum(u, js), np.maximum(u, js), vals, offset)
+        self.penalty = self.penalty.plus(added)
+        self._working = None
 
-    def apply(self, subs: dict[int, tuple[int, bool]], fixes: dict[int, int]) -> Reduction:
-        """Apply a relation class ``subs`` and then ``fixes`` (both in current
-        indices) to the true chain and the penalty; returns the step reduction."""
-
-        def run_ops(problem: Qubo) -> Reduction:
-            step = substitute(problem, subs) if subs else Reduction.identity(problem)
-            if fixes:
-                pos = {o: k for k, o in enumerate(step.surviving)}
-                step = step.compose(
-                    fix_variables(step.reduced, {pos[j]: v for j, v in fixes.items()})
-                )
-            return step
-
-        step = run_ops(self.cur)
+    def apply(self, subs: dict[int, tuple[int, bool]], fixes: dict[int, int]) -> None:
+        """Apply a relation class ``subs`` and ``fixes`` (both in current
+        indices, disjoint, no target fixed) to both arrays and the chain."""
+        m = self.true.num_vars
+        surviving = tuple(k for k in range(m) if k not in fixes and k not in subs)
+        self.true, delta = self.true.fold(fixes, subs)
+        penalty, p_delta = self.penalty.fold(fixes, subs)
+        self.penalty = replace(penalty, offset=penalty.offset + p_delta)
+        step = Reduction(m, dict(fixes), dict(subs), surviving, Qubo(len(surviving)), delta)
         self.total = self.total.compose(step)
-        p_step = run_ops(self.penalty)
-        self.penalty = replace(p_step.reduced, offset=p_step.reduced.offset + p_step.delta)
-        self._arrays = None
-        return step
+        self._working = None
+
+    def reduction(self) -> Reduction:
+        """The whole reduction of the input: one substitute, then one
+        fix_variables, unless nothing was applied."""
+        subs, fixed = self.total.substitutions, self.total.fixed
+        if not subs and not fixed:
+            return Reduction.identity(self.q)
+        subbed = substitute(self.q, subs)
+        pos = {o: k for k, o in enumerate(subbed.surviving)}
+        return subbed.compose(fix_variables(subbed.reduced, {pos[j]: v for j, v in fixed.items()}))
 
 
 def probe(
@@ -241,8 +255,7 @@ def probe(
         for source in ("true", "working"):
             if source == "working" and not state.enriched:
                 break
-            cur = state.cur
-            res = analyze(cur if source == "true" else state.working_qubo())
+            res = analyze(state.true if source == "true" else state.working())
             observe_bound(res.bound + state.total.delta)
             if res.weak:
                 record_fixes(res.weak)
@@ -272,7 +285,7 @@ def probe(
                 else:
                     rels[j] = w0[j]  # x_j = x_u xor w0[j]
 
-            n_free = state.cur.num_vars - 1
+            n_free = state.true.num_vars - 1
             for b, weak_b, bound_b in ((0, w0, b0), (1, w1, b1)):
                 if len(weak_b) != n_free:
                     continue
@@ -281,14 +294,14 @@ def probe(
                 improves_inc = incumbent is None or feasible < incumbent
                 if not (improves_cert or improves_inc):
                     continue
-                values = [0] * state.cur.num_vars
+                values = [0] * state.true.num_vars
                 values[u] = b
                 for j, v in weak_b.items():
                     values[j] = v
                 if improves_cert:
                     cert_candidate = (feasible, values)
                 if improves_inc:
-                    energy = state.cur.energy(values) + state.total.delta
+                    energy = q.energy(state.total.lift(values))
                     if incumbent is None or energy < incumbent:
                         incumbent = as_coeff(energy)
                         best_assignment = state.total.lift(values)
@@ -339,35 +352,35 @@ def probe(
 
         if (
             not changed
-            and state.cur.num_vars > 0
-            and sweep_probes == state.cur.num_vars
+            and state.true.num_vars > 0
+            and sweep_probes == state.true.num_vars
             and sweep_branch1_min is not None
         ):
             # Stalled sweep: every nonzero assignment lies in some probed
             # x_u=1 branch, so this is a proven lower bound on the minimum.
-            zeros_energy = state.cur.offset + state.total.delta
+            zeros_energy = state.true.offset + state.total.delta
             proven = min(zeros_energy, sweep_branch1_min)
             observe_bound(proven)
             commit = None
             if cert_candidate is not None:
-                if state.cur.energy(cert_candidate[1]) + state.total.delta == proven:
+                if q.energy(state.total.lift(cert_candidate[1])) == proven:
                     commit = dict(enumerate(cert_candidate[1]))
             if commit is None and best_assignment is not None and incumbent == proven:
                 candidate = [best_assignment[orig] for orig in state.total.surviving]
-                if state.cur.energy(candidate) + state.total.delta == proven:
+                if q.energy(state.total.lift(candidate)) == proven:
                     commit = dict(enumerate(candidate))
             if commit is None and zeros_energy == proven:
-                commit = {k: 0 for k in range(state.cur.num_vars)}
+                commit = {k: 0 for k in range(state.true.num_vars)}
             if commit is not None:
                 record_fixes(commit)
                 state.apply({}, commit)
                 changed = True
 
-        if not changed or state.cur.num_vars == 0:
+        if not changed or state.true.num_vars == 0:
             break
 
-    if state.cur.num_vars == 0:
-        observe_bound(state.cur.offset + state.total.delta)
+    if state.true.num_vars == 0:
+        observe_bound(state.true.offset + state.total.delta)
 
     return ProbeOutcome(
         num_vars=q.num_vars,
@@ -375,5 +388,5 @@ def probe(
         relations=tuple(relations),
         bound=best_bound if best_bound is not None else 0,
         passes=passes,
-        reduction=state.total,
+        reduction=state.reduction(),
     )

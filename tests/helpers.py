@@ -12,6 +12,7 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from quboprep.model import Qubo
@@ -237,3 +238,21 @@ def reference_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int
                     break
 
     return strong, weak
+
+
+@st.composite
+def class_and_fixes(draw):
+    """A QUBO (int or Fraction, with offset), one relation class of two or
+    more members with random complement flags, and fixes of other variables."""
+    n = draw(st.integers(2, 7))
+    coeff = st.integers(-4, 4)
+    if draw(st.booleans()):
+        coeff = st.builds(Fraction, coeff, st.integers(1, 4))
+    lin = {i: draw(coeff) for i in range(n)}
+    quad = {(i, j): draw(coeff) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    q = Qubo.from_terms(n, lin, quad, draw(coeff))
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(2, n))
+    cls = {m: (order[0], draw(st.booleans())) for m in order[1:size]}
+    fixes = {v: draw(st.integers(0, 1)) for v in order[size:] if draw(st.booleans())}
+    return q, cls, fixes

@@ -1,9 +1,11 @@
 """CLI surface tests: commands, file formats, exit codes."""
 
+import functools
 import json
 
 import pytest
 
+from quboprep import experiments
 from quboprep.cli import EXIT_GUARD, EXIT_PARSE, main
 from quboprep.graphs import gen_gnp, write_dimacs
 from quboprep.model import read_qubo
@@ -153,3 +155,42 @@ def test_experiment_fig2_writes_csv(tmp_path, capsys):
     content = (tmp_path / "fig2.csv").read_text().splitlines()
     assert content[0].startswith("mode,p,seed")
     assert len(content) > 10
+
+
+@pytest.mark.parametrize(
+    "name, extra, expected",
+    [
+        ("table1", ["--no-probe"], {"with_probe": False, "jobs": 2}),
+        ("table2", [], {"jobs": 2}),
+        (
+            "table3",
+            ["--seeds", "3", "--desk-scale"],
+            {"seeds": 3, "with_probe": True, "jobs": 2, "desk_scale": True},
+        ),
+        ("fig2", ["--seeds", "4"], {"seeds": 4, "jobs": 2}),
+        (
+            "fig3",
+            ["--n", "30", "--threshold", "7", "--seeds", "2"],
+            {"n": 30, "threshold": 7, "seeds": 2, "jobs": 2},
+        ),
+    ],
+)
+def test_experiment_dispatch_forwards_options(name, extra, expected, tmp_path, capsys, monkeypatch):
+    """Each experiment gets exactly the options its run function takes."""
+    calls = []
+    real = experiments.EXPERIMENTS[name]
+
+    @functools.wraps(real)
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return [{"row": 1}]
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, name, fake)
+    code, out, _ = run(["experiment", name, "--outdir", str(tmp_path), "--jobs", "2", *extra], capsys)
+    assert code == 0
+    assert calls == [expected]
+    assert (tmp_path / f"{name}.csv").read_text().splitlines() == ["row", "1"]
+
+
+def test_experiment_dispatch_covers_every_experiment():
+    assert sorted(experiments.EXPERIMENTS) == ["fig2", "fig3", "table1", "table2", "table3"]

@@ -24,7 +24,7 @@ from quboprep.model import (
     write_qubo,
 )
 
-from helpers import enumerate_energies, exact_min, random_qubo
+from helpers import class_and_fixes, enumerate_energies, exact_min, random_qubo
 
 
 class TestEvaluate:
@@ -196,26 +196,8 @@ class TestSubstitute:
             assert q.energy(total.lift((b,))) == total.reduced.energy((b,)) + total.delta
 
 
-@st.composite
-def _class_and_fixes(draw):
-    """A QUBO (int or Fraction, with offset), one relation class of two or
-    more members with random complement flags, and fixes of other variables."""
-    n = draw(st.integers(2, 7))
-    coeff = st.integers(-4, 4)
-    if draw(st.booleans()):
-        coeff = st.builds(Fraction, coeff, st.integers(1, 4))
-    lin = {i: draw(coeff) for i in range(n)}
-    quad = {(i, j): draw(coeff) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
-    q = Qubo.from_terms(n, lin, quad, draw(coeff))
-    order = draw(st.permutations(range(n)))
-    size = draw(st.integers(2, n))
-    cls = {m: (order[0], draw(st.booleans())) for m in order[1:size]}
-    fixes = {v: draw(st.integers(0, 1)) for v in order[size:] if draw(st.booleans())}
-    return q, cls, fixes
-
-
 @settings(max_examples=150, deadline=None)
-@given(_class_and_fixes())
+@given(class_and_fixes())
 def test_substitute_class_in_one_pass(case):
     q, cls, fixes = case
     one = substitute(q, cls)
