@@ -5,6 +5,15 @@ the weak persistencies of its clique QUBO (vertices weakly fixed to 1 join
 the clique under construction and restrict the rest to their common
 neighbors; fixed-to-0 vertices are dropped), then split on a minimum-degree
 vertex v into G1 (the neighbors of v) and G2 (everything but v) and recurse.
+
+Every subproblem is a bitmask over the root graph's vertices: an induced
+subgraph is a mask AND with the root's neighbour masks and a degree is a
+popcount.  The clique problem of a node goes to
+:func:`~quboprep.persistency.analyze` as scaled integer arrays built from
+its adjacency matrix, with no ``Graph`` or ``Qubo`` in between; a ``Graph``
+with local labels is built only for a leaf and for probing.  The recursion
+runs on an explicit stack, so its depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -13,15 +22,21 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import SolverValidationError
 from .graphs import Graph
 from .persistency import analyze
+from .posiform import IntArrays
 from .probing import probe
 from .problems import CliqueEncodingParams, clique_qubo
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 45
+
+_ENCODING = CliqueEncodingParams.complement_penalty()
+_SOLVE, _FORCED, _SPLIT = range(3)
 
 
 @dataclass(frozen=True)
@@ -77,34 +92,63 @@ class SavingsRow:
         return (self.n_qpbo - self.n_no_qpbo) / self.n_no_qpbo
 
 
+def _members(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    return [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _induced(adj: tuple[int, ...], mask: int) -> tuple[list[int], np.ndarray]:
+    """Sorted members of ``mask`` and the boolean adjacency matrix they
+    induce, indexed by position among the members."""
+    members = _members(mask)
+    nbytes = (mask.bit_length() + 7) // 8
+    rows = b"".join((adj[v] & mask).to_bytes(nbytes, "little") for v in members)
+    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8), bitorder="little")
+    return members, bits.view(bool).reshape(len(members), -1)[:, members]
+
+
+def _graph(sub: np.ndarray) -> Graph:
+    iu, iv = np.nonzero(np.triu(sub, 1))
+    return Graph(len(sub), tuple(zip(iu.tolist(), iv.tolist())))
+
+
+def _clique_arrays(sub: np.ndarray) -> IntArrays:
+    """``IntArrays.from_qubo(clique_qubo(_graph(sub), _ENCODING))`` without
+    the graph, the complement and the Qubo: −A on every vertex and B on
+    every non-adjacent pair, keys sorted."""
+    m = len(sub)
+    iu, iv = np.triu_indices(m, 1)
+    absent = ~sub[iu, iv]
+    lin = np.full(m, -_ENCODING.A, dtype=np.int64)
+    qv = np.full(int(absent.sum()), _ENCODING.B, dtype=np.int64)
+    return IntArrays(m, 1, lin, iu[absent], iv[absent], qv, 0)
+
+
 def _shrink_by_persistency(
-    g: Graph, labels: tuple[int, ...], use_probing: bool, stats: SplitStats
-) -> tuple[tuple[int, ...], Graph, tuple[int, ...]] | None:
-    """Weak-fix the clique QUBO of ``g``; returns (forced members, rest graph,
-    rest labels) or None when nothing was resolved."""
-    q = clique_qubo(g, CliqueEncodingParams.complement_penalty())
+    adj: tuple[int, ...], mask: int, use_probing: bool, stats: SplitStats
+) -> tuple[int, int] | None:
+    """Weak-fix the clique problem of the subgraph ``mask``; returns (forced
+    members, rest) as masks, or None when nothing was resolved."""
+    members, sub = _induced(adj, mask)
     if use_probing:
-        outcome = probe(q)
-        fixed = dict(outcome.reduction.fixed)
+        fixed = probe(clique_qubo(_graph(sub), _ENCODING)).reduction.fixed
     else:
-        fixed = analyze(q).weak
+        fixed = analyze(_clique_arrays(sub)).weak
     if not fixed:
         return None
-    ones = [v for v, val in fixed.items() if val == 1]
-    zeros = [v for v, val in fixed.items() if val == 0]
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            if not g.has_edge(ones[a], ones[b]):
-                raise AssertionError(
-                    "weakly-fixed-to-1 vertices are not pairwise adjacent"
-                )
-    keep = set(range(g.n)) - set(ones) - set(zeros)
-    for v in ones:
-        keep &= g.neighbors(v)
-    forced = tuple(labels[v] for v in sorted(ones))
-    sub, sub_idx = g.induced(keep)
-    stats.vertices_eliminated_by_persistency += g.n - len(keep)
-    return forced, sub, tuple(labels[v] for v in sub_idx)
+    ones = zeros = 0
+    for k, val in fixed.items():
+        if val == 1:
+            ones |= 1 << members[k]
+        else:
+            zeros |= 1 << members[k]
+    keep = mask & ~ones & ~zeros
+    for v in _members(ones):
+        if (adj[v] | 1 << v) & ones != ones:
+            raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
+        keep &= adj[v]
+    stats.vertices_eliminated_by_persistency += len(members) - keep.bit_count()
+    return ones, keep
 
 
 def max_clique_split(
@@ -122,32 +166,46 @@ def max_clique_split(
     if solver is None:
         solver = default_leaf_solver()
     stats = SplitStats()
-
-    def solve(sub: Graph, labels: tuple[int, ...], depth: int) -> tuple[int, ...]:
+    adj = g.adjacency_bits
+    # Explicit stack: (_SOLVE, mask, depth) solves the subgraph on ``mask``;
+    # a _FORCED or _SPLIT entry combines the cliques found for the entries
+    # pushed just above it.  Cliques are root-vertex masks.
+    todo = [(_SOLVE, (1 << g.n) - 1, 0)]
+    found: list[int] = []
+    while todo:
+        kind, mask, depth = todo.pop()
+        if kind == _FORCED:
+            found.append(found.pop() | mask)
+            continue
+        if kind == _SPLIT:
+            c2, c1 = found.pop(), found.pop()
+            found.append(c1 | mask if c1.bit_count() + 1 > c2.bit_count() else c2)
+            continue
         stats.max_depth = max(stats.max_depth, depth)
-        if sub.n == 0:
-            return ()
-        if sub.n <= solver.threshold:
+        if not mask:
+            found.append(0)
+            continue
+        if mask.bit_count() <= solver.threshold:
             stats.n_calls += 1
-            return tuple(labels[v] for v in solver.solve(sub))
+            members, sub = _induced(adj, mask)
+            found.append(sum(1 << members[k] for k in solver.solve(_graph(sub))))
+            continue
         if use_persistency:
-            shrunk = _shrink_by_persistency(sub, labels, use_probing, stats)
+            shrunk = _shrink_by_persistency(adj, mask, use_probing, stats)
             if shrunk is not None:
-                forced, rest, rest_labels = shrunk
-                return forced + solve(rest, rest_labels, depth + 1)
-        v = min(range(sub.n), key=lambda u: (sub.degree(u), u))
-        g1, g1_idx = sub.induced(sub.neighbors(v))
-        g2, g2_idx = sub.induced(set(range(sub.n)) - {v})
-        c1 = solve(g1, tuple(labels[u] for u in g1_idx), depth + 1)
-        c2 = solve(g2, tuple(labels[u] for u in g2_idx), depth + 1)
-        if len(c1) + 1 > len(c2):
-            return tuple(sorted(c1 + (labels[v],)))
-        return c2
-
-    clique = solve(g, tuple(range(g.n)), 0)
+                forced, rest = shrunk
+                todo += [(_FORCED, forced, 0), (_SOLVE, rest, depth + 1)]
+                continue
+        v = min(_members(mask), key=lambda u: ((adj[u] & mask).bit_count(), u))
+        todo += [
+            (_SPLIT, 1 << v, 0),
+            (_SOLVE, mask & ~(1 << v), depth + 1),
+            (_SOLVE, adj[v] & mask, depth + 1),
+        ]
+    clique = tuple(_members(found.pop()))
     if not g.is_clique(clique):
         raise AssertionError("split recursion assembled a non-clique")
-    return tuple(sorted(clique)), stats
+    return clique, stats
 
 
 def splitting_savings(

@@ -7,6 +7,7 @@ every generated graph is bit-reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,8 +67,14 @@ class Graph:
             bits[v] |= 1 << u
         return tuple(bits)
 
+    def _check_vertex(self, v) -> int:
+        v = operator.index(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return self._check_vertex(v) in self.adjacency[self._check_vertex(u)]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -95,8 +102,10 @@ class Graph:
         return Graph(len(labels), tuple(sorted(edges))), labels
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(set(vertices))
-        return all(self.has_edge(vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
+        vs = {self._check_vertex(v) for v in vertices}
+        mask = sum(1 << v for v in vs)
+        adj = self.adjacency_bits
+        return all((adj[v] | 1 << v) & mask == mask for v in vs)
 
 
 def gen_hamming(bits: int, d: int) -> Graph:

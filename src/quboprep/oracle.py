@@ -101,8 +101,8 @@ def brute_force_qubo(
 def _greedy_clique(g: Graph) -> int:
     """Bitmask of a greedily grown clique (initial lower bound)."""
     best = 0
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
     adj = g.adjacency_bits
+    order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
     for seed in order[: min(g.n, 8)]:
         mask = 1 << seed
         cand = adj[seed]

@@ -1,10 +1,15 @@
 """Vertex-splitting solver tests: correctness, stats, validation."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from quboprep.decompose import (
     LeafSolver,
+    _clique_arrays,
+    _graph,
+    _induced,
     default_leaf_solver,
     max_clique_split,
     splitting_savings,
@@ -12,6 +17,9 @@ from quboprep.decompose import (
 from quboprep.errors import SolverValidationError
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique
+from quboprep.persistency import analyze
+from quboprep.posiform import IntArrays
+from quboprep.problems import clique_qubo
 
 
 def test_leaf_only_graph():
@@ -104,3 +112,54 @@ def test_dense_graph_gets_persistency_savings():
     g = gen_gnp(40, 0.85, 3)
     rows = splitting_savings([g], threshold=10)
     assert rows[0].n_qpbo <= rows[0].n_no_qpbo
+
+
+def test_long_split_chains_do_not_hit_the_recursion_limit():
+    # Every split on this sparse graph drops one vertex into G2, so the G2
+    # chain is about a thousand levels deep.
+    g = gen_gnp(1100, 0.005, 0)
+    clique, stats = max_clique_split(g, default_leaf_solver(45), use_persistency=False)
+    assert stats.max_depth > sys.getrecursionlimit()
+    # The recursive solver's result under a raised recursion limit.
+    assert clique == (326, 430, 789)
+    assert (stats.n_calls, stats.max_depth) == (1053, 1055)
+
+
+def _subgraph_cases():
+    rng = np.random.default_rng(11)
+    for k in range(12):
+        n = int(rng.integers(2, 30))
+        g = gen_gnp(n, float(rng.uniform(0.1, 0.9)), k)
+        yield g, (1 << n) - 1
+        yield g, int(rng.integers(1, 1 << n))
+    complete = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    yield complete, (1 << 6) - 1
+    yield complete, 0b101101
+    yield Graph.from_edges(5, []), (1 << 5) - 1
+    yield Graph.from_edges(70, [(3, 66), (5, 69)]), (1 << 3) | (1 << 5) | (1 << 66) | (1 << 69)
+
+
+def _fields(arr: IntArrays, sort: bool) -> tuple:
+    order = np.lexsort((arr.qj, arr.qi)) if sort else slice(None)
+    return (
+        arr.num_vars,
+        arr.scale,
+        arr.offset,
+        arr.lin.tolist(),
+        arr.qi[order].tolist(),
+        arr.qj[order].tolist(),
+        arr.qv[order].tolist(),
+    )
+
+
+@pytest.mark.parametrize("g, mask", list(_subgraph_cases()))
+def test_clique_arrays_match_the_qubo_route(g, mask):
+    members, sub = _induced(g.adjacency_bits, mask)
+    ref_graph, labels = g.induced(members)
+    assert tuple(members) == labels
+    assert _graph(sub) == ref_graph
+    arr = _clique_arrays(sub)
+    ref = IntArrays.from_qubo(clique_qubo(ref_graph))
+    assert arr.lin.dtype == arr.qi.dtype == arr.qj.dtype == arr.qv.dtype == np.int64
+    assert _fields(arr, sort=False) == _fields(ref, sort=True)
+    assert analyze(arr) == analyze(ref)

@@ -62,6 +62,27 @@ class TestGraphType:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert g.is_clique([0, 1])
         assert not g.is_clique([0, 1, 2])
+        assert g.is_clique([]) and g.is_clique([2]) and g.is_clique([1, 1, 2])
+
+    def test_is_clique_matches_pairwise_edges(self):
+        g = gen_gnp(12, 0.6, 4)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            vs = rng.choice(12, size=int(rng.integers(0, 6)), replace=False).tolist()
+            pairwise = all(g.has_edge(u, v) for u in vs for v in vs if u < v)
+            assert g.is_clique(vs) == pairwise
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 3), (-3, 2)])
+    def test_has_edge_rejects_out_of_range_vertices(self, u, v):
+        g = Graph.from_edges(3, [(0, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            g.has_edge(u, v)
+
+    @pytest.mark.parametrize("vertices", [[-1, 0], [0, 3], [-1], [5]])
+    def test_is_clique_rejects_out_of_range_vertices(self, vertices):
+        g = Graph.from_edges(3, [(0, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            g.is_clique(vertices)
 
 
 class TestHamming:
