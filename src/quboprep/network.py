@@ -4,11 +4,22 @@ Nodes: 0 is the source (the constant-1 literal), 1 the sink (its
 complement); literal with code c sits at node c + 2.  The complement of any
 node n is n ^ 1.  Each posiform term a·u·v contributes arcs (u → v̄) and
 (v → ū) of capacity a/2; a linear term a·u contributes (source → ū) and
-(u → sink).  :func:`build_network` concatenates the posiform's scaled arrays
-into these arcs, so capacities are exact integers: an arc's stored capacity
-is its energy capacity times ``scale`` = 2 × the posiform's scale.  The
-merged arcs form one canonical CSR, which the flow kernel reads directly and
-whose index arrays the residual graph reuses.
+(u → sink).  Capacities are exact integers: an arc's stored capacity is its
+energy capacity times ``scale`` = 2 × the posiform's scale.
+
+:func:`build_network` lays the arcs out as one canonical CSR (rows by tail,
+heads ascending, no duplicates) that is closed under two maps: every arc's
+skew partner (v̄ → ū) is stored with the same capacity, and every arc's
+reverse (v → u) is stored, with capacity 0 when no term gives it one.  All
+four terminal arcs of every variable (s → x, s → x̄, x → t, x̄ → t) are
+stored too, with capacity 0 where the posiform has no linear term.  So arc
+c of the source row runs to the literal with code c, every literal row
+starts with its arcs to s and t, and new capacities on the same arcs,
+terminal ones included, leave the layout as it is.  Both maps are
+recorded per arc (``partner``, ``rev``).  scipy's flow kernel adds no arcs
+to a reverse-closed CSR, so its flow matrix lines up with the arcs by
+position (checked on every call); the net flow on an arc's reverse is its
+negative, and the residual graph is a mask over the same index arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ class ImplicationNetwork:
     Arc k runs ``tails[k] → heads[k]``; arcs are sorted by (tail, head), so
     the arcs leaving node u are ``indptr[u]:indptr[u + 1]``.  ``partner[k]``
     is the index of arc k's skew partner (v̄ → ū), which has the same
-    capacity.
+    capacity; ``rev[k]`` is the index of its reverse (v → u).
     """
 
     num_vars: int
@@ -47,6 +58,7 @@ class ImplicationNetwork:
     caps: np.ndarray
     indptr: np.ndarray
     partner: np.ndarray
+    rev: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -56,39 +68,50 @@ class ImplicationNetwork:
     def num_arcs(self) -> int:
         return len(self.caps)
 
-    @cached_property
-    def _arc_keys(self) -> np.ndarray:
-        # Sorted because arcs come out of a canonical CSR.
-        return self.tails.astype(np.int64) * self.num_nodes + self.heads
-
-
-def _merge_arcs(tails, heads, caps, num_nodes):
-    """Canonical CSR of skew-closed arcs: (tails, heads, caps, indptr, partner).
-
-    Parallel arcs merge by capacity addition.  Skew partnering is a
-    bijection on the merged arcs and its own inverse, so the argsort of the
-    partners' keys is the partner index of each arc.
-    """
-    keys = tails * num_nodes + heads
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    out_tails, out_heads = np.divmod(keys[first], num_nodes)
-    out_caps = np.add.reduceat(caps[order], first) if len(first) else caps
-    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
-    np.cumsum(np.bincount(out_tails, minlength=num_nodes), out=indptr[1:])
-    partner = np.argsort((out_heads ^ 1) * num_nodes + (out_tails ^ 1))
-    return out_tails.astype(np.int32), out_heads.astype(np.int32), out_caps, indptr, partner
-
 
 def build_network(p: Posiform) -> ImplicationNetwork:
-    """Implication network of ``p``; skew-symmetric by construction."""
-    nu, nv, nl = p.qu + 2, p.qv + 2, p.lin_codes + 2
-    tails = np.concatenate([nu, nv, np.full(len(nl), SOURCE, dtype=np.int64), nl])
-    heads = np.concatenate([nv ^ 1, nu ^ 1, nl ^ 1, np.full(len(nl), SINK, dtype=np.int64)])
-    caps = np.concatenate([p.quad_vals, p.quad_vals, p.lin_vals, p.lin_vals])
-    num_nodes = 2 * p.num_vars + 2
-    return ImplicationNetwork(p.num_vars, 2 * p.scale, *_merge_arcs(tails, heads, caps, num_nodes))
+    """Implication network of ``p``, in the layout described above.
+
+    Each term gives one arc: (s → ℓ̄) for the linear term on ℓ, on every
+    literal (capacity 0 where there is none), and (u → v̄) for a term u·v.
+    These arcs, their skew partners, their reverses and the reverses'
+    partners are laid out as four blocks, so that an arc's partner is the
+    same offset in the block ``block ^ 1`` and its reverse the same offset
+    in the block ``block ^ 2``.  One sort puts them in CSR order and merges
+    parallel arcs by capacity addition; both maps carry over to the merged
+    arcs.
+    """
+    n = p.num_vars
+    num_nodes = 2 * n + 2
+    lin_caps = np.zeros(2 * n, dtype=np.int64)
+    np.add.at(lin_caps, p.lin_codes, p.lin_vals)
+    lits = np.arange(2, num_nodes)
+    u = np.concatenate([np.zeros(2 * n, dtype=np.int64), p.qu + 2])
+    v = np.concatenate([lits ^ 1, (p.qv + 2) ^ 1])
+    u1, v1 = u ^ 1, v ^ 1
+    keys = np.concatenate([u, v1, v, u1]) * num_nodes + np.concatenate([v, u1, u, v1])
+    order = np.argsort(keys)
+    keys = keys[order]
+    caps = np.concatenate([lin_caps, p.quad_vals])
+    caps = np.concatenate([caps, caps, np.zeros(2 * len(u), dtype=np.int64)])[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    slot = np.empty(len(keys), dtype=np.int64)  # merged index of each laid-out arc
+    slot[order] = np.cumsum(new) - 1
+    if not new.all():
+        first = np.flatnonzero(new)
+        keys, caps = keys[first], np.add.reduceat(caps, first)
+    blocks = slot.reshape(4, len(u))
+    partner = np.empty(len(keys), dtype=np.int64)
+    partner[blocks] = blocks[[1, 0, 3, 2]]
+    rev = np.empty(len(keys), dtype=np.int64)
+    rev[blocks] = blocks[[2, 3, 0, 1]]
+    indptr = np.searchsorted(keys, np.arange(num_nodes + 1) * num_nodes).astype(np.int32)
+    tails = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    heads = keys - tails * num_nodes
+    return ImplicationNetwork(
+        n, 2 * p.scale, tails.astype(np.int32), heads.astype(np.int32), caps, indptr, partner, rev
+    )
 
 
 @dataclass(frozen=True)
@@ -96,10 +119,10 @@ class FlowResult:
     """An exact maximum flow together with its symmetrized residual.
 
     ``flow2`` holds, per arc, twice the symmetrized net flow (net convention:
-    flow in the reverse direction is negative), so residual capacities stay
-    integral: residual2 = 2·cap − flow2 on forward arcs, and flow2 on reverse
-    arcs.  ``flow_value`` is in scaled units (divide by ``network.scale`` for
-    energy units).
+    the flow on an arc's reverse is its negative), so residual capacities
+    stay integral: residual2 = 2·cap − flow2 on every arc, reverses
+    included.  ``flow_value`` is in scaled units (divide by
+    ``network.scale`` for energy units).
     """
 
     network: ImplicationNetwork
@@ -111,37 +134,17 @@ class FlowResult:
         return 2 * self.network.caps - self.flow2
 
     def residual_adjacency(self) -> csr_matrix:
-        """CSR over nodes with an entry per positive-residual arc.
-
-        Forward arcs keep their row order; reverse arcs are placed after them
-        in the row of their tail by a stable sort.  An antiparallel arc pair
-        can give one entry twice, which graph traversals do not mind.  The
-        data are float64 ones, the dtype csgraph works in, so traversals do
-        not copy them.
-        """
+        """CSR over nodes with an entry per positive-residual arc: the
+        network's own CSR under a mask.  The data are float64 ones, the
+        dtype csgraph works in, so traversals do not copy them."""
         net = self.network
-        fwd = self.residual2 > 0
-        rev = self.flow2 > 0
-        rows = np.concatenate([net.tails[fwd], net.heads[rev]])
-        cols = np.concatenate([net.heads[fwd], net.tails[rev]])
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(net.num_nodes + 1, dtype=net.indptr.dtype)
-        np.cumsum(np.bincount(rows, minlength=net.num_nodes), out=indptr[1:])
+        keep = self.residual2 > 0
+        kept = np.zeros(net.num_arcs + 1, dtype=net.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
         return csr_matrix(
-            (np.ones(len(cols)), cols[order], indptr), shape=(net.num_nodes, net.num_nodes)
+            (np.ones(int(kept[-1])), net.heads[keep], kept[net.indptr]),
+            shape=(net.num_nodes, net.num_nodes),
         )
-
-
-def _net_flow_per_arc(net: ImplicationNetwork, flow_csr) -> np.ndarray:
-    """Align scipy's flow matrix entries with the network's arc order."""
-    n = net.num_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(flow_csr.indptr))
-    keys = rows * n + flow_csr.indices
-    want = net._arc_keys
-    idx = np.searchsorted(keys, want)
-    if len(keys) == 0 or (keys[np.clip(idx, 0, len(keys) - 1)] != want).any():
-        raise AssertionError("flow matrix is missing arc entries")
-    return flow_csr.data[idx].astype(np.int64)
 
 
 def _dinic(num_nodes: int, tails, heads, caps, source: int, sink: int):
@@ -203,23 +206,6 @@ def _dinic(num_nodes: int, tails, heads, caps, source: int, sink: int):
     return total, flows
 
 
-def _cancel_antiparallel(net: ImplicationNetwork, flows: np.ndarray) -> np.ndarray:
-    """Convert per-arc flows to the net convention (f(u,v) = -f(v,u))."""
-    keys = net._arc_keys
-    rev_keys = net.heads.astype(np.int64) * net.num_nodes + net.tails
-    idx = np.searchsorted(keys, rev_keys)
-    idx = np.clip(idx, 0, max(len(keys) - 1, 0))
-    has_rev = keys[idx] == rev_keys
-    out = flows.copy()
-    for k in np.nonzero(has_rev)[0].tolist():
-        r = int(idx[k])
-        if r > k:
-            net_f = out[k] - out[r]
-            out[k] = net_f
-            out[r] = -net_f
-    return out
-
-
 def max_flow(net: ImplicationNetwork) -> FlowResult:
     """Exact maximum source→sink flow, symmetrized over skew partners (flow
     on (u→v) equals flow on (v̄→ū)).
@@ -236,11 +222,15 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
             shape=(net.num_nodes, net.num_nodes),
         )
         res = maximum_flow(graph, SOURCE, SINK)
+        flow = res.flow
+        same = np.array_equal(flow.indptr, net.indptr) and np.array_equal(flow.indices, net.heads)
+        if not same:
+            raise AssertionError("scipy's flow matrix does not have the network's arc layout")
         value = int(res.flow_value)
-        flows = _net_flow_per_arc(net, res.flow)
+        flows = flow.data.astype(np.int64)
     else:
         value, raw = _dinic(net.num_nodes, net.tails, net.heads, net.caps, SOURCE, SINK)
-        flows = _cancel_antiparallel(net, raw)
+        flows = raw - raw[net.rev]
     return FlowResult(net, value, flows + flows[net.partner])
 
 

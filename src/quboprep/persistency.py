@@ -100,13 +100,7 @@ def extract_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]
     1 stay closed under reachability, so a variable whose closures both fail
     is never valued later.
     """
-    net = flow.network
-    n_nodes = net.num_nodes
-
-    if net.num_arcs == 0:
-        # Every variable is isolated; both values are optimal, report 0.
-        return {}, {v: 0 for v in range(num_vars)}
-
+    n_nodes = flow.network.num_nodes
     adj = flow.residual_adjacency()
     reached = np.zeros(n_nodes, dtype=bool)
     reached[breadth_first_order(adj, SOURCE, directed=True, return_predecessors=False)] = True

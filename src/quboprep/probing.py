@@ -26,7 +26,10 @@ Conclusions are applied immediately, so later probes run on the shrunken
 problem; sweeps repeat until a fixpoint or ``max_passes``.  The shrunken
 problem and the implication penalties stay scaled int64 arrays throughout
 (see :class:`_ProbeState`); the reduced ``Qubo`` of the outcome is built
-once, from the input, when probing ends.  Resolved
+once, from the input, when probing ends.  The two branches of a probe share
+one max flow on the pair network of the working problem
+(:class:`~quboprep._fast.BranchPair`), laid out once per working problem;
+a probe only writes capacities into it.  Resolved
 percentages count relation-eliminated variables as resolved (they leave the
 problem); reports state the convention.
 """
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fast import analyze_branch
+from ._fast import BranchPair, analyze_branch
 from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables, substitute
 from .persistency import analyze
 from .posiform import IntArrays
@@ -106,6 +109,10 @@ class _ProbeState:
     :meth:`IntArrays.merged` leaves them; ``add_implications`` looks
     couplings up by binary search.
 
+    ``_pair`` is the pair network of the working problem; ``apply`` and
+    an ``add_implications`` that records something make it stale together
+    with the working problem.
+
     ``total`` does the index bookkeeping only: it composes the applied
     fixes and substitutions, and accumulates the exact ``delta``, but its
     ``reduced`` is an empty stand-in; :meth:`reduction` builds the real one.
@@ -121,6 +128,7 @@ class _ProbeState:
         )
         self.total = Reduction.identity(Qubo(q.num_vars))
         self._working: IntArrays | None = None  # true + penalty; None when stale
+        self._pair: BranchPair | None = None  # of working(); None when stale
         self._impl_seen: set[tuple[int, int, int, int]] = set()
 
     @property
@@ -137,9 +145,13 @@ class _ProbeState:
         return self._working
 
     def analyze_branches(self, u: int):
-        """(strong, weak, bound) per branch, labels in current indices."""
-        arr = self.working()
-        return [analyze_branch(arr, u, b) for b in (0, 1)]
+        """(strong, weak, bound) per branch, labels in current indices.
+
+        Both branches share one flow on the pair network of the working
+        problem, laid out once until the working problem changes."""
+        if self._pair is None:
+            self._pair = BranchPair.of(self.working())
+        return analyze_branch(self._pair, u)
 
     def add_implications(self, u: int, implied) -> None:
         """Penalize x_u=b ∧ x_j≠v for each (b, j, v) in ``implied`` (zero on
@@ -190,7 +202,7 @@ class _ProbeState:
         js, vals = (np.array(col, dtype=np.int64) for col in zip(*couplings))
         added = IntArrays(n, w.scale, lin, np.minimum(u, js), np.maximum(u, js), vals, offset)
         self.penalty = self.penalty.plus(added)
-        self._working = None
+        self._working = self._pair = None
 
     def apply(self, subs: dict[int, tuple[int, bool]], fixes: dict[int, int]) -> None:
         """Apply a relation class ``subs`` and ``fixes`` (both in current
@@ -202,7 +214,7 @@ class _ProbeState:
         self.penalty = replace(penalty, offset=penalty.offset + p_delta)
         step = Reduction(m, dict(fixes), dict(subs), surviving, Qubo(len(surviving)), delta)
         self.total = self.total.compose(step)
-        self._working = None
+        self._working = self._pair = None
 
     def reduction(self) -> Reduction:
         """The whole reduction of the input: one substitute, then one

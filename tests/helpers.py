@@ -9,6 +9,7 @@ readable assertions.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from quboprep.model import Qubo
-from quboprep.network import SOURCE, ImplicationNetwork, _merge_arcs
+from quboprep.network import SINK, SOURCE, ImplicationNetwork, build_network
+from quboprep.posiform import Posiform
 
 
 def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
@@ -81,6 +83,17 @@ def random_qubo(rng: np.random.Generator, n: int, coeff_range=(-4, 4), density=0
     return Qubo.from_terms(n, lin, quad)
 
 
+def with_fractions(rng: np.random.Generator, q: Qubo) -> Qubo:
+    """``q`` with every coefficient divided by a random small denominator."""
+    dens = (2, 3, 4, 6)
+    return Qubo.from_terms(
+        q.num_vars,
+        {i: Fraction(a, int(rng.choice(dens))) for i, a in q.linear.items()},
+        {k: Fraction(a, int(rng.choice(dens))) for k, a in q.quadratic.items()},
+        Fraction(1, 3),
+    )
+
+
 def posiform_energy(p, values):
     """Energy of an array posiform at a 0/1 assignment, term by term."""
 
@@ -101,24 +114,57 @@ def literal_node(var: int, complemented: bool = False) -> int:
 
 
 def arc_dict(net) -> dict[tuple[int, int], int]:
-    return {(int(u), int(v)): int(c) for u, v, c in zip(net.tails, net.heads, net.caps)}
+    """Positive-capacity arcs; the layout also stores zero-capacity ones."""
+    return {
+        (int(u), int(v)): int(c) for u, v, c in zip(net.tails, net.heads, net.caps) if c > 0
+    }
 
 
 def network_from_arcs(num_vars: int, arcs, scale: int = 2) -> ImplicationNetwork:
     """Network from skew-closed (tail, head, capacity) triples; parallel arcs
-    merge by capacity addition.  Asserts every merged arc has its partner."""
-    tails, heads, caps = (np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3))
-    net = ImplicationNetwork(num_vars, scale, *_merge_arcs(tails, heads, caps, 2 * num_vars + 2))
+    merge by capacity addition, and zero-capacity arcs are dropped.
+
+    Each arc is read back as the posiform term that gives it: (s → ℓ) and
+    (ℓ̄ → t) as the linear term on ℓ̄, (u → v) as the term u·v̄.  A term gives
+    two arcs, skew partners, so on a skew-closed input every term comes out
+    doubled and is halved here.  Asserts the layout invariants.
+    """
+    lin_codes, lin_vals, qu, qv, quad_vals = [], [], [], [], []
+    for u, v, c in arcs:
+        if c == 0:
+            continue
+        if u == SOURCE:
+            lin_codes.append((v - 2) ^ 1)
+            lin_vals.append(c)
+        elif v == SINK:
+            lin_codes.append(u - 2)
+            lin_vals.append(c)
+        else:
+            qu.append(u - 2)
+            qv.append((v - 2) ^ 1)
+            quad_vals.append(c)
+    cols = (np.array(col, dtype=np.int64) for col in (lin_codes, lin_vals, qu, qv, quad_vals))
+    net = build_network(Posiform(num_vars, scale // 2, 0, *cols))
+    assert (net.caps % 2 == 0).all(), "arcs are not skew-closed"
+    net = replace(net, caps=net.caps // 2)
     assert_skew_partners(net)
     return net
 
 
 def assert_skew_partners(net) -> None:
-    """Arc ``partner[k]`` of every arc k is (v̄ → ū) with the same capacity."""
-    p = net.partner
+    """The layout invariants: a canonical CSR (rows by tail, heads strictly
+    ascending) in which arc ``partner[k]`` of every arc k is (v̄ → ū) with
+    the same capacity and arc ``rev[k]`` is (v → u)."""
+    rows = np.repeat(np.arange(net.num_nodes), np.diff(net.indptr))
+    assert (net.tails == rows).all()
+    keys = net.tails.astype(np.int64) * net.num_nodes + net.heads
+    assert (np.diff(keys) > 0).all()
+    p, r = net.partner, net.rev
     assert (net.tails[p] == net.heads ^ 1).all()
     assert (net.heads[p] == net.tails ^ 1).all()
     assert (net.caps[p] == net.caps).all()
+    assert (net.tails[r] == net.heads).all()
+    assert (net.heads[r] == net.tails).all()
 
 
 def flow_fractions(result) -> dict[tuple[int, int], Fraction]:
@@ -131,27 +177,25 @@ def flow_fractions(result) -> dict[tuple[int, int], Fraction]:
 
 
 def residual_caps(result) -> dict[tuple[int, int], Fraction]:
-    """Residual capacities (energy units) for all residual arcs."""
+    """Residual capacities (energy units), derived from the positive-capacity
+    arcs alone: c - f forward, and f backward unless the reverse arc has
+    capacity of its own (then it is listed as an arc itself)."""
     net = result.network
     out: dict[tuple[int, int], Fraction] = {}
-    arc_set = set(zip(net.tails.tolist(), net.heads.tolist()))
-    for u, v, c, f2 in zip(net.tails, net.heads, net.caps, result.flow2):
-        out[(int(u), int(v))] = Fraction(int(2 * c - f2), 2 * net.scale)
-        if (int(v), int(u)) not in arc_set and f2 > 0:
-            out[(int(v), int(u))] = Fraction(int(f2), 2 * net.scale)
+    positive = arc_dict(net)
+    arcs = zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist(), result.flow2.tolist())
+    for u, v, c, f2 in arcs:
+        if c > 0:
+            out[(u, v)] = Fraction(2 * c - f2, 2 * net.scale)
+            if (v, u) not in positive and f2 > 0:
+                out[(v, u)] = Fraction(f2, 2 * net.scale)
     return out
 
 
 def reference_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:
     """Strong and weak labels by the component-level closure search that
     ``persistency.extract_labels`` replaced; kept as its differential oracle."""
-    net = flow.network
-    n_nodes = net.num_nodes
-
-    if net.num_arcs == 0:
-        # Every variable is isolated; both values are optimal, report 0.
-        return {}, {v: 0 for v in range(num_vars)}
-
+    n_nodes = flow.network.num_nodes
     adj = flow.residual_adjacency()
     reached_nodes = breadth_first_order(
         adj, SOURCE, directed=True, return_predecessors=False

@@ -1,51 +1,95 @@
-"""A probe branch, folded into the problem's arrays, must agree with
-analyzing the fixed-out problem (fix_variables, then analyze), for integer
-and Fraction coefficients alike."""
+"""Both branches of a probe, analyzed in one flow on the pair network, must
+each agree with analyzing the fixed-out problem alone (fix_variables, then
+analyze), dict order included, for integer and Fraction coefficients
+alike and on either flow kernel."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quboprep._fast import IntArrays, analyze_branch
+from quboprep import _fast, persistency
+from quboprep._fast import BranchPair, IntArrays, analyze_branch
 from quboprep.model import Qubo, fix_variables
+from quboprep.network import SOURCE, max_flow
 from quboprep.persistency import analyze
 
-from helpers import random_qubo
+from helpers import random_qubo, with_fractions
+
+_INT32_MAX = 2**31 - 1
 
 
-def _with_fractions(rng, q: Qubo) -> Qubo:
-    """``q`` with every coefficient divided by a random small denominator."""
-    dens = (2, 3, 4, 6)
-    return Qubo.from_terms(
-        q.num_vars,
-        {i: Fraction(a, int(rng.choice(dens))) for i, a in q.linear.items()},
-        {k: Fraction(a, int(rng.choice(dens))) for k, a in q.quadratic.items()},
-        Fraction(1, 3),
-    )
+def _assert_pair_matches_single(q: Qubo) -> None:
+    pair = BranchPair.of(IntArrays.from_qubo(q))
+    for u in range(q.num_vars):
+        for b, (strong, weak, bound) in enumerate(analyze_branch(pair, u)):
+            red = fix_variables(q, {u: b})
+            ref = analyze(red.reduced)
+            assert bound == ref.bound + red.delta
+            assert repr(strong) == repr({red.surviving[j]: v for j, v in ref.strong.items()})
+            assert repr(weak) == repr({red.surviving[j]: v for j, v in ref.weak.items()})
+
+
+def _source_total(net) -> int:
+    return int(net.caps[: net.indptr[SOURCE + 1]].sum())
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_branch_analysis_matches_dict_pipeline(seed):
     rng = np.random.default_rng(7000 + seed)
     q_int = random_qubo(rng, int(rng.integers(3, 12)))
-    for q in (q_int, _with_fractions(rng, q_int)):
-        arr = IntArrays.from_qubo(q)
-        for u in range(q.num_vars):
-            for b in (0, 1):
-                strong, weak, bound = analyze_branch(arr, u, b)
-                red = fix_variables(q, {u: b})
-                ref = analyze(red.reduced)
-                assert bound == ref.bound + red.delta
-                assert strong == {red.surviving[j]: v for j, v in ref.strong.items()}
-                assert weak == {red.surviving[j]: v for j, v in ref.weak.items()}
+    for q in (q_int, with_fractions(rng, q_int)):
+        _assert_pair_matches_single(q)
 
 
 def test_isolated_and_empty_branches():
     q = Qubo.from_terms(2, {0: 3})
-    arr = IntArrays.from_qubo(q)
-    strong, weak, bound = analyze_branch(arr, 0, 1)
-    # fixing the only active variable leaves an empty problem
-    assert bound == 3
+    (_, _, bound0), (strong, weak, bound) = analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 0)
+    # fixing the only active variable leaves an isolated one
+    assert (bound0, bound) == (0, 3)
     assert weak == {1: 0}
     assert strong == {}
+    # a one-variable problem leaves both branches empty
+    _assert_pair_matches_single(Qubo.from_terms(1, {0: -2}, {}, Fraction(1, 2)))
+
+
+def test_all_isolated_problem():
+    """No terms at all: every network arc has capacity 0."""
+    q = Qubo.from_terms(3, {}, {}, 5)
+    _assert_pair_matches_single(q)
+    for strong, weak, bound in analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 1):
+        assert (strong, weak, bound) == ({}, {0: 0, 2: 0}, 5)
+
+
+def _scaled(q: Qubo, k: int) -> Qubo:
+    return Qubo.from_terms(
+        q.num_vars,
+        {i: k * a for i, a in q.linear.items()},
+        {key: k * a for key, a in q.quadratic.items()},
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_on_the_dinic_path(seed, monkeypatch):
+    """Coefficients scaled so that every branch's source capacity fits int32
+    (its analysis alone runs on scipy) but some pair's does not (Dinic)."""
+    sources: dict[str, list[int]] = {"pair": [], "single": []}
+
+    def spy(kind):
+        def run(net):
+            sources[kind].append(_source_total(net))
+            return max_flow(net)
+
+        return run
+
+    monkeypatch.setattr(_fast, "max_flow", spy("pair"))
+    monkeypatch.setattr(persistency, "max_flow", spy("single"))
+    small = random_qubo(np.random.default_rng(7100 + seed), 6)
+    _assert_pair_matches_single(small)
+    k = _INT32_MAX // max(sources["single"])
+    assert max(sources["pair"]) * k > _INT32_MAX
+    for seen in sources.values():
+        seen.clear()
+    _assert_pair_matches_single(_scaled(small, k))
+    assert max(sources["single"]) <= _INT32_MAX
+    assert max(sources["pair"]) > _INT32_MAX

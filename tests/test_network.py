@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
+from quboprep import _fast, network
+from quboprep._fast import BranchPair, analyze_branch
 from quboprep.model import Qubo
 from quboprep.network import SINK, SOURCE, _dinic, build_network, max_flow, roof_dual
 from quboprep.posiform import IntArrays, to_posiform
@@ -23,6 +26,7 @@ from helpers import (
     network_from_arcs,
     random_qubo,
     residual_caps,
+    with_fractions,
 )
 
 
@@ -124,13 +128,14 @@ def test_symmetric_flow_and_residuals():
     flows = flow_fractions(result)
     for (u, v), f in flows.items():
         assert flows[(v ^ 1, u ^ 1)] == f
+        assert flows[(v, u)] == -f
     for value in residual_caps(result).values():
         assert value >= 0
-    # conservation at every non-terminal node (net symmetrized flow)
+    # conservation at every non-terminal node: every arc's reverse is stored
+    # and carries the negated flow, so a node's out-arcs hold its net outflow
     balance = {}
     for (u, v), f in flows.items():
         balance[u] = balance.get(u, 0) + f
-        balance[v] = balance.get(v, 0) - f
     for node, net_out in balance.items():
         if node not in (SOURCE, SINK):
             assert net_out == 0
@@ -221,3 +226,95 @@ class TestRoofDual:
     def test_fractional_coefficients(self):
         q = Qubo.from_terms(2, {0: Fraction(-1, 3)}, {(0, 1): Fraction(1, 6)})
         assert roof_dual(q) <= exact_min(q)[0]
+
+
+def test_flow_matrix_layout_is_checked(monkeypatch):
+    """max_flow reads scipy's flow entries by position, so a flow matrix
+    whose entries are ordered otherwise than the network's arcs must raise."""
+    net = _network(random_qubo(np.random.default_rng(5), 6))
+    real = network.maximum_flow
+
+    def reordered(graph, source, sink):
+        res = real(graph, source, sink)
+        f = res.flow
+        order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(f.indptr[:-1], f.indptr[1:])])
+        flow = csr_matrix((f.data[order], f.indices[order], f.indptr), shape=f.shape)
+        return SimpleNamespace(flow_value=res.flow_value, flow=flow)
+
+    monkeypatch.setattr(network, "maximum_flow", reordered)
+    with pytest.raises(AssertionError, match="arc layout"):
+        max_flow(net)
+
+
+def _assert_max_flow_certificate(result) -> None:
+    """Max-flow/min-cut duality and flow feasibility, checked arc by arc in
+    Python ints, without enumerating assignments:
+
+    * the arcs leaving the source-reachable residual set carry a total
+      capacity equal to the flow value, and the sink is not in that set;
+    * flow is conserved at every literal node (every arc's reverse is
+      stored and carries the negated flow, so a node's out-arcs hold its
+      net outflow), and the source sends out the flow value;
+    * 0 ≤ flow2 ≤ 2·cap on every arc of positive capacity.
+    """
+    net = result.network
+    tails, heads = net.tails.tolist(), net.heads.tolist()
+    caps, flow2 = net.caps.tolist(), result.flow2.tolist()
+    rev = net.rev.tolist()
+    out: dict[int, list[int]] = {}
+    for k, u in enumerate(tails):
+        out.setdefault(u, []).append(k)
+    reached = {SOURCE}
+    stack = [SOURCE]
+    while stack:
+        for k in out.get(stack.pop(), []):
+            if 2 * caps[k] - flow2[k] > 0 and heads[k] not in reached:
+                reached.add(heads[k])
+                stack.append(heads[k])
+    assert SINK not in reached
+    cut = sum(c for u, v, c in zip(tails, heads, caps) if u in reached and v not in reached)
+    assert cut == result.flow_value
+    assert sum(flow2[k] for k in out.get(SOURCE, [])) == 2 * result.flow_value
+    for node in range(2, net.num_nodes):
+        assert sum(flow2[k] for k in out.get(node, [])) == 0
+    for k, c in enumerate(caps):
+        assert flow2[rev[k]] == -flow2[k]
+        if c > 0:
+            assert 0 <= flow2[k] <= 2 * c
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(900)
+    for k in range(6):
+        q = random_qubo(rng, int(rng.integers(20, 41)), density=rng.uniform(0.1, 0.5))
+        yield q if k % 2 == 0 else with_fractions(rng, q)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_max_flow_certificate_on_both_kernels(case):
+    """On the scipy path, and on the Dinic path with capacities × 2**32."""
+    q = list(_certificate_cases())[case]
+    net = _network(q)
+    _assert_max_flow_certificate(max_flow(net))
+    big = replace(net, caps=net.caps * 2**32)
+    assert int(big.caps.max()) > 2**31 - 1
+    _assert_max_flow_certificate(max_flow(big))
+
+
+def test_max_flow_certificate_on_pair_networks(monkeypatch):
+    """Every pair network a probe flows on, for int and Fraction QUBOs."""
+    flows = []
+
+    def record(net):
+        flows.append(max_flow(net))
+        return flows[-1]
+
+    monkeypatch.setattr(_fast, "max_flow", record)
+    rng = np.random.default_rng(910)
+    for q in (random_qubo(rng, 14), with_fractions(rng, random_qubo(rng, 14))):
+        pair = BranchPair.of(IntArrays.from_qubo(q))
+        for u in range(q.num_vars):
+            analyze_branch(pair, u)
+    assert len(flows) == 28
+    for result in flows:
+        _assert_max_flow_certificate(result)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quboprep._fast import analyze_branch
+from quboprep._fast import BranchPair, analyze_branch
 from quboprep.errors import SizeGuardError
 from quboprep.model import Qubo, fix_variables
 from quboprep.network import roof_dual
@@ -84,7 +84,12 @@ def test_huge_coefficients_hit_the_size_guard(denominator):
     # Σ|a| = 2**64: int64 sums wrapped here, and the true minimum is -2**64.
     a = Fraction(-(2**62), denominator)
     q = Qubo.from_terms(3, {1: a, 2: a}, {(0, 1): a, (0, 2): a})
-    runs = (analyze, roof_dual, probe, lambda q: analyze_branch(IntArrays.from_qubo(q), 0, 1))
+    runs = (
+        analyze,
+        roof_dual,
+        probe,
+        lambda q: analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 0),
+    )
     for run in runs:
         with pytest.raises(SizeGuardError):
             run(q)
@@ -103,7 +108,7 @@ def test_coefficients_near_2_to_58_stay_sound():
         res = analyze(q)
         _assert_sound(q, res)
         assert roof_dual(q) == res.bound
-        strong, weak, bound = analyze_branch(IntArrays.from_qubo(q), 0, 1)
+        _, (strong, weak, bound) = analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 0)
         red = fix_variables(q, {0: 1})
         ref = analyze(red.reduced)
         assert bound == ref.bound + red.delta
