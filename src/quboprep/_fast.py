@@ -17,6 +17,9 @@ linear part of branch b's posiform.  One max flow then serves both branches:
   order, that it gets alone (residual reachability among those literals is
   the same for every maximum flow: Picard & Queyranne, 1980).
 
+:func:`~quboprep.persistency.split_blocks`, shared with
+:func:`~quboprep.persistency.analyze_all`, splits labels and bounds by copy.
+
 Branches keep the problem's index space (the probed variable just loses its
 terms), so returned labels are in the problem's own indices.
 """
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .network import ImplicationNetwork, build_network, max_flow
-from .persistency import extract_labels
+from .persistency import extract_labels, split_blocks
 from .posiform import IntArrays, to_posiform
 
 
@@ -97,17 +100,12 @@ def analyze_branch(
     caps[net.indptr[2:-1] + 1] = np.stack([pos, neg], axis=-1).ravel()
     flow = max_flow(replace(net, caps=caps))
     strong, weak = extract_labels(flow, 2 * n)
-    out = []
-    for b, delta in ((0, 0), (1, int(arr.lin[u]))):
-        lo, hi = b * n, (b + 1) * n
-        # flow2 adds to each source arc's flow that of its partner, an arc
-        # into t from the same copy; each half sums to the copy's flow.
-        copy_flow = int(flow.flow2[2 * lo : 2 * hi].sum()) // 2
-        negative = int(lin[b][lin[b] < 0].sum())
-        constant = arr.offset + Fraction(delta, scale) + Fraction(negative, scale)
-        out.append((
-            {j - lo: v for j, v in strong.items() if lo <= j < hi and j != lo + u},
-            {j - lo: v for j, v in weak.items() if lo <= j < hi and j != lo + u},
-            constant + Fraction(copy_flow, net.scale),
-        ))
+    constants = [
+        arr.offset + Fraction(delta + int(lin[b][lin[b] < 0].sum()), scale)
+        for b, delta in ((0, 0), (1, int(arr.lin[u])))
+    ]
+    out = split_blocks(flow, strong, weak, [0, n, 2 * n], constants)
+    for s, w, _ in out:
+        s.pop(u, None)
+        w.pop(u, None)
     return out

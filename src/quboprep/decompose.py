@@ -8,25 +8,31 @@ vertex v into G1 (the neighbors of v) and G2 (everything but v) and recurse.
 
 Every subproblem is a bitmask over the root graph's vertices: an induced
 subgraph is a mask AND with the root's neighbour masks and a degree is a
-popcount.  The clique problem of a node goes to
-:func:`~quboprep.persistency.analyze` as scaled integer arrays built from
-its adjacency matrix, with no ``Graph`` or ``Qubo`` in between; a ``Graph``
-with local labels is built only for a leaf and for probing.  The recursion
-runs on an explicit stack, so its depth is not bounded by Python's
-recursion limit.
+popcount.  A node's children depend only on its mask, so with persistency
+the tree of oversized nodes is first expanded breadth-first (:func:`_plan`):
+the clique problems of a whole level, as scaled integer arrays built from
+each node's adjacency matrix, go to
+:func:`~quboprep.persistency.analyze_all` together, one max flow per level
+(per :data:`_UNION_ENTRIES` quadratic entries on very wide levels).  The
+depth-first recursion then replays that plan and calls the leaf solver, so
+leaf calls, their order and the statistics are those of analyzing node by
+node.  A ``Graph`` with local labels is built only for a leaf and for
+probing.  The recursion runs on an explicit stack, so its depth is not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import SolverValidationError
 from .graphs import Graph
-from .persistency import analyze
+# ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
+from .persistency import analyze, analyze_all  # noqa: F401
 from .posiform import IntArrays
 from .probing import probe
 from .problems import CliqueEncodingParams, clique_qubo
@@ -37,6 +43,9 @@ DEFAULT_THRESHOLD = 45
 
 _ENCODING = CliqueEncodingParams.complement_penalty()
 _SOLVE, _FORCED, _SPLIT = range(3)
+# Quadratic entries per analyze_all union; bounds the union network's size
+# on very wide levels of the split tree.
+_UNION_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -124,31 +133,77 @@ def _clique_arrays(sub: np.ndarray) -> IntArrays:
     return IntArrays(m, 1, lin, iu[absent], iv[absent], qv, 0)
 
 
-def _shrink_by_persistency(
-    adj: tuple[int, ...], mask: int, use_probing: bool, stats: SplitStats
-) -> tuple[int, int] | None:
-    """Weak-fix the clique problem of the subgraph ``mask``; returns (forced
-    members, rest) as masks, or None when nothing was resolved."""
-    members, sub = _induced(adj, mask)
-    if use_probing:
-        fixed = probe(clique_qubo(_graph(sub), _ENCODING)).reduction.fixed
-    else:
-        fixed = analyze(_clique_arrays(sub)).weak
-    if not fixed:
-        return None
-    ones = zeros = 0
-    for k, val in fixed.items():
-        if val == 1:
-            ones |= 1 << members[k]
+def _step(
+    adj: tuple[int, ...], mask: int, members: list[int], fixed: dict[int, int] | None
+) -> tuple:
+    """How the split tree goes on below the oversized node ``mask``, whose
+    sorted ``members`` are given.
+
+    With weak fixes ``fixed`` (by position among the members), the node is
+    shrunk: (_FORCED, the members fixed to 1, [the rest restricted to their
+    common neighbours]).  Without, it is split on a minimum-degree vertex v:
+    (_SPLIT, v's bit, [G2, G1]), children in push order.
+    """
+    if fixed:
+        ones = zeros = 0
+        for k, val in fixed.items():
+            if val == 1:
+                ones |= 1 << members[k]
+            else:
+                zeros |= 1 << members[k]
+        keep = mask & ~ones & ~zeros
+        for v in _members(ones):
+            if (adj[v] | 1 << v) & ones != ones:
+                raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
+            keep &= adj[v]
+        return _FORCED, ones, [keep]
+    v = min(members, key=lambda u: ((adj[u] & mask).bit_count(), u))
+    return _SPLIT, 1 << v, [mask & ~(1 << v), adj[v] & mask]
+
+
+def _unions(adj: tuple[int, ...], masks: list[int]) -> Iterator[list[tuple]]:
+    """(mask, members, clique problem) of each of ``masks``, in runs of at
+    most _UNION_ENTRIES quadratic entries (a problem larger than that forms
+    a run alone)."""
+    run: list[tuple] = []
+    entries = 0
+    for mask in masks:
+        members, sub = _induced(adj, mask)
+        arr = _clique_arrays(sub)
+        if run and entries + len(arr.qv) > _UNION_ENTRIES:
+            yield run
+            run, entries = [], 0
+        run.append((mask, members, arr))
+        entries += len(arr.qv)
+    if run:
+        yield run
+
+
+def _plan(adj: tuple[int, ...], root: int, threshold: int, use_probing: bool) -> dict[int, tuple]:
+    """:func:`_step` of every oversized node of the persistency split tree
+    under ``root``, by node mask.
+
+    The tree is expanded breadth-first, so all nodes of a level are known
+    before any of them is analyzed: each run of :func:`_unions` is one
+    :func:`~quboprep.persistency.analyze_all` call.  With ``use_probing``
+    each node is probed on its own.  A mask met again is not analyzed again.
+    """
+    plan: dict[int, tuple] = {}
+    level = [root]
+    while level:
+        todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]
+        if use_probing:
+            for mask in todo:
+                members, sub = _induced(adj, mask)
+                fixed = probe(clique_qubo(_graph(sub), _ENCODING)).reduction.fixed
+                plan[mask] = _step(adj, mask, members, fixed)
         else:
-            zeros |= 1 << members[k]
-    keep = mask & ~ones & ~zeros
-    for v in _members(ones):
-        if (adj[v] | 1 << v) & ones != ones:
-            raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
-        keep &= adj[v]
-    stats.vertices_eliminated_by_persistency += len(members) - keep.bit_count()
-    return ones, keep
+            for run in _unions(adj, todo):
+                results = analyze_all([arr for *_, arr in run])
+                for (mask, members, _), result in zip(run, results):
+                    plan[mask] = _step(adj, mask, members, result.weak)
+        level = [child for mask in todo for child in plan[mask][2]]
+    return plan
 
 
 def max_clique_split(
@@ -167,10 +222,12 @@ def max_clique_split(
         solver = default_leaf_solver()
     stats = SplitStats()
     adj = g.adjacency_bits
+    root = (1 << g.n) - 1
+    plan = _plan(adj, root, solver.threshold, use_probing) if use_persistency else {}
     # Explicit stack: (_SOLVE, mask, depth) solves the subgraph on ``mask``;
     # a _FORCED or _SPLIT entry combines the cliques found for the entries
     # pushed just above it.  Cliques are root-vertex masks.
-    todo = [(_SOLVE, (1 << g.n) - 1, 0)]
+    todo = [(_SOLVE, root, 0)]
     found: list[int] = []
     while todo:
         kind, mask, depth = todo.pop()
@@ -191,17 +248,13 @@ def max_clique_split(
             found.append(sum(1 << members[k] for k in solver.solve(_graph(sub))))
             continue
         if use_persistency:
-            shrunk = _shrink_by_persistency(adj, mask, use_probing, stats)
-            if shrunk is not None:
-                forced, rest = shrunk
-                todo += [(_FORCED, forced, 0), (_SOLVE, rest, depth + 1)]
-                continue
-        v = min(_members(mask), key=lambda u: ((adj[u] & mask).bit_count(), u))
-        todo += [
-            (_SPLIT, 1 << v, 0),
-            (_SOLVE, mask & ~(1 << v), depth + 1),
-            (_SOLVE, adj[v] & mask, depth + 1),
-        ]
+            combine, bits, children = plan[mask]
+        else:
+            combine, bits, children = _step(adj, mask, _members(mask), None)
+        if combine == _FORCED:
+            stats.vertices_eliminated_by_persistency += mask.bit_count() - children[0].bit_count()
+        todo.append((combine, bits, 0))
+        todo += [(_SOLVE, child, depth + 1) for child in children]
     clique = tuple(_members(found.pop()))
     if not g.is_clique(clique):
         raise AssertionError("split recursion assembled a non-clique")

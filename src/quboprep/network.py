@@ -210,13 +210,14 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
     """Exact maximum source→sink flow, symmetrized over skew partners (flow
     on (u→v) equals flow on (v̄→ū)).
 
-    scipy's int32 kernel runs on the network's CSR when every capacity and
-    the total source capacity fit in int32; otherwise Dinic on Python ints.
+    scipy's int32 kernel runs on the network's CSR when every capacity fits
+    in int32 (an arc's flow never exceeds its capacity); otherwise Dinic on
+    Python ints.  The flow value is the int64 sum of the source row's flows,
+    so a total past int32 stays exact.
     """
     if net.num_arcs == 0:
         return FlowResult(net, 0, np.empty(0, dtype=np.int64))
-    source_total = int(net.caps[: net.indptr[SOURCE + 1]].sum())
-    if int(net.caps.max()) <= _INT32_MAX and source_total <= _INT32_MAX:
+    if int(net.caps.max()) <= _INT32_MAX:
         graph = csr_matrix(
             (net.caps.astype(np.int32), net.heads, net.indptr),
             shape=(net.num_nodes, net.num_nodes),
@@ -226,8 +227,8 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
         same = np.array_equal(flow.indptr, net.indptr) and np.array_equal(flow.indices, net.heads)
         if not same:
             raise AssertionError("scipy's flow matrix does not have the network's arc layout")
-        value = int(res.flow_value)
         flows = flow.data.astype(np.int64)
+        value = int(flows[: net.indptr[SOURCE + 1]].sum())
     else:
         value, raw = _dinic(net.num_nodes, net.tails, net.heads, net.caps, SOURCE, SINK)
         flows = raw - raw[net.rev]

@@ -2,6 +2,13 @@
 
 All labels come from the residual graph of one symmetrized max flow, built
 once as a CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
+:func:`analyze_all` runs several problems through one flow, on the network
+of their disjoint union, and :func:`split_blocks` hands each problem its own
+labels and bound; :func:`analyze` is the one-problem case.  The blocks share
+only the source and the sink.  The sink is never reachable at a maximum
+flow, a middle literal reaches no middle literal of another block, and
+residual reachability is the same for every maximum flow (Picard &
+Queyranne, 1980), so every block gets exactly the result it gets alone.
 
 Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
@@ -16,6 +23,8 @@ agrees with every reported weak value simultaneously.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +32,7 @@ import numpy as np
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables
-from .network import SOURCE, build_network, max_flow
+from .network import SOURCE, FlowResult, build_network, max_flow
 from .posiform import IntArrays, to_posiform
 
 
@@ -79,13 +88,84 @@ class PersistencyResult:
 def analyze(q: Qubo | IntArrays) -> PersistencyResult:
     """Roof-dual bound plus strong and weak persistencies of ``q``, given as
     a Qubo or as its scaled arrays."""
-    arr = q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)
-    p = to_posiform(arr)
+    return analyze_all([q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)])[0]
+
+
+def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
+    """:func:`analyze` of each problem, all in one max flow.
+
+    The problems must share one scale.  Their disjoint union (problem b's
+    variable k is variable ``starts[b] + k``) goes through one posiform
+    rewrite, one network, one flow and one label extraction; the blocks
+    share only the source and the sink, so :func:`split_blocks` gives each
+    problem exactly the result it gets alone.
+    """
+    if not problems:
+        return []
+    if any(arr.scale != problems[0].scale for arr in problems):
+        raise ValueError("problems analyzed together must share one scale")
+    starts = np.cumsum([0] + [arr.num_vars for arr in problems])
+    shift = np.repeat(starts[:-1], [len(arr.qv) for arr in problems])
+    p = to_posiform(IntArrays(
+        int(starts[-1]),
+        problems[0].scale,
+        np.concatenate([arr.lin for arr in problems]),
+        np.concatenate([arr.qi for arr in problems]) + shift,
+        np.concatenate([arr.qj for arr in problems]) + shift,
+        np.concatenate([arr.qv for arr in problems]),
+        0,
+    ))
+    # Each problem's posiform constant: its offset plus its negative linear
+    # part after the rewrite (the complemented linear terms of its block).
+    negative = np.zeros(p.num_vars, dtype=np.int64)
+    odd = (p.lin_codes & 1) == 1
+    negative[p.lin_codes[odd] >> 1] = p.lin_vals[odd]
+    constants = [
+        arr.offset - Fraction(int(negative[lo:hi].sum()), p.scale)
+        for arr, lo, hi in zip(problems, starts[:-1].tolist(), starts[1:].tolist())
+    ]
     net = build_network(p)
     flow = max_flow(net)
-    bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
-    strong, weak = extract_labels(flow, arr.num_vars)
-    return PersistencyResult(arr.num_vars, strong, weak, bound)
+    strong, weak = extract_labels(flow, p.num_vars)
+    return [
+        PersistencyResult(arr.num_vars, s, w, as_coeff(bound))
+        for arr, (s, w, bound) in zip(
+            problems, split_blocks(flow, strong, weak, starts.tolist(), constants)
+        )
+    ]
+
+
+def split_blocks(
+    flow: FlowResult,
+    strong: dict[int, int],
+    weak: dict[int, int],
+    starts: Sequence[int],
+    constants: Sequence[Coeff],
+) -> list[tuple[dict[int, int], dict[int, int], Fraction]]:
+    """(strong, weak, bound) of each block of variables
+    ``starts[b]:starts[b + 1]`` of a flow over disjoint problems that share
+    only the source and the sink.
+
+    Labels keep their dict order and move to the block's own indices.  A
+    block's flow is a maximum flow of its problem alone, so its bound is
+    ``constants[b]`` (the posiform constant) plus that flow: ``flow2`` adds
+    to each source arc's flow that of its partner, an arc into the sink from
+    the same block, so the block's source arcs sum to twice its flow.
+    """
+    out = [({}, {}) for _ in starts[1:]]
+    for labels, k in ((strong, 0), (weak, 1)):
+        lo = hi = 0
+        for j, v in labels.items():
+            if not lo <= j < hi:  # labels mostly come in runs of one block
+                b = bisect_right(starts, j) - 1
+                lo, hi, block = starts[b], starts[b + 1], out[b][k]
+            block[j - lo] = v
+    scale = flow.network.scale
+    flow2 = flow.flow2
+    return [
+        (s, w, c + Fraction(int(flow2[2 * lo : 2 * hi].sum()) // 2, scale))
+        for (s, w), c, lo, hi in zip(out, constants, starts, starts[1:])
+    ]
 
 
 def extract_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quboprep import _fast, persistency
+from quboprep import _fast, network, persistency
 from quboprep._fast import BranchPair, IntArrays, analyze_branch
 from quboprep.model import Qubo, fix_variables
 from quboprep.network import SOURCE, max_flow
@@ -72,7 +72,9 @@ def _scaled(q: Qubo, k: int) -> Qubo:
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_on_the_dinic_path(seed, monkeypatch):
     """Coefficients scaled so that every branch's source capacity fits int32
-    (its analysis alone runs on scipy) but some pair's does not (Dinic)."""
+    but some pair's does not.  The name is historical: the pair used to fall
+    back to Dinic here, and now stays on scipy, since every arc fits int32;
+    it must still match each branch analyzed alone."""
     sources: dict[str, list[int]] = {"pair": [], "single": []}
 
     def spy(kind):
@@ -82,8 +84,12 @@ def test_pair_on_the_dinic_path(seed, monkeypatch):
 
         return run
 
+    def no_dinic(*args):
+        raise AssertionError("max_flow fell back to Dinic")
+
     monkeypatch.setattr(_fast, "max_flow", spy("pair"))
     monkeypatch.setattr(persistency, "max_flow", spy("single"))
+    monkeypatch.setattr(network, "_dinic", no_dinic)
     small = random_qubo(np.random.default_rng(7100 + seed), 6)
     _assert_pair_matches_single(small)
     k = _INT32_MAX // max(sources["single"])

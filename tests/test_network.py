@@ -301,6 +301,26 @@ def test_max_flow_certificate_on_both_kernels(case):
     _assert_max_flow_certificate(max_flow(big))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_source_total_past_int32_stays_on_scipy(seed, monkeypatch):
+    """Every arc fits int32 but the source capacities, and the flow value,
+    add up past 2**31: scipy's kernel still runs (an arc's flow never
+    exceeds its capacity) and its int64 flow value is Dinic's."""
+    net = _network(random_qubo(np.random.default_rng(960 + seed), 16, density=0.3))
+    big = replace(net, caps=net.caps * ((2**31 - 1) // int(net.caps.max())))
+    assert int(big.caps.max()) <= 2**31 - 1
+    expected, _ = _dinic(big.num_nodes, big.tails, big.heads, big.caps, SOURCE, SINK)
+    assert expected > 2**31
+
+    def no_dinic(*args):
+        raise AssertionError("max_flow fell back to Dinic")
+
+    monkeypatch.setattr(network, "_dinic", no_dinic)
+    result = max_flow(big)
+    assert result.flow_value == expected
+    _assert_max_flow_certificate(result)
+
+
 def test_max_flow_certificate_on_pair_networks(monkeypatch):
     """Every pair network a probe flows on, for int and Fraction QUBOs."""
     flows = []

@@ -26,9 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quboprep import decompose
 from quboprep.decompose import LeafSolver, max_clique_split
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique
+from quboprep.persistency import analyze_all
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PATH = _ROOT / "tests" / "data" / "split_golden.json"
@@ -143,6 +145,29 @@ def test_golden_random_set_exercises_the_recursion():
     assert sum(o["max_depth"] >= 5 for o in outcomes) >= 20
     assert sum(o["eliminated"] > 0 for o in outcomes) >= 20
     assert sum(o["n_calls"] == 1 for o in outcomes) >= 5
+
+
+@pytest.mark.parametrize("budget", [0, 60])
+def test_outcomes_match_golden_with_small_unions(budget, monkeypatch):
+    """With a union budget of a few quadratic entries, each level is cut
+    into many ``analyze_all`` calls; the outcomes must not change."""
+    runs = []
+
+    def spy(problems):
+        runs.append((len(problems), sum(len(arr.qv) for arr in problems)))
+        return analyze_all(problems)
+
+    monkeypatch.setattr(decompose, "_UNION_ENTRIES", budget)
+    monkeypatch.setattr(decompose, "analyze_all", spy)
+    cases = [c for c in _GOLDEN["random"] if c["mode"] == "persistency"][:40]
+    for case in cases:
+        g = gen_gnp(case["n"], case["p"], case["seed"])
+        assert record(g, case["threshold"], "persistency") == case["outcome"], case
+    assert len(runs) > 100
+    # Only a problem larger than the budget by itself makes a run exceed it.
+    assert all(size == 1 for size, entries in runs if entries > budget)
+    if budget:
+        assert any(size > 1 for size, _ in runs)
 
 
 @pytest.mark.parametrize(
