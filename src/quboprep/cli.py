@@ -26,6 +26,12 @@ EXIT_GUARD = 3
 EXIT_VALIDATION = 4
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="DIMACS graph or QUBO file")
     parser.add_argument(
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("target", choices=["clique", "cut"])
     _add_graph_args(p_solve)
     p_solve.add_argument("--split", action="store_true", help="use the vertex-splitting solver")
-    p_solve.add_argument("--threshold", type=int, default=45)
+    p_solve.add_argument("--threshold", type=_positive_int, default=45)
     p_solve.add_argument(
         "--no-persistency",
         dest="persistency",
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--no-probe", action="store_true")
     p_exp.add_argument("--desk-scale", action="store_true", help="table3 at n=200")
     p_exp.add_argument("--n", type=int, help="fig3 graph size (default 100)")
-    p_exp.add_argument("--threshold", type=int, default=15, help="fig3 leaf threshold")
+    p_exp.add_argument("--threshold", type=_positive_int, default=15, help="fig3 leaf threshold")
     p_exp.set_defaults(fn=cmd_experiment)
 
     p_oracle = sub.add_parser("oracle", help="exact reference solvers")

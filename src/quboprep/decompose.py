@@ -10,15 +10,17 @@ Every subproblem is a bitmask over the root graph's vertices: an induced
 subgraph is a mask AND with the root's neighbour masks and a degree is a
 popcount.  A node's children depend only on its mask, so with persistency
 the tree of oversized nodes is first expanded breadth-first (:func:`_plan`):
-the clique problems of a whole level, as scaled integer arrays built from
-each node's adjacency matrix, go to
-:func:`~quboprep.persistency.analyze_all` together, one max flow per level
-(per :data:`_UNION_ENTRIES` quadratic entries on very wide levels).  The
-depth-first recursion then replays that plan and calls the leaf solver, so
-leaf calls, their order and the statistics are those of analyzing node by
-node.  A ``Graph`` with local labels is built only for a leaf and for
-probing.  The recursion runs on an explicit stack, so its depth is not
-bounded by Python's recursion limit.
+the clique problems of a whole level, as scaled integer arrays of each
+node's non-adjacent pairs, go to :func:`~quboprep.persistency.analyze_all`
+together, one max flow per level (per :data:`_UNION_ENTRIES` quadratic
+entries on very wide levels).  The depth-first recursion then replays that
+plan and calls the leaf solver, so leaf calls, their order and the
+statistics are those of analyzing node by node.  The root's boolean
+adjacency matrix is built once per call; a node's matrix is its rows and
+columns at the node's members, and a leaf's ``Graph`` is built from that
+matrix's packed rows as neighbour bitmasks, without edge tuples.  The
+recursion runs on an explicit stack, so its depth is not bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import SolverValidationError
-from .graphs import Graph
+from .graphs import Graph, set_bits
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
 from .persistency import analyze, analyze_all  # noqa: F401
 from .posiform import IntArrays
@@ -101,36 +103,33 @@ class SavingsRow:
         return (self.n_qpbo - self.n_no_qpbo) / self.n_no_qpbo
 
 
-def _members(mask: int) -> list[int]:
-    """Set bit positions of ``mask``, ascending."""
-    return [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+def _induced(matrix: np.ndarray, mask: int) -> tuple[list[int], np.ndarray]:
+    """Sorted members of ``mask`` and the submatrix of the root's ``matrix``
+    at their rows and columns, indexed by position among the members."""
+    members = set_bits(mask)
+    return members, matrix.take(members, 0).take(members, 1)
 
 
-def _induced(adj: tuple[int, ...], mask: int) -> tuple[list[int], np.ndarray]:
-    """Sorted members of ``mask`` and the boolean adjacency matrix they
-    induce, indexed by position among the members."""
-    members = _members(mask)
-    nbytes = (mask.bit_length() + 7) // 8
-    rows = b"".join((adj[v] & mask).to_bytes(nbytes, "little") for v in members)
-    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8), bitorder="little")
-    return members, bits.view(bool).reshape(len(members), -1)[:, members]
+def _leaf(sub: np.ndarray) -> Graph:
+    """The graph with adjacency matrix ``sub``, from its packed rows: one
+    little-endian word per row when it has at most 64 vertices."""
+    rows = np.packbits(sub, axis=1, bitorder="little")
+    if len(sub) > 64:
+        return Graph.from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
+    words = np.zeros((len(sub), 8), dtype=np.uint8)
+    words[:, : rows.shape[1]] = rows
+    return Graph.from_bits(words.view("<u8").ravel().tolist())
 
 
-def _graph(sub: np.ndarray) -> Graph:
-    iu, iv = np.nonzero(np.triu(sub, 1))
-    return Graph(len(sub), tuple(zip(iu.tolist(), iv.tolist())))
-
-
-def _clique_arrays(sub: np.ndarray) -> IntArrays:
-    """``IntArrays.from_qubo(clique_qubo(_graph(sub), _ENCODING))`` without
-    the graph, the complement and the Qubo: −A on every vertex and B on
-    every non-adjacent pair, keys sorted."""
-    m = len(sub)
-    iu, iv = np.triu_indices(m, 1)
-    absent = ~sub[iu, iv]
-    lin = np.full(m, -_ENCODING.A, dtype=np.int64)
-    qv = np.full(int(absent.sum()), _ENCODING.B, dtype=np.int64)
-    return IntArrays(m, 1, lin, iu[absent], iv[absent], qv, 0)
+def _clique_arrays(absent: np.ndarray) -> IntArrays:
+    """The clique problem of the graph whose non-adjacent pairs u < v are
+    the True entries of ``absent``: ``IntArrays.from_qubo(clique_qubo(g,
+    _ENCODING))`` without the graph, the complement and the Qubo.  −A on
+    every vertex and B on every non-adjacent pair, keys sorted."""
+    iu, iv = np.nonzero(absent)
+    lin = np.full(len(absent), -_ENCODING.A, dtype=np.int64)
+    qv = np.full(len(iu), _ENCODING.B, dtype=np.int64)
+    return IntArrays(len(absent), 1, lin, iu, iv, qv, 0)
 
 
 def _step(
@@ -145,14 +144,9 @@ def _step(
     (_SPLIT, v's bit, [G2, G1]), children in push order.
     """
     if fixed:
-        ones = zeros = 0
-        for k, val in fixed.items():
-            if val == 1:
-                ones |= 1 << members[k]
-            else:
-                zeros |= 1 << members[k]
-        keep = mask & ~ones & ~zeros
-        for v in _members(ones):
+        ones = sum(1 << members[k] for k, val in fixed.items() if val == 1)
+        keep = mask & ~sum(1 << members[k] for k in fixed)
+        for v in set_bits(ones):
             if (adj[v] | 1 << v) & ones != ones:
                 raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
             keep &= adj[v]
@@ -161,14 +155,15 @@ def _step(
     return _SPLIT, 1 << v, [mask & ~(1 << v), adj[v] & mask]
 
 
-def _unions(adj: tuple[int, ...], masks: list[int]) -> Iterator[list[tuple]]:
+def _unions(absent: np.ndarray, masks: list[int]) -> Iterator[list[tuple]]:
     """(mask, members, clique problem) of each of ``masks``, in runs of at
     most _UNION_ENTRIES quadratic entries (a problem larger than that forms
-    a run alone)."""
+    a run alone).  ``absent`` marks the root's non-adjacent pairs u < v;
+    members are sorted, so a node's submatrix marks its own."""
     run: list[tuple] = []
     entries = 0
     for mask in masks:
-        members, sub = _induced(adj, mask)
+        members, sub = _induced(absent, mask)
         arr = _clique_arrays(sub)
         if run and entries + len(arr.qv) > _UNION_ENTRIES:
             yield run
@@ -179,9 +174,9 @@ def _unions(adj: tuple[int, ...], masks: list[int]) -> Iterator[list[tuple]]:
         yield run
 
 
-def _plan(adj: tuple[int, ...], root: int, threshold: int, use_probing: bool) -> dict[int, tuple]:
+def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> dict[int, tuple]:
     """:func:`_step` of every oversized node of the persistency split tree
-    under ``root``, by node mask.
+    of ``g``, whose adjacency matrix is ``matrix``, by node mask.
 
     The tree is expanded breadth-first, so all nodes of a level are known
     before any of them is analyzed: each run of :func:`_unions` is one
@@ -189,19 +184,20 @@ def _plan(adj: tuple[int, ...], root: int, threshold: int, use_probing: bool) ->
     each node is probed on its own.  A mask met again is not analyzed again.
     """
     plan: dict[int, tuple] = {}
-    level = [root]
+    absent = np.triu(~matrix, 1)
+    level = [(1 << g.n) - 1]
     while level:
         todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]
         if use_probing:
             for mask in todo:
-                members, sub = _induced(adj, mask)
-                fixed = probe(clique_qubo(_graph(sub), _ENCODING)).reduction.fixed
-                plan[mask] = _step(adj, mask, members, fixed)
+                members, sub = _induced(matrix, mask)
+                fixed = probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
+                plan[mask] = _step(g.adjacency_bits, mask, members, fixed)
         else:
-            for run in _unions(adj, todo):
+            for run in _unions(absent, todo):
                 results = analyze_all([arr for *_, arr in run])
                 for (mask, members, _), result in zip(run, results):
-                    plan[mask] = _step(adj, mask, members, result.weak)
+                    plan[mask] = _step(g.adjacency_bits, mask, members, result.weak)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan
 
@@ -222,12 +218,14 @@ def max_clique_split(
         solver = default_leaf_solver()
     stats = SplitStats()
     adj = g.adjacency_bits
-    root = (1 << g.n) - 1
-    plan = _plan(adj, root, solver.threshold, use_probing) if use_persistency else {}
+    matrix = np.zeros((g.n, g.n), dtype=bool)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    matrix[u, v] = matrix[v, u] = True
+    plan = _plan(g, matrix, solver.threshold, use_probing) if use_persistency else {}
     # Explicit stack: (_SOLVE, mask, depth) solves the subgraph on ``mask``;
     # a _FORCED or _SPLIT entry combines the cliques found for the entries
     # pushed just above it.  Cliques are root-vertex masks.
-    todo = [(_SOLVE, root, 0)]
+    todo = [(_SOLVE, (1 << g.n) - 1, 0)]
     found: list[int] = []
     while todo:
         kind, mask, depth = todo.pop()
@@ -244,18 +242,18 @@ def max_clique_split(
             continue
         if mask.bit_count() <= solver.threshold:
             stats.n_calls += 1
-            members, sub = _induced(adj, mask)
-            found.append(sum(1 << members[k] for k in solver.solve(_graph(sub))))
+            members, sub = _induced(matrix, mask)
+            found.append(sum(1 << members[k] for k in solver.solve(_leaf(sub))))
             continue
         if use_persistency:
             combine, bits, children = plan[mask]
         else:
-            combine, bits, children = _step(adj, mask, _members(mask), None)
+            combine, bits, children = _step(adj, mask, set_bits(mask), None)
         if combine == _FORCED:
             stats.vertices_eliminated_by_persistency += mask.bit_count() - children[0].bit_count()
         todo.append((combine, bits, 0))
         todo += [(_SOLVE, child, depth + 1) for child in children]
-    clique = tuple(_members(found.pop()))
+    clique = tuple(set_bits(found.pop()))
     if not g.is_clique(clique):
         raise AssertionError("split recursion assembled a non-clique")
     return clique, stats
@@ -271,9 +269,8 @@ def splitting_savings(
     graphs = list(graphs)
     if not graphs:
         raise ValueError("need at least one graph")
-    if solver is None:
-        solver = default_leaf_solver(threshold or DEFAULT_THRESHOLD)
-    elif threshold is not None:
+    solver = default_leaf_solver() if solver is None else solver
+    if threshold is not None:
         solver = LeafSolver(solver.fn, threshold)
     rows = []
     for gid, g in enumerate(graphs):

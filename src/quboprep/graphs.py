@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -25,9 +25,19 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def set_bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Vertices 0..n-1 with a canonical sorted tuple of undirected edges."""
+    """Vertices 0..n-1 with a canonical sorted tuple of undirected edges.
+    A :meth:`from_bits` graph derives ``edges`` only when it is first read."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -45,6 +55,22 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.add((u, v) if u < v else (v, u))
         return cls(n, tuple(sorted(canon)))
+
+    @classmethod
+    def from_bits(cls, bits: Sequence[int]) -> "Graph":
+        """Graph with neighbour bitmask ``bits[v]`` per vertex v (not checked)."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=len(bits), adjacency_bits=tuple(bits))
+        return g
+
+    def __getattr__(self, name):
+        # Derives a from_bits graph's edges: u with its neighbours above u.
+        bits = self.__dict__.get("adjacency_bits")
+        if name != "edges" or bits is None:
+            raise AttributeError(name)
+        edges = tuple((u, v) for u, b in enumerate(bits) for v in set_bits(b & -(2 << u)))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @property
     def num_edges(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .model import Coeff, Qubo, as_coeff
-from .graphs import Graph
+from .graphs import Graph, set_bits
 
 logger = logging.getLogger(__name__)
 
@@ -149,13 +149,7 @@ def exact_max_clique(g: Graph) -> tuple[int, ...]:
         nodes_visited += 1
         if nodes_visited % 500000 == 0:
             logger.info("clique search: %d nodes, best=%d", nodes_visited, best_size)
-        vertices = []
-        m = cand_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            vertices.append(v)
-            m &= m - 1
-        ordered, bounds = _color_order(vertices, adj)
+        ordered, bounds = _color_order(set_bits(cand_mask), adj)
         for k in range(len(ordered) - 1, -1, -1):
             if size + bounds[k] <= best_size:
                 return
@@ -169,7 +163,7 @@ def exact_max_clique(g: Graph) -> tuple[int, ...]:
             cand_mask &= ~(1 << v)
 
     expand((1 << g.n) - 1, 0, 0)
-    result = tuple(v for v in range(g.n) if best_mask >> v & 1)
+    result = tuple(set_bits(best_mask))
     if not g.is_clique(result):
         raise AssertionError("branch-and-bound produced a non-clique")
     return result

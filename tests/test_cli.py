@@ -83,6 +83,22 @@ def test_missing_family_args_exit_code(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "clique", "--family", "gnp", "--n", "10", "--param", "0.5", "--split"],
+        ["experiment", "fig3"],
+    ],
+    ids=["solve", "experiment"],
+)
+@pytest.mark.parametrize("threshold", ["0", "-3", "x"])
+def test_nonpositive_threshold_is_a_usage_error(argv, threshold, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threshold", threshold])
+    assert exc.value.code == 2  # argparse's usage-error status
+    assert "--threshold" in capsys.readouterr().err
+
+
 def test_solve_clique_split_matches_oracle(tmp_path, capsys):
     code, out, _ = run(
         [

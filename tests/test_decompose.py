@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from quboprep import decompose
 from quboprep.decompose import (
     LeafSolver,
     _clique_arrays,
-    _graph,
     _induced,
+    _leaf,
     default_leaf_solver,
     max_clique_split,
     splitting_savings,
@@ -20,6 +21,8 @@ from quboprep.oracle import exact_max_clique
 from quboprep.persistency import analyze
 from quboprep.posiform import IntArrays
 from quboprep.problems import clique_qubo
+
+from test_split_golden import _bench_graph, _workloads
 
 
 def test_leaf_only_graph():
@@ -108,6 +111,12 @@ def test_savings_requires_graphs():
         splitting_savings([])
 
 
+@pytest.mark.parametrize("solver", [None, default_leaf_solver(5)])
+def test_savings_rejects_a_zero_threshold(solver):
+    with pytest.raises(ValueError, match="threshold"):
+        splitting_savings([gen_gnp(10, 0.5, 0)], solver, threshold=0)
+
+
 def test_dense_graph_gets_persistency_savings():
     g = gen_gnp(40, 0.85, 3)
     rows = splitting_savings([g], threshold=10)
@@ -152,14 +161,78 @@ def _fields(arr: IntArrays, sort: bool) -> tuple:
     )
 
 
+def _matrix(g: Graph) -> np.ndarray:
+    """Boolean adjacency matrix of ``g``, built independently of the solver."""
+    matrix = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        matrix[u, v] = matrix[v, u] = True
+    return matrix
+
+
 @pytest.mark.parametrize("g, mask", list(_subgraph_cases()))
 def test_clique_arrays_match_the_qubo_route(g, mask):
-    members, sub = _induced(g.adjacency_bits, mask)
+    members, sub = _induced(_matrix(g), mask)
     ref_graph, labels = g.induced(members)
     assert tuple(members) == labels
-    assert _graph(sub) == ref_graph
-    arr = _clique_arrays(sub)
+    assert _leaf(sub) == ref_graph
+    # As the split solver does: a node's non-adjacent pairs cut from the root's.
+    arr = _clique_arrays(_induced(np.triu(~_matrix(g), 1), mask)[1])
     ref = IntArrays.from_qubo(clique_qubo(ref_graph))
     assert arr.lin.dtype == arr.qi.dtype == arr.qj.dtype == arr.qv.dtype == np.int64
     assert _fields(arr, sort=False) == _fields(ref, sort=True)
     assert analyze(arr) == analyze(ref)
+
+
+def test_leaves_wider_than_64_vertices_equal_the_induced_subgraph(monkeypatch):
+    """Leaves of more than 64 vertices get several words per bitmask."""
+    g = gen_gnp(80, 0.3, 5)
+    induced = []
+
+    def spy(matrix, mask):
+        members, sub = _induced(matrix, mask)
+        induced.append(members)
+        return members, sub
+
+    widths = []
+
+    def leaf(sub: Graph):
+        widths.append(sub.n)
+        assert sub == g.induced(induced[-1])[0]
+        return exact_max_clique(sub)
+
+    monkeypatch.setattr(decompose, "_induced", spy)
+    for use_persistency in (False, True):
+        clique, _ = max_clique_split(g, LeafSolver(leaf, 65), use_persistency)
+        assert len(clique) == len(exact_max_clique(g))
+    assert max(widths) > 64
+
+
+def test_default_leaf_solver_never_derives_leaf_edges(monkeypatch):
+    """The oracle and the leaf validation read only bitmasks, so no leaf
+    graph builds its edge tuple; a leaf function that reads it gets it."""
+    derived = []
+    lazy = Graph.__getattr__
+
+    def spy(self, name):
+        derived.append(name)
+        return lazy(self, name)
+
+    monkeypatch.setattr(Graph, "__getattr__", spy)
+    g = _bench_graph(1)
+    threshold = _workloads().SPLIT_THRESHOLD
+    calls = 0
+    for use_persistency in (True, False):
+        _, stats = max_clique_split(g, default_leaf_solver(threshold), use_persistency)
+        calls += stats.n_calls
+    assert calls > 2000
+    assert derived == []
+
+    small = gen_gnp(30, 0.5, 0)
+
+    def reader(sub: Graph):
+        assert sub.edges == Graph.from_edges(sub.n, sub.edges).edges
+        return exact_max_clique(sub)
+
+    clique, _ = max_clique_split(small, LeafSolver(reader, 10))
+    assert len(clique) == len(exact_max_clique(small))
+    assert "edges" in derived

@@ -84,6 +84,34 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             g.is_clique(vertices)
 
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(0, 0.5, 0), (1, 0.5, 1), (2, 1.0, 2), (2, 0.0, 3), (30, 0.4, 4), (65, 0.5, 5), (130, 0.2, 6)],
+    )
+    def test_from_bits_matches_from_edges(self, n, p, seed):
+        ref = Graph.from_edges(n, gen_gnp(n, p, seed).edges)
+        bits = [0] * n
+        for u, v in ref.edges:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        g = Graph.from_bits(bits)
+        assert g.n == n
+        assert g.adjacency_bits == ref.adjacency_bits
+        assert "edges" not in vars(g)  # derived only when read
+        assert Graph.from_bits(bits) == ref and ref == Graph.from_bits(bits)
+        assert hash(Graph.from_bits(bits)) == hash(ref)
+        assert repr(Graph.from_bits(bits)) == repr(ref)
+        assert g.edges == ref.edges
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g.adjacency == ref.adjacency
+        assert g.num_edges == ref.num_edges
+
+    def test_from_bits_has_no_other_lazy_attributes(self):
+        g = Graph.from_bits([0b10, 0b01])
+        assert not hasattr(g, "missing")
+        with pytest.raises(AttributeError):
+            Graph(1, ()).missing
+
 
 class TestHamming:
     def test_6_2_counts(self):
