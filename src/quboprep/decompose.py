@@ -111,14 +111,9 @@ def _induced(matrix: np.ndarray, mask: int) -> tuple[list[int], np.ndarray]:
 
 
 def _leaf(sub: np.ndarray) -> Graph:
-    """The graph with adjacency matrix ``sub``, from its packed rows: one
-    little-endian word per row when it has at most 64 vertices."""
+    """The graph with adjacency matrix ``sub``, from its packed rows."""
     rows = np.packbits(sub, axis=1, bitorder="little")
-    if len(sub) > 64:
-        return Graph.from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
-    words = np.zeros((len(sub), 8), dtype=np.uint8)
-    words[:, : rows.shape[1]] = rows
-    return Graph.from_bits(words.view("<u8").ravel().tolist())
+    return Graph._from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
 def _clique_arrays(absent: np.ndarray) -> IntArrays:
@@ -144,8 +139,13 @@ def _step(
     (_SPLIT, v's bit, [G2, G1]), children in push order.
     """
     if fixed:
-        ones = sum(1 << members[k] for k, val in fixed.items() if val == 1)
-        keep = mask & ~sum(1 << members[k] for k in fixed)
+        ones = zeros = 0
+        for k, val in fixed.items():
+            if val == 1:
+                ones |= 1 << members[k]
+            else:
+                zeros |= 1 << members[k]
+        keep = mask & ~ones & ~zeros
         for v in set_bits(ones):
             if (adj[v] | 1 << v) & ones != ones:
                 raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
@@ -184,7 +184,7 @@ def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> di
     each node is probed on its own.  A mask met again is not analyzed again.
     """
     plan: dict[int, tuple] = {}
-    absent = np.triu(~matrix, 1)
+    absent = None if use_probing else np.triu(~matrix, 1)
     level = [(1 << g.n) - 1]
     while level:
         todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]

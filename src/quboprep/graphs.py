@@ -37,7 +37,7 @@ def set_bits(mask: int) -> list[int]:
 @dataclass(frozen=True)
 class Graph:
     """Vertices 0..n-1 with a canonical sorted tuple of undirected edges.
-    A :meth:`from_bits` graph derives ``edges`` only when it is first read."""
+    A :meth:`_from_bits` graph derives ``edges`` only when it is first read."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -57,14 +57,15 @@ class Graph:
         return cls(n, tuple(sorted(canon)))
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Graph":
-        """Graph with neighbour bitmask ``bits[v]`` per vertex v (not checked)."""
+    def _from_bits(cls, bits: Sequence[int]) -> "Graph":
+        """Graph with neighbour bitmask ``bits[v]`` per vertex v.  Not checked:
+        the caller passes symmetric masks without self-loops."""
         g = object.__new__(cls)
         g.__dict__.update(n=len(bits), adjacency_bits=tuple(bits))
         return g
 
     def __getattr__(self, name):
-        # Derives a from_bits graph's edges: u with its neighbours above u.
+        # Derives a _from_bits graph's edges: u with its neighbours above u.
         bits = self.__dict__.get("adjacency_bits")
         if name != "edges" or bits is None:
             raise AttributeError(name)
