@@ -33,7 +33,7 @@ import numpy as np
 
 from .network import ImplicationNetwork, build_network, max_flow
 from .persistency import extract_labels, split_blocks
-from .posiform import IntArrays, to_posiform
+from .posiform import IntArrays, posiform_lin
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,7 @@ class BranchPair:
             np.concatenate([arr.qv, arr.qv]),
             arr.offset,
         )
-        lin = arr.lin.copy()
-        neg = arr.qv < 0
-        np.add.at(lin, arr.qi[neg], arr.qv[neg])
-        return cls(arr, build_network(to_posiform(both)), lin)
+        return cls(arr, build_network(both), posiform_lin(arr))
 
 
 def analyze_branch(

@@ -1,4 +1,4 @@
-"""Implication network of a posiform, exact max flow, and the roof dual.
+"""Implication network of a QUBO's posiform, exact max flow, and the roof dual.
 
 Nodes: 0 is the source (the constant-1 literal), 1 the sink (its
 complement); literal with code c sits at node c + 2.  The complement of any
@@ -15,8 +15,12 @@ four terminal arcs of every variable (s → x, s → x̄, x → t, x̄ → t) ar
 stored too, with capacity 0 where the posiform has no linear term.  So arc
 c of the source row runs to the literal with code c, every literal row
 starts with its arcs to s and t, and new capacities on the same arcs,
-terminal ones included, leave the layout as it is.  Both maps are
-recorded per arc (``partner``, ``rev``).  scipy's flow kernel adds no arcs
+terminal ones included, leave the layout as it is.  A literal row of
+variable k then holds one arc per term on k, to a literal of the term's
+other variable j, by increasing j, so row lengths follow from the variable
+degrees and the CSR is written directly from arrays with sorted keys,
+without sorting arcs.  Both maps are recorded per arc (``partner``,
+``rev``), by construction.  scipy's flow kernel adds no arcs
 to a reverse-closed CSR, so its flow matrix lines up with the arcs by
 position (checked on every call); the net flow on an arc's reverse is its
 negative, and the residual graph is a mask over the same index arrays.
@@ -33,7 +37,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .model import Coeff, Qubo, as_coeff
-from .posiform import IntArrays, Posiform, to_posiform
+from .posiform import IntArrays, posiform_lin, to_posiform
 
 SOURCE = 0
 SINK = 1
@@ -69,48 +73,54 @@ class ImplicationNetwork:
         return len(self.caps)
 
 
-def build_network(p: Posiform) -> ImplicationNetwork:
-    """Implication network of ``p``, in the layout described above.
+def build_network(arr: IntArrays) -> ImplicationNetwork:
+    """Network of the posiform rewrite of ``arr`` (keys strictly
+    increasing), in the layout described above.
 
-    Each term gives one arc: (s → ℓ̄) for the linear term on ℓ, on every
-    literal (capacity 0 where there is none), and (u → v̄) for a term u·v.
-    These arcs, their skew partners, their reverses and the reverses'
-    partners are laid out as four blocks, so that an arc's partner is the
-    same offset in the block ``block ^ 1`` and its reverse the same offset
-    in the block ``block ^ 2``.  One sort puts them in CSR order and merges
-    parallel arcs by capacity addition; both maps carry over to the merged
-    arcs.
+    The posiform gives one arc (s → ℓ̄) per literal ℓ, with the capacity of
+    the linear term on ℓ (0 where there is none), and one arc (u → v̄) per
+    term u·v.  Their slots, their skew partners', their reverses' and the
+    reverses' partners' form four blocks, so an arc's partner is the same
+    offset in block ``b ^ 1`` and its reverse in block ``b ^ 2``.
     """
-    n = p.num_vars
-    num_nodes = 2 * n + 2
-    lin_caps = np.zeros(2 * n, dtype=np.int64)
-    np.add.at(lin_caps, p.lin_codes, p.lin_vals)
-    lits = np.arange(2, num_nodes)
-    u = np.concatenate([np.zeros(2 * n, dtype=np.int64), p.qu + 2])
-    v = np.concatenate([lits ^ 1, (p.qv + 2) ^ 1])
-    u1, v1 = u ^ 1, v ^ 1
-    keys = np.concatenate([u, v1, v, u1]) * num_nodes + np.concatenate([v, u1, u, v1])
-    order = np.argsort(keys)
-    keys = keys[order]
-    caps = np.concatenate([lin_caps, p.quad_vals])
-    caps = np.concatenate([caps, caps, np.zeros(2 * len(u), dtype=np.int64)])[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    slot = np.empty(len(keys), dtype=np.int64)  # merged index of each laid-out arc
-    slot[order] = np.cumsum(new) - 1
-    if not new.all():
-        first = np.flatnonzero(new)
-        keys, caps = keys[first], np.add.reduceat(caps, first)
-    blocks = slot.reshape(4, len(u))
-    partner = np.empty(len(keys), dtype=np.int64)
-    partner[blocks] = blocks[[1, 0, 3, 2]]
-    rev = np.empty(len(keys), dtype=np.int64)
-    rev[blocks] = blocks[[2, 3, 0, 1]]
-    indptr = np.searchsorted(keys, np.arange(num_nodes + 1) * num_nodes).astype(np.int32)
-    tails = np.repeat(np.arange(num_nodes), np.diff(indptr))
-    heads = keys - tails * num_nodes
+    n, m = arr.num_vars, len(arr.qv)
+    qi, qj = arr.qi, arr.qj
+    keys = qi * n + qj
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("build_network needs strictly increasing keys qi * num_vars + qj")
+    lin = posiform_lin(arr)
+    below, above = np.bincount(qj, minlength=n), np.bincount(qi, minlength=n)
+    indptr = np.zeros(2 * n + 3, dtype=np.int64)
+    indptr[1:3] = 2 * n, 4 * n
+    np.cumsum(np.repeat(2 + below + above, 2), out=indptr[3:])
+    indptr[3:] += 4 * n
+    # Term k's slot in the rows of its two variables, after their arcs to s
+    # and t: at qj, among the terms of lower neighbours, which a stable sort
+    # by qj keeps in qi order (a radix sort on the narrowest integer type);
+    # at qi, after those, in key order.
+    by_qj = np.argsort(qj.astype(np.min_scalar_type(n)), kind="stable")
+    at_j = np.empty(m, dtype=np.int64)
+    at_j[by_qj] = np.arange(2, m + 2) - (np.cumsum(below) - below)[qj[by_qj]]
+    at_i = np.arange(2, m + 2) - (np.cumsum(above) - above)[qi] + below[qi]
+    lits = np.arange(2, 2 * n + 2)
+    xi, v = 2 * qi + 2, 2 * qj + 2 + (arr.qv < 0)
+    blocks = np.empty((4, 2 * n + m), dtype=np.int64)
+    lit, term = blocks[:, : 2 * n], blocks[:, 2 * n :]
+    lit[0], term[0] = (lits ^ 1) - 2, indptr[xi] + at_i  # s → ℓ̄, u → v̄
+    lit[1], term[1] = indptr[lits] + 1, indptr[v] + at_j  # ℓ → t, v → ū
+    lit[2], term[2] = indptr[lits ^ 1], indptr[v ^ 1] + at_j  # ℓ̄ → s, v̄ → u
+    lit[3], term[3] = lits + 2 * n - 2, indptr[xi + 1] + at_i  # t → ℓ, ū → v
+    caps = np.zeros(blocks.size, dtype=np.int64)
+    lin_caps = np.stack([np.maximum(lin, 0), np.maximum(-lin, 0)], axis=-1).ravel()
+    caps[blocks[0]] = caps[blocks[1]] = np.concatenate([lin_caps, np.abs(arr.qv)])
+    partner = np.empty(blocks.size, dtype=np.int64)
+    rev = np.empty(blocks.size, dtype=np.int64)
+    for b in range(4):
+        partner[blocks[b]] = blocks[b ^ 1]
+        rev[blocks[b]] = blocks[b ^ 2]
+    tails = np.repeat(np.arange(2 * n + 2, dtype=np.int32), np.diff(indptr))
     return ImplicationNetwork(
-        n, 2 * p.scale, tails.astype(np.int32), heads.astype(np.int32), caps, indptr, partner, rev
+        n, 2 * arr.scale, tails, tails[rev], caps, indptr.astype(np.int32), partner, rev
     )
 
 
@@ -237,7 +247,8 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
 
 def roof_dual(q: Qubo) -> Coeff:
     """Max-flow lower bound on min_x q(x); exact when q is submodular."""
-    p = to_posiform(IntArrays.from_qubo(q))
-    net = build_network(p)
+    arr = IntArrays.from_qubo(q)
+    p = to_posiform(arr)
+    net = build_network(arr)
     result = max_flow(net)
     return as_coeff(p.constant + Fraction(result.flow_value, net.scale))

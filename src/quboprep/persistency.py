@@ -106,7 +106,7 @@ def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
         raise ValueError("problems analyzed together must share one scale")
     starts = np.cumsum([0] + [arr.num_vars for arr in problems])
     shift = np.repeat(starts[:-1], [len(arr.qv) for arr in problems])
-    p = to_posiform(IntArrays(
+    union = IntArrays(
         int(starts[-1]),
         problems[0].scale,
         np.concatenate([arr.lin for arr in problems]),
@@ -114,7 +114,8 @@ def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
         np.concatenate([arr.qj for arr in problems]) + shift,
         np.concatenate([arr.qv for arr in problems]),
         0,
-    ))
+    )
+    p = to_posiform(union)
     # Each problem's posiform constant: its offset plus its negative linear
     # part after the rewrite (the complemented linear terms of its block).
     negative = np.zeros(p.num_vars, dtype=np.int64)
@@ -124,7 +125,7 @@ def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
         arr.offset - Fraction(int(negative[lo:hi].sum()), p.scale)
         for arr, lo, hi in zip(problems, starts[:-1].tolist(), starts[1:].tolist())
     ]
-    net = build_network(p)
+    net = build_network(union)
     flow = max_flow(net)
     strong, weak = extract_labels(flow, p.num_vars)
     return [

@@ -5,12 +5,14 @@ A problem enters the roof-dual pipeline once, through
 their denominators (so int and Fraction inputs share one path) and stored as
 flat int64 arrays, with the offset kept exact.  Probing keeps its working
 problem in this form: :meth:`IntArrays.fold` eliminates fixed and
-substituted variables, :meth:`IntArrays.plus` adds two problems, both by a
-sort-and-merge of the quadratic keys, and every result is checked against
-the same magnitude limit.  :func:`to_posiform` rewrites the arrays as a
-posiform: an exact constant plus strictly positive terms over literals
-x_i / x̄_i, each literal packed into the int code ``2*var + complemented``.
-The network layer only concatenates these arrays.
+substituted variables, :meth:`IntArrays.plus` adds two problems by a
+``searchsorted`` merge, and every result is checked against the same
+magnitude limit.  Every constructor keeps the quadratic keys
+``qi * num_vars + qj`` strictly increasing and drops zero entries, and the
+network layer relies on that order.  :func:`to_posiform` rewrites the
+arrays as a posiform: an exact constant plus strictly positive terms over
+literals x_i / x̄_i, each literal packed into the int code
+``2*var + complemented``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _guard(magnitude: int, scale: int) -> None:
 class IntArrays:
     """Flat int64 view of a Qubo: coefficients times ``scale``, exact offset.
 
-    ``qi < qj`` on every quadratic entry.
+    ``qi < qj`` on every quadratic entry, and the keys ``qi * num_vars + qj``
+    strictly increase when the arrays come from the constructors below.
     """
 
     num_vars: int
@@ -78,29 +81,32 @@ class IntArrays:
         lin = np.zeros(q.num_vars, dtype=np.int64)
         lin[np.fromiter(q.linear.keys(), dtype=np.int64, count=len(lin_vals))] = lin_vals
         if quad_vals:
-            keys = np.array(list(q.quadratic.keys()), dtype=np.int64)
-            qi, qj = keys[:, 0], keys[:, 1]
+            qi, qj = np.array(list(q.quadratic.keys()), dtype=np.int64).T.copy()
             qv = np.array(quad_vals, dtype=np.int64)
         else:
             qi = qj = qv = np.empty(0, dtype=np.int64)
-        return cls(q.num_vars, scale, lin, qi, qj, qv, q.offset)
+        return cls.merged(q.num_vars, scale, lin, qi, qj, qv, q.offset)
 
     @classmethod
     def merged(cls, num_vars, scale, lin, qi, qj, qv, offset) -> "IntArrays":
         """Arrays with the entries of equal (qi, qj) summed, zero sums dropped
         and keys sorted; raises SizeGuardError like :meth:`from_qubo`.
+        Keys that already strictly increase are only filtered, not sorted.
 
         Within the limit no int64 sum here wraps: a coefficient of the
         result is bounded by the magnitude of its inputs.
         """
         keys = qi * num_vars + qj
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(qv[order], first) if len(first) else qv
-        keep = sums != 0
-        qi, qj = np.divmod(keys[first[keep]], num_vars)
-        out = cls(num_vars, scale, lin, qi, qj, sums[keep], offset)
+        if (keys[1:] <= keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            qv = np.add.reduceat(qv[order], first)
+            qi, qj = np.divmod(keys[first], num_vars)
+        keep = qv != 0
+        if not keep.all():
+            qi, qj, qv = qi[keep], qj[keep], qv[keep]
+        out = cls(num_vars, scale, lin, qi, qj, qv, offset)
         # The float sum is within a relative 1e-9 of the exact one, so below
         # 2**61 the exact sum is below the limit; above it, Python ints
         # recompute it without wrapping.
@@ -109,14 +115,25 @@ class IntArrays:
         return out
 
     def plus(self, other: "IntArrays") -> "IntArrays":
-        """The sum of two problems over the same variables and scale."""
+        """The sum of two problems over the same variables and scale: the
+        entries of ``other`` are added where ``self`` has their key and
+        inserted in key order where it does not."""
+        n = self.num_vars
+        mine, theirs = self.qi * n + self.qj, other.qi * n + other.qj
+        at = np.searchsorted(mine, theirs)
+        same = at < len(mine)
+        same[same] = mine[at[same]] == theirs[same]
+        qv = self.qv.copy()
+        qv[at[same]] += other.qv[same]
+        new = ~same
+        at = at[new]
         return IntArrays.merged(
-            self.num_vars,
+            n,
             self.scale,
             self.lin + other.lin,
-            np.concatenate([self.qi, other.qi]),
-            np.concatenate([self.qj, other.qj]),
-            np.concatenate([self.qv, other.qv]),
+            np.insert(self.qi, at, other.qi[new]),
+            np.insert(self.qj, at, other.qj[new]),
+            np.insert(qv, at, other.qv[new]),
             self.offset + other.offset,
         )
 
@@ -188,17 +205,25 @@ class Posiform:
     quad_vals: np.ndarray
 
 
-def to_posiform(arr: IntArrays) -> Posiform:
-    """Equivalent posiform of ``arr`` (pointwise-equal energies).
-
-    Negative quadratic terms are rewritten a·x_i·x_j = a·x_i + (−a)·x_i·x̄_j,
-    complementing the higher index; residual negative linear terms become
-    constant + positive complemented term.
-    """
+def posiform_lin(arr: IntArrays) -> np.ndarray:
+    """The linear part of ``arr`` once the posiform rewrite has moved each
+    negative coupling a·x_i·x_j onto its lower index: a·x_i + (−a)·x_i·x̄_j."""
     lin = arr.lin.copy()
     neg = arr.qv < 0
     if neg.any():
         np.add.at(lin, arr.qi[neg], arr.qv[neg])
+    return lin
+
+
+def to_posiform(arr: IntArrays) -> Posiform:
+    """Equivalent posiform of ``arr`` (pointwise-equal energies).
+
+    Negative quadratic terms are rewritten as in :func:`posiform_lin`,
+    complementing the higher index; residual negative linear terms become
+    constant + positive complemented term.
+    """
+    lin = posiform_lin(arr)
+    neg = arr.qv < 0
     lpos = lin > 0
     lneg = lin < 0
     return Posiform(

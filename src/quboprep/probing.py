@@ -105,13 +105,16 @@ class _ProbeState:
     ``total.delta``) hold for the input.  Fixing and substitution are linear
     in the coefficients, so ``apply`` folds both arrays through the same
     map and moves the penalty fold's ``delta`` into its offset.  Both keep
-    their quadratic keys sorted and merged, without zero entries, as
-    :meth:`IntArrays.merged` leaves them; ``add_implications`` looks
-    couplings up by binary search.
+    their quadratic keys strictly increasing, without zero entries, as
+    every :class:`IntArrays` constructor leaves them; ``add_implications``
+    looks couplings up by binary search.
 
-    ``_pair`` is the pair network of the working problem; ``apply`` and
-    an ``add_implications`` that records something make it stale together
-    with the working problem.
+    ``_pair`` is the pair network of the last working problem probed.  It
+    is replaced when :meth:`working` returns another problem (after an
+    ``apply``, or an ``add_implications`` that records something), not
+    dropped when that problem changes: freed early, its arrays would leave
+    the top of the heap empty for the allocator to return to the system,
+    and the next layout would fault those pages back in.
 
     ``total`` does the index bookkeeping only: it composes the applied
     fixes and substitutions, and accumulates the exact ``delta``, but its
@@ -120,15 +123,14 @@ class _ProbeState:
 
     def __init__(self, q: Qubo):
         self.q = q
-        arr = IntArrays.from_qubo(q)
-        self.true = IntArrays.merged(q.num_vars, arr.scale, arr.lin, arr.qi, arr.qj, arr.qv, q.offset)
+        self.true = IntArrays.from_qubo(q)
         empty = np.empty(0, dtype=np.int64)
         self.penalty = IntArrays(
-            q.num_vars, arr.scale, np.zeros(q.num_vars, dtype=np.int64), empty, empty, empty, 0
+            q.num_vars, self.true.scale, np.zeros(q.num_vars, dtype=np.int64), empty, empty, empty, 0
         )
         self.total = Reduction.identity(Qubo(q.num_vars))
         self._working: IntArrays | None = None  # true + penalty; None when stale
-        self._pair: BranchPair | None = None  # of working(); None when stale
+        self._pair: BranchPair | None = None
         self._impl_seen: set[tuple[int, int, int, int]] = set()
 
     @property
@@ -149,7 +151,7 @@ class _ProbeState:
 
         Both branches share one flow on the pair network of the working
         problem, laid out once until the working problem changes."""
-        if self._pair is None:
+        if self._pair is None or self._pair.arr is not self.working():
             self._pair = BranchPair.of(self.working())
         return analyze_branch(self._pair, u)
 
@@ -199,10 +201,11 @@ class _ProbeState:
             self._impl_seen.add((orig_u, b, orig_j, v))
         if not couplings:
             return
-        js, vals = (np.array(col, dtype=np.int64) for col in zip(*couplings))
+        # Sorted by j, the keys of the u–j entries strictly increase.
+        js, vals = (np.array(col, dtype=np.int64) for col in zip(*sorted(couplings)))
         added = IntArrays(n, w.scale, lin, np.minimum(u, js), np.maximum(u, js), vals, offset)
         self.penalty = self.penalty.plus(added)
-        self._working = self._pair = None
+        self._working = None
 
     def apply(self, subs: dict[int, tuple[int, bool]], fixes: dict[int, int]) -> None:
         """Apply a relation class ``subs`` and ``fixes`` (both in current
@@ -214,7 +217,7 @@ class _ProbeState:
         self.penalty = replace(penalty, offset=penalty.offset + p_delta)
         step = Reduction(m, dict(fixes), dict(subs), surviving, Qubo(len(surviving)), delta)
         self.total = self.total.compose(step)
-        self._working = self._pair = None
+        self._working = None
 
     def reduction(self) -> Reduction:
         """The whole reduction of the input: one substitute, then one
@@ -278,8 +281,8 @@ def probe(
         sweep_branch1_min: Coeff | None = None
         sweep_probes = 0
         cert_candidate: tuple[Coeff, list[int]] | None = None  # reset on apply
+        pos = {o: k for k, o in enumerate(sweep_ids)}  # original id -> current index
         for orig_v in sweep_ids:
-            pos = {o: k for k, o in enumerate(state.total.surviving)}
             if orig_v not in pos:
                 continue  # resolved earlier in this sweep
             u = pos[orig_v]
@@ -360,6 +363,7 @@ def probe(
             relations.extend((orig[m], orig[i], comp) for m, (i, comp) in reversed(subs.items()))
             record_fixes(fixes)
             state.apply(subs, fixes)
+            pos = {o: k for k, o in enumerate(state.total.surviving)}
             cert_candidate = None  # recorded values are in a stale index space
 
         if (

@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from quboprep.errors import SizeGuardError
 from quboprep.model import Qubo
-from quboprep.network import SINK, SOURCE, ImplicationNetwork, build_network
-from quboprep.posiform import Posiform
+from quboprep.network import SINK, SOURCE, ImplicationNetwork
+from quboprep.posiform import IntArrays, Posiform
 
 
 def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
@@ -120,6 +121,120 @@ def arc_dict(net) -> dict[tuple[int, int], int]:
     }
 
 
+def reference_network(p: Posiform) -> ImplicationNetwork:
+    """The network of ``p`` by one sort of all arc keys and a merge of
+    parallel arcs: the layout that ``network.build_network`` replaced,
+    kept as the oracle its direct layout must equal array for array.  It
+    takes any posiform, parallel terms included.
+
+    Each term gives one arc: (s → ℓ̄) for the linear term on ℓ, on every
+    literal (capacity 0 where there is none), and (u → v̄) for a term u·v.
+    These arcs, their skew partners, their reverses and the reverses'
+    partners are laid out as four blocks, so that an arc's partner is the
+    same offset in the block ``block ^ 1`` and its reverse the same offset
+    in the block ``block ^ 2``.  One sort puts them in CSR order and merges
+    parallel arcs by capacity addition; both maps carry over to the merged
+    arcs.
+    """
+    n = p.num_vars
+    num_nodes = 2 * n + 2
+    lin_caps = np.zeros(2 * n, dtype=np.int64)
+    np.add.at(lin_caps, p.lin_codes, p.lin_vals)
+    lits = np.arange(2, num_nodes)
+    u = np.concatenate([np.zeros(2 * n, dtype=np.int64), p.qu + 2])
+    v = np.concatenate([lits ^ 1, (p.qv + 2) ^ 1])
+    u1, v1 = u ^ 1, v ^ 1
+    keys = np.concatenate([u, v1, v, u1]) * num_nodes + np.concatenate([v, u1, u, v1])
+    order = np.argsort(keys)
+    keys = keys[order]
+    caps = np.concatenate([lin_caps, p.quad_vals])
+    caps = np.concatenate([caps, caps, np.zeros(2 * len(u), dtype=np.int64)])[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    slot = np.empty(len(keys), dtype=np.int64)  # merged index of each laid-out arc
+    slot[order] = np.cumsum(new) - 1
+    if not new.all():
+        first = np.flatnonzero(new)
+        keys, caps = keys[first], np.add.reduceat(caps, first)
+    blocks = slot.reshape(4, len(u))
+    partner = np.empty(len(keys), dtype=np.int64)
+    partner[blocks] = blocks[[1, 0, 3, 2]]
+    rev = np.empty(len(keys), dtype=np.int64)
+    rev[blocks] = blocks[[2, 3, 0, 1]]
+    indptr = np.searchsorted(keys, np.arange(num_nodes + 1) * num_nodes).astype(np.int32)
+    tails = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    heads = keys - tails * num_nodes
+    return ImplicationNetwork(
+        n, 2 * p.scale, tails.astype(np.int32), heads.astype(np.int32), caps, indptr, partner, rev
+    )
+
+
+def reference_merged(num_vars, scale, lin, qi, qj, qv, offset) -> IntArrays:
+    """``IntArrays.merged`` by one argsort of the keys, with sums and the
+    magnitude check on Python ints: equal keys summed, zero sums dropped.
+    Raises SizeGuardError when the result's Σ|a| reaches 2**62."""
+    lin, qi, qj, qv = (np.asarray(a, dtype=object).tolist() for a in (lin, qi, qj, qv))
+    keys = [i * num_vars + j for i, j in zip(qi, qj)]
+    sums: dict[int, int] = {}
+    for k in np.argsort(np.array(keys, dtype=np.int64), kind="stable").tolist():
+        sums[keys[k]] = sums.get(keys[k], 0) + qv[k]
+    sums = {key: a for key, a in sums.items() if a}
+    if sum(map(abs, lin)) + sum(map(abs, sums.values())) >= 2**62:
+        raise SizeGuardError("reference magnitude reaches 2**62")
+    qi, qj = ([divmod(key, num_vars)[k] for key in sums] for k in (0, 1))
+    cols = (np.array(col, dtype=np.int64) for col in (lin, qi, qj, list(sums.values())))
+    return IntArrays(num_vars, scale, *cols, offset)
+
+
+def reference_plus(a: IntArrays, b: IntArrays) -> IntArrays:
+    """``a.plus(b)``: the concatenated entries through :func:`reference_merged`."""
+    return reference_merged(
+        a.num_vars, a.scale, [x + y for x, y in zip(a.lin.tolist(), b.lin.tolist())],
+        a.qi.tolist() + b.qi.tolist(), a.qj.tolist() + b.qj.tolist(),
+        a.qv.tolist() + b.qv.tolist(), a.offset + b.offset,
+    )
+
+
+def reference_fold(arr: IntArrays, fixed, subs) -> tuple[IntArrays, Fraction]:
+    """``arr.fold(fixed, subs)`` by a loop over the terms on Python ints
+    (variable k becomes c + s·y_t), merged by :func:`reference_merged`."""
+    survivors = [k for k in range(arr.num_vars) if k not in fixed and k not in subs]
+    image = {k: (0, 1, t) for t, k in enumerate(survivors)}
+    image.update({k: (v, 0, None) for k, v in fixed.items()})
+    for k, (i, comp) in subs.items():
+        image[k] = (1, -1, image[i][2]) if comp else image[i]
+    lin, qi, qj, qv, delta = [0] * len(survivors), [], [], [], 0
+    for k, a in enumerate(arr.lin.tolist()):
+        c, s, t = image[k]
+        delta += a * c
+        if s:
+            lin[t] += a * s
+    for i, j, a in zip(arr.qi.tolist(), arr.qj.tolist(), arr.qv.tolist()):
+        (ci, si, ti), (cj, sj, tj) = image[i], image[j]
+        delta += a * ci * cj
+        if si * cj:
+            lin[ti] += a * si * cj
+        if ci * sj:
+            lin[tj] += a * ci * sj
+        if si * sj and ti == tj:
+            lin[ti] += a * si * sj
+        elif si * sj:
+            qi.append(min(ti, tj))
+            qj.append(max(ti, tj))
+            qv.append(a * si * sj)
+    out = reference_merged(len(survivors), arr.scale, lin, qi, qj, qv, arr.offset)
+    return out, Fraction(delta, arr.scale)
+
+
+def assert_same_arrays(got: IntArrays, want: IntArrays) -> None:
+    """Equal fields, with the arrays equal in values and dtype."""
+    for name in ("num_vars", "scale", "offset"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("lin", "qi", "qj", "qv"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def network_from_arcs(num_vars: int, arcs, scale: int = 2) -> ImplicationNetwork:
     """Network from skew-closed (tail, head, capacity) triples; parallel arcs
     merge by capacity addition, and zero-capacity arcs are dropped.
@@ -144,7 +259,7 @@ def network_from_arcs(num_vars: int, arcs, scale: int = 2) -> ImplicationNetwork
             qv.append((v - 2) ^ 1)
             quad_vals.append(c)
     cols = (np.array(col, dtype=np.int64) for col in (lin_codes, lin_vals, qu, qv, quad_vals))
-    net = build_network(Posiform(num_vars, scale // 2, 0, *cols))
+    net = reference_network(Posiform(num_vars, scale // 2, 0, *cols))
     assert (net.caps % 2 == 0).all(), "arcs are not skew-closed"
     net = replace(net, caps=net.caps // 2)
     assert_skew_partners(net)

@@ -10,18 +10,18 @@ import pytest
 
 from quboprep import decompose
 from quboprep.model import Qubo, as_coeff
-from quboprep.network import build_network, max_flow
+from quboprep.network import max_flow
 from quboprep.persistency import PersistencyResult, analyze, analyze_all, extract_labels
 from quboprep.posiform import IntArrays, to_posiform
 
-from helpers import random_qubo, with_fractions
+from helpers import random_qubo, reference_network, with_fractions
 from test_split_golden import _bench_graph, _workloads
 
 
 def _alone(arr: IntArrays) -> PersistencyResult:
     """One problem through posiform, network, flow and labels by itself."""
     p = to_posiform(arr)
-    net = build_network(p)
+    net = reference_network(p)
     flow = max_flow(net)
     strong, weak = extract_labels(flow, arr.num_vars)
     bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))

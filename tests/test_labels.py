@@ -10,14 +10,14 @@ from quboprep.graphs import Graph
 from quboprep.model import Qubo, ising_to_qubo
 from quboprep.network import FlowResult, build_network, max_flow
 from quboprep.persistency import extract_labels
-from quboprep.posiform import IntArrays, Posiform, to_posiform
+from quboprep.posiform import IntArrays, Posiform
 from quboprep.problems import maxcut_ising
 
-from helpers import reference_labels
+from helpers import reference_labels, reference_network
 
 
 def _flow(q: Qubo) -> FlowResult:
-    return max_flow(build_network(to_posiform(IntArrays.from_qubo(q))))
+    return max_flow(build_network(IntArrays.from_qubo(q)))
 
 
 def _random_qubo(rng: np.random.Generator, fractional: bool) -> Qubo:
@@ -87,7 +87,7 @@ def test_rejected_negative_closure_falls_back_to_positive():
     """x̄0·ȳ + x̄0·y: x̄0 reaches y and ȳ, so x0 cannot be 0; x0 = 1 alone
     is consistent, and y then takes its preferred value 0."""
     p = _hand_posiform(2, [], [(1, 3, 1), (1, 2, 1)])
-    flow = max_flow(build_network(p))
+    flow = max_flow(reference_network(p))
     assert flow.flow_value == 0
     assert _same_labels(flow, 2) == ({}, {0: 1, 1: 0})
 
@@ -95,7 +95,7 @@ def test_rejected_negative_closure_falls_back_to_positive():
 def test_both_literals_reachable_raises():
     """x0 + x1 + x̄0·x̄1 with a zero flow: the source reaches x0 and x̄0."""
     p = _hand_posiform(2, [(0, 1), (2, 1)], [(1, 3, 1)])
-    net = build_network(p)
+    net = reference_network(p)
     flow = FlowResult(net, 0, np.zeros(net.num_arcs, dtype=np.int64))
     for labels in (extract_labels, reference_labels):
         with pytest.raises(AssertionError, match="max flow is not maximal"):

@@ -10,11 +10,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from quboprep import _fast, network
+from quboprep import _fast, decompose, network, persistency
 from quboprep._fast import BranchPair, analyze_branch
+from quboprep.graphs import gen_gnp
 from quboprep.model import Qubo
 from quboprep.network import SINK, SOURCE, _dinic, build_network, max_flow, roof_dual
 from quboprep.posiform import IntArrays, to_posiform
+from quboprep.probing import probe
 
 from helpers import (
     arc_dict,
@@ -25,13 +27,17 @@ from helpers import (
     literal_node,
     network_from_arcs,
     random_qubo,
+    reference_network,
     residual_caps,
     with_fractions,
 )
+from test_probe_golden import _workloads
+from test_split_golden import _GOLDEN as _SPLIT_GOLDEN
+from test_split_golden import _bench_graph
 
 
 def _network(q: Qubo):
-    return build_network(to_posiform(IntArrays.from_qubo(q)))
+    return build_network(IntArrays.from_qubo(q))
 
 
 def test_empty_posiform_network():
@@ -338,3 +344,93 @@ def test_max_flow_certificate_on_pair_networks(monkeypatch):
     assert len(flows) == 28
     for result in flows:
         _assert_max_flow_certificate(result)
+
+
+# --- the direct layout against the sort-and-merge layout ----------------------
+
+
+def _assert_reference_layout(arr: IntArrays) -> None:
+    """``build_network(arr)`` equals the sort-and-merge network of the
+    posiform of ``arr`` in all six arrays, their dtypes, num_vars and scale."""
+    net, ref = build_network(arr), reference_network(to_posiform(arr))
+    assert (net.num_vars, net.scale) == (ref.num_vars, ref.scale)
+    for name in ("tails", "heads", "caps", "indptr", "partner", "rev"):
+        got, want = getattr(net, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _layout_cases(chunk: int):
+    """60 seeded QUBOs per chunk, every second one with Fraction
+    coefficients: n from 0, no quadratic terms (density 0) and a zero
+    linear part among them."""
+    rng = np.random.default_rng(1200 + chunk)
+    for k in range(60):
+        n = int(rng.integers(0, 16))
+        density = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.9)]))
+        q = random_qubo(rng, n, coeff_range=(-6, 6), density=density)
+        if k % 3 == 0:
+            q = Qubo.from_terms(n, {}, q.quadratic)
+        yield with_fractions(rng, q) if k % 2 else q
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_layout_equals_the_reference_on_random_qubos(chunk):
+    for q in _layout_cases(chunk):
+        _assert_reference_layout(IntArrays.from_qubo(q))
+
+
+def test_layout_equals_the_reference_on_edge_cases():
+    for q in (
+        Qubo.from_terms(0),
+        Qubo.from_terms(0, offset=3),
+        Qubo.from_terms(1, {0: -2}),
+        Qubo.from_terms(4, {}, {}),
+        Qubo.from_terms(3, {}, {(0, 2): -1}),
+        Qubo.from_terms(5, {1: 3}, {(0, 4): 2, (1, 2): -5, (3, 4): 1}),
+    ):
+        _assert_reference_layout(IntArrays.from_qubo(q))
+
+
+def test_layout_rejects_unsorted_keys():
+    arr = IntArrays.from_qubo(Qubo.from_terms(3, {}, {(0, 1): 1, (1, 2): 1}))
+    swapped = replace(arr, qi=arr.qi[::-1], qj=arr.qj[::-1])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build_network(swapped)
+
+
+def _spy_on_build_network(monkeypatch, module) -> list:
+    """Check every network ``module`` builds against the reference."""
+    seen = []
+
+    def checked(arr):
+        _assert_reference_layout(arr)
+        seen.append(arr)
+        return build_network(arr)
+
+    monkeypatch.setattr(module, "build_network", checked)
+    return seen
+
+
+def test_layout_equals_the_reference_on_split_unions(monkeypatch):
+    """The ``analyze_all`` unions of the split-golden graphs, persistency
+    mode, and of the split-dense benchmark graph at seed 1."""
+    seen = _spy_on_build_network(monkeypatch, persistency)
+    solver = decompose.default_leaf_solver(_workloads().SPLIT_THRESHOLD)
+    decompose.max_clique_split(_bench_graph(1), solver)
+    for case in _SPLIT_GOLDEN["random"]:
+        if case["mode"] == "persistency":
+            g = gen_gnp(case["n"], case["p"], case["seed"])
+            decompose.max_clique_split(g, decompose.default_leaf_solver(case["threshold"]))
+    assert len(seen) > 100
+    assert max(arr.num_vars for arr in seen) > 200
+
+
+@pytest.mark.parametrize("workload", ["probe-cfat", "probe-gcut", "probe-rational"])
+def test_layout_equals_the_reference_on_probe_pairs(workload, monkeypatch):
+    """Every ``BranchPair.of`` pair of the first seed-1 probe of each
+    probe workload."""
+    seen = _spy_on_build_network(monkeypatch, _fast)
+    wl = _workloads()
+    probe(wl.WORKLOADS[workload].build(wl.op_seed(1, 0)).qubo)
+    assert seen

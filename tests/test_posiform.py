@@ -1,17 +1,28 @@
 """Posiform rewrite tests: positivity, pointwise equality, exact arrays."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quboprep.errors import SizeGuardError
 from quboprep.model import Qubo, _fold, fix_variables, substitute
 from quboprep.posiform import IntArrays, to_posiform
 from quboprep.probing import probe
 
-from helpers import class_and_fixes, enumerate_energies, posiform_energy, random_qubo
+from helpers import (
+    assert_same_arrays,
+    class_and_fixes,
+    enumerate_energies,
+    posiform_energy,
+    random_qubo,
+    reference_fold,
+    reference_merged,
+    reference_plus,
+)
 
 
 def _posiform(q: Qubo):
@@ -209,3 +220,181 @@ def test_probe_raises_when_a_complemented_relation_passes_the_limit():
     IntArrays.from_qubo(big)  # the input itself is within the limit
     with pytest.raises(SizeGuardError):
         probe(big)
+
+
+# --- the key invariant, against argsort-based references ----------------------
+
+
+def _assert_invariant(arr: IntArrays) -> None:
+    """Keys qi * num_vars + qj strictly increase, qi < qj, no zero entry."""
+    keys = arr.qi * arr.num_vars + arr.qj
+    assert (np.diff(keys) > 0).all() and (arr.qi < arr.qj).all() and (arr.qv != 0).all()
+
+
+def _same_or_both_raise(got, want) -> bool:
+    """Run ``got`` and ``want``: both raise SizeGuardError, or both return
+    equal arrays (and equal deltas, for folds) and ``got``'s arrays keep the
+    invariant.  Returns whether they raised."""
+    try:
+        expected = want()
+    except SizeGuardError:
+        with pytest.raises(SizeGuardError):
+            got()
+        return True
+    result = got()
+    if isinstance(result, tuple):
+        (result, delta), (expected, expected_delta) = result, expected
+        assert delta == expected_delta
+    _assert_invariant(result)
+    assert_same_arrays(result, expected)
+    return False
+
+
+@st.composite
+def _qubos(draw, n: int, within: bool = False):
+    """A Qubo on ``n`` variables whose terms come in shuffled key order,
+    with small int, small Fraction, or int and Fraction coefficients up to
+    2**61.  With ``within``, large coefficients are divided down until the
+    scaled magnitude stays just below the 2**62 limit, which a complemented
+    fold can then cross."""
+    kind = draw(st.sampled_from(["int", "fraction", "huge", "huge fraction"]))
+    top = 2**61 if kind.startswith("huge") else 4
+    num = st.integers(-top, top)
+    den = st.integers(1, 4) if kind.endswith("fraction") else st.just(1)
+    pairs = draw(st.permutations([(i, j) for i in range(n) for j in range(i + 1, n)]))
+    lin = {i: (draw(num), draw(den)) for i in range(n) if draw(st.booleans())}
+    quad = {k: (draw(num), draw(den)) for k in pairs if draw(st.booleans())}
+    terms = [*lin.values(), *quad.values()]
+    scale = math.lcm(*(d for _, d in terms))
+    shrink = sum(abs(a) * (scale // d) for a, d in terms) // (2**62 - 2**10) + 1 if within else 1
+    return Qubo.from_terms(
+        n,
+        {i: Fraction(a // shrink, d) for i, (a, d) in lin.items()},
+        {k: Fraction(a // shrink, d) for k, (a, d) in quad.items()},
+        Fraction(draw(num), draw(den)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(_qubos))
+def test_from_qubo_sorts_once_and_guards_the_magnitude(q):
+    coeffs = [*q.linear.values(), *q.quadratic.values()]
+    scale = math.lcm(*(Fraction(a).denominator for a in coeffs))
+    n = q.num_vars
+    lin = [int(q.linear.get(i, 0) * scale) for i in range(n)]
+    keys = list(q.quadratic)  # in the Qubo's own, shuffled, order
+    qv = [int(q.quadratic[k] * scale) for k in keys]
+    _same_or_both_raise(
+        lambda: IntArrays.from_qubo(q),
+        lambda: reference_merged(
+            n, scale, lin, [i for i, _ in keys], [j for _, j in keys], qv, q.offset
+        ),
+    )
+
+
+@st.composite
+def _raw_entries(draw):
+    """Unmerged arrays for ``IntArrays.merged``: repeated keys, zeros, sums
+    that cancel, keys sorted or not, and values whose total stays below
+    2**63 (merged's precondition) but may pass the 2**62 limit."""
+    n = draw(st.integers(0, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    count = draw(st.integers(0, 12)) if pairs else 0
+    top = 2**63 // (2 * count + n + 1) if draw(st.booleans()) else 4
+    value = st.integers(-top, top) | st.sampled_from([-top, top, top])
+    entries = [(*draw(st.sampled_from(pairs)), draw(value)) for _ in range(count)]
+    entries += [(i, j, -a) for i, j, a in entries if draw(st.booleans())]
+    if draw(st.booleans()):
+        entries.sort()
+    lin = [draw(value) for _ in range(n)]
+    cols = [[e[k] for e in entries] for k in range(3)]
+    return n, draw(st.sampled_from([1, 6])), lin, *cols, Fraction(draw(st.integers(-3, 3)), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_entries())
+def test_merged_matches_the_reference(case):
+    n, scale, lin, qi, qj, qv, offset = case
+    arrays = [np.array(col, dtype=np.int64) for col in (lin, qi, qj, qv)]
+    _same_or_both_raise(
+        lambda: IntArrays.merged(n, scale, *arrays, offset),
+        lambda: reference_merged(n, scale, lin, qi, qj, qv, offset),
+    )
+
+
+@st.composite
+def _summands(draw):
+    """Two problems over the same variables and scale, each with strictly
+    increasing keys; the second cancels some of the first one's entries.
+    Each stays below 2**62, and their sum may pass it."""
+    n = draw(st.integers(0, 7))
+    scale = draw(st.sampled_from([1, 6]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out: list[IntArrays] = []
+    for _ in range(2):
+        cancel = []
+        if out:
+            a = out[0]
+            triples = zip(a.qi.tolist(), a.qj.tolist(), a.qv.tolist())
+            cancel = [(i, j, -v) for i, j, v in triples if draw(st.booleans())]
+        keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        room = 2**62 - 1 - sum(abs(v) for _, _, v in cancel)
+        top = room // (len(keys) + n + 1) if draw(st.booleans()) else 4
+        value = st.integers(-top, top) | st.sampled_from([-top, top])
+        entries = [(i, j, draw(value)) for i, j in keys] + cancel
+        cols = [[e[k] for e in entries] for k in range(3)]
+        lin = [draw(value) for _ in range(n)]
+        offset = Fraction(draw(st.integers(-6, 6)), scale)
+        out.append(reference_merged(n, scale, lin, *cols, offset))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_summands())
+def test_plus_matches_the_reference(case):
+    a, b = case
+    _same_or_both_raise(lambda: a.plus(b), lambda: reference_plus(a, b))
+    _same_or_both_raise(lambda: b.plus(a), lambda: reference_plus(b, a))
+
+
+@st.composite
+def _fold_cases(draw):
+    """A problem within the limit, one relation class with random
+    complement flags, and fixes of other variables."""
+    n = draw(st.integers(0, 7))
+    arr = IntArrays.from_qubo(draw(_qubos(n, within=True)))
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(min(n, 1), n))
+    cls = {m: (order[0], draw(st.booleans())) for m in order[1:size]}
+    fixes = {v: draw(st.integers(0, 1)) for v in order[size:] if draw(st.booleans())}
+    return arr, fixes, cls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_cases())
+def test_fold_matches_the_reference(case):
+    arr, fixes, cls = case
+    _same_or_both_raise(lambda: arr.fold(fixes, cls), lambda: reference_fold(arr, fixes, cls))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_the_limit_is_kept_exactly(extra):
+    """Results of magnitude 2**62 - 1 pass and results of 2**62 raise, in
+    from_qubo, merged, plus and a complemented fold, as in the references."""
+    edge = 2**62 - 1 + extra
+    rest = edge - 2**61 - 1
+    q = Qubo.from_terms(3, {2: 1}, {(1, 2): 2**61, (0, 1): rest})
+    entries = ([0, 0, 1], [1, 0], [2, 1], [2**61, rest])
+    from_qubo = (lambda: IntArrays.from_qubo(q), lambda: reference_merged(3, 1, *entries, 0))
+    # Unsorted, with a repeated key: (1, 2) twice.
+    cols = [np.array(c) for c in ([0, 0, 1], [1, 0, 1], [2, 1, 2], [2**60, rest, 2**60])]
+    merged = (lambda: IntArrays.merged(3, 1, *cols, 0), lambda: reference_merged(3, 1, *cols, 0))
+    a = IntArrays.from_qubo(Qubo.from_terms(3, {}, {(0, 2): 2**61 - 1}))
+    b = IntArrays.from_qubo(Qubo.from_terms(3, {}, {(0, 1): 2**61 + extra}))
+    plus = (lambda: a.plus(b), lambda: reference_plus(a, b))
+    # a·(1 − y0)(1 − y1) = a − a·y0 − a·y1 + a·y0·y1 triples the magnitude.
+    arr = IntArrays.from_qubo(Qubo.from_terms(4, {3: edge % 3}, {(2, 3): edge // 3}))
+    subs = {2: (0, True), 3: (1, True)}
+    fold = (lambda: arr.fold({}, subs), lambda: reference_fold(arr, {}, subs))
+    for got, want in (from_qubo, merged, plus, fold):
+        assert _same_or_both_raise(got, want) == bool(extra)

@@ -196,3 +196,22 @@ def test_probe_bound_sound_on_random_sweep(seed, fractional):
         minimum, _ = exact_min(q)
         out = probe(q)
         assert out.bound <= minimum
+
+
+
+def test_implication_entries_are_added_in_key_order(monkeypatch):
+    """``add_implications`` hands ``plus`` its u–j entries with strictly
+    increasing keys, whatever the order of the implications."""
+    from quboprep.posiform import IntArrays
+    from quboprep.probing import _ProbeState
+
+    state = _ProbeState(Qubo.from_terms(6, {k: 1 for k in range(6)}))
+    plus, added = IntArrays.plus, []
+    monkeypatch.setattr(
+        IntArrays, "plus", lambda self, other: added.append(other) or plus(self, other)
+    )
+    # x3 = 1 forces x5 = 0 and x4 = 1; x3 = 0 forces x1 = 1: keys 23, 22, 9.
+    state.add_implications(3, [(1, 5, 0), (0, 1, 1), (1, 4, 1)])
+    (entries,) = added
+    assert (entries.qi * 6 + entries.qj).tolist() == [9, 22, 23]
+    assert (state.penalty.qi * 6 + state.penalty.qj).tolist() == [9, 22, 23]
