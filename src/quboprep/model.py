@@ -7,6 +7,7 @@ mutated after construction.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,8 @@ def as_coeff(value) -> Coeff:
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("coefficient must be finite")
         value = Fraction(value)  # exact binary expansion
     if isinstance(value, str):
         value = Fraction(value)

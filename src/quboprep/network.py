@@ -20,10 +20,12 @@ variable k then holds one arc per term on k, to a literal of the term's
 other variable j, by increasing j, so row lengths follow from the variable
 degrees and the CSR is written directly from arrays with sorted keys,
 without sorting arcs.  Both maps are recorded per arc (``partner``,
-``rev``), by construction.  scipy's flow kernel adds no arcs
-to a reverse-closed CSR, so its flow matrix lines up with the arcs by
-position (checked on every call); the net flow on an arc's reverse is its
-negative, and the residual graph is a mask over the same index arrays.
+``rev``), by construction.
+
+:func:`max_flow` runs capacity scaling on scipy's int32 kernel, which adds
+no arcs to a reverse-closed CSR, so its flow matrix lines up with the arcs
+by position (checked on every call); the net flow on an arc's reverse is
+its negative, and the residual graph is a mask over the same index arrays.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .posiform import IntArrays, posiform_lin, to_posiform
 
 SOURCE = 0
 SINK = 1
-
-_INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -157,91 +157,38 @@ class FlowResult:
         )
 
 
-def _dinic(num_nodes: int, tails, heads, caps, source: int, sink: int):
-    """Plain Dinic on Python ints (exact for arbitrarily large capacities)."""
-    head_of: list[int] = []
-    rem: list[int] = []
-    nxt: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v, c in zip(tails.tolist(), heads.tolist(), caps.tolist()):
-        nxt[u].append(len(head_of))
-        head_of.append(v)
-        rem.append(int(c))
-        nxt[v].append(len(head_of))
-        head_of.append(u)
-        rem.append(0)
-    total = 0
-    while True:
-        level = [-1] * num_nodes
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            for aid in nxt[u]:
-                if rem[aid] > 0 and level[head_of[aid]] < 0:
-                    level[head_of[aid]] = level[u] + 1
-                    queue.append(head_of[aid])
-        if level[sink] < 0:
-            break
-        it = [0] * num_nodes
-        # Iterative blocking-flow DFS.
-        while True:
-            path: list[int] = []
-            u = source
-            while u != sink:
-                advanced = False
-                while it[u] < len(nxt[u]):
-                    aid = nxt[u][it[u]]
-                    if rem[aid] > 0 and level[head_of[aid]] == level[u] + 1:
-                        path.append(aid)
-                        u = head_of[aid]
-                        advanced = True
-                        break
-                    it[u] += 1
-                if not advanced:
-                    if not path:
-                        u = None
-                        break
-                    level[u] = -1
-                    aid = path.pop()
-                    u = head_of[aid ^ 1]  # tail of arc aid
-            if u is None:
-                break
-            bottleneck = min(rem[aid] for aid in path)
-            for aid in path:
-                rem[aid] -= bottleneck
-                rem[aid ^ 1] += bottleneck
-            total += bottleneck
-    flows = np.array(
-        [int(c) - rem[2 * k] for k, c in enumerate(caps.tolist())], dtype=object
+def _kernel_flow(net: ImplicationNetwork, caps: np.ndarray) -> np.ndarray:
+    """scipy's flow on the network's CSR with capacities ``caps`` (each
+    fits int32): the net flow per arc, as int64."""
+    graph = csr_matrix(
+        (caps.astype(np.int32), net.heads, net.indptr), shape=(net.num_nodes, net.num_nodes)
     )
-    return total, flows
+    flow = maximum_flow(graph, SOURCE, SINK).flow
+    if not (np.array_equal(flow.indptr, net.indptr) and np.array_equal(flow.indices, net.heads)):
+        raise AssertionError("scipy's flow matrix does not have the network's arc layout")
+    return flow.data.astype(np.int64)
 
 
 def max_flow(net: ImplicationNetwork) -> FlowResult:
     """Exact maximum source→sink flow, symmetrized over skew partners (flow
-    on (u→v) equals flow on (v̄→ū)).
+    on (u→v) equals flow on (v̄→ū)), by capacity scaling (Edmonds & Karp).
 
-    scipy's int32 kernel runs on the network's CSR when every capacity fits
-    in int32 (an arc's flow never exceeds its capacity); otherwise Dinic on
-    Python ints.  The flow value is the int64 sum of the source row's flows,
-    so a total past int32 stays exact.
+    Phase ``top`` (the bits of the largest capacity past 31) flows ``caps >>
+    top``; each later phase s flows ``(caps − flows) >> s`` clamped to
+    2·num_arcs and adds its flow × 2^s.  Less than num_arcs·2^(s+1) of flow
+    is left after phase s + 1, and an acyclic maximum flow puts at most its
+    value on one arc, so every phase fits int32 and the clamp cuts off no
+    maximum flow.  Arcs that fit int32 take one phase.  The flow value is
+    the int64 sum of the source row's flows, so a total past int32 is exact.
     """
     if net.num_arcs == 0:
         return FlowResult(net, 0, np.empty(0, dtype=np.int64))
-    if int(net.caps.max()) <= _INT32_MAX:
-        graph = csr_matrix(
-            (net.caps.astype(np.int32), net.heads, net.indptr),
-            shape=(net.num_nodes, net.num_nodes),
-        )
-        res = maximum_flow(graph, SOURCE, SINK)
-        flow = res.flow
-        same = np.array_equal(flow.indptr, net.indptr) and np.array_equal(flow.indices, net.heads)
-        if not same:
-            raise AssertionError("scipy's flow matrix does not have the network's arc layout")
-        flows = flow.data.astype(np.int64)
-        value = int(flows[: net.indptr[SOURCE + 1]].sum())
-    else:
-        value, raw = _dinic(net.num_nodes, net.tails, net.heads, net.caps, SOURCE, SINK)
-        flows = raw - raw[net.rev]
+    top = max(0, int(net.caps.max()).bit_length() - 31)
+    flows = _kernel_flow(net, net.caps >> top) << top
+    for s in range(top - 1, -1, -1):
+        phase = np.minimum((net.caps - flows) >> s, 2 * net.num_arcs)
+        flows += _kernel_flow(net, phase) << s
+    value = int(flows[: net.indptr[SOURCE + 1]].sum())
     return FlowResult(net, value, flows + flows[net.partner])
 
 

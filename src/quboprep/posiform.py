@@ -27,8 +27,8 @@ import numpy as np
 from .errors import SizeGuardError
 from .model import Coeff, Qubo, as_coeff
 
-# Σ|a|·scale must stay below this: the largest int64 intermediate downstream
-# is a doubled arc capacity (residual2 = 2·cap − flow2 in the max-flow layer).
+# Σ|a|·scale must stay below this: in max flow, caps − flows ≤ an arc's plus its
+# reverse's capacity, and residual2 = 2·cap − flow2 ≤ twice that is the largest int64 value.
 _MAGNITUDE_LIMIT = 2**62
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from quboprep import network
 from quboprep.errors import SizeGuardError
 from quboprep.model import Qubo
 from quboprep.network import SINK, SOURCE, ImplicationNetwork
@@ -55,6 +56,26 @@ def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
         total += bottleneck
 
 
+def network_flow_value(net: ImplicationNetwork) -> int:
+    """:func:`edmonds_karp` on the arcs of an implication network."""
+    arcs = zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist())
+    return edmonds_karp(net.num_nodes, arcs, SOURCE, SINK)
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Spy on scipy's flow kernel as ``network.max_flow`` calls it, one call
+    per capacity-scaling phase; returns the list the calls are appended to."""
+    calls = []
+    kernel = network.maximum_flow
+
+    def counted(graph, source, sink):
+        calls.append(graph.shape)
+        return kernel(graph, source, sink)
+
+    monkeypatch.setattr(network, "maximum_flow", counted)
+    return calls
+
+
 def enumerate_energies(q: Qubo):
     """All (assignment, energy) pairs by direct evaluation (n small)."""
     n = q.num_vars
@@ -82,6 +103,16 @@ def random_qubo(rng: np.random.Generator, n: int, coeff_range=(-4, 4), density=0
             if rng.random() < density:
                 quad[(i, j)] = int(rng.integers(coeff_range[0], coeff_range[1] + 1))
     return Qubo.from_terms(n, lin, quad)
+
+
+def scaled_qubo(q: Qubo, k: int) -> Qubo:
+    """``q`` with every coefficient and the offset multiplied by ``k``."""
+    return Qubo.from_terms(
+        q.num_vars,
+        {i: k * a for i, a in q.linear.items()},
+        {key: k * a for key, a in q.quadratic.items()},
+        k * q.offset,
+    )
 
 
 def with_fractions(rng: np.random.Generator, q: Qubo) -> Qubo:

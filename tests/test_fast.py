@@ -1,20 +1,20 @@
 """Both branches of a probe, analyzed in one flow on the pair network, must
 each agree with analyzing the fixed-out problem alone (fix_variables, then
 analyze), dict order included, for integer and Fraction coefficients
-alike and on either flow kernel."""
+alike."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quboprep import _fast, network, persistency
+from quboprep import _fast, persistency
 from quboprep._fast import BranchPair, IntArrays, analyze_branch
 from quboprep.model import Qubo, fix_variables
 from quboprep.network import SOURCE, max_flow
 from quboprep.persistency import analyze
 
-from helpers import random_qubo, with_fractions
+from helpers import count_kernel_calls, random_qubo, scaled_qubo, with_fractions
 
 _INT32_MAX = 2**31 - 1
 
@@ -61,20 +61,12 @@ def test_all_isolated_problem():
         assert (strong, weak, bound) == ({}, {0: 0, 2: 0}, 5)
 
 
-def _scaled(q: Qubo, k: int) -> Qubo:
-    return Qubo.from_terms(
-        q.num_vars,
-        {i: k * a for i, a in q.linear.items()},
-        {key: k * a for key, a in q.quadratic.items()},
-    )
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_on_the_dinic_path(seed, monkeypatch):
     """Coefficients scaled so that every branch's source capacity fits int32
     but some pair's does not.  The name is historical: the pair used to fall
-    back to Dinic here, and now stays on scipy, since every arc fits int32;
-    it must still match each branch analyzed alone."""
+    back to a second kernel here.  Every arc fits int32, so each flow is one
+    call of scipy's kernel, and the pair must match each branch alone."""
     sources: dict[str, list[int]] = {"pair": [], "single": []}
 
     def spy(kind):
@@ -84,18 +76,17 @@ def test_pair_on_the_dinic_path(seed, monkeypatch):
 
         return run
 
-    def no_dinic(*args):
-        raise AssertionError("max_flow fell back to Dinic")
-
     monkeypatch.setattr(_fast, "max_flow", spy("pair"))
     monkeypatch.setattr(persistency, "max_flow", spy("single"))
-    monkeypatch.setattr(network, "_dinic", no_dinic)
+    calls = count_kernel_calls(monkeypatch)
     small = random_qubo(np.random.default_rng(7100 + seed), 6)
     _assert_pair_matches_single(small)
     k = _INT32_MAX // max(sources["single"])
     assert max(sources["pair"]) * k > _INT32_MAX
     for seen in sources.values():
         seen.clear()
-    _assert_pair_matches_single(_scaled(small, k))
+    calls.clear()
+    _assert_pair_matches_single(scaled_qubo(small, k))
     assert max(sources["single"]) <= _INT32_MAX
     assert max(sources["pair"]) > _INT32_MAX
+    assert len(calls) == len(sources["single"]) + len(sources["pair"])

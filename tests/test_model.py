@@ -80,6 +80,12 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             Qubo.from_terms(2, {2: 1})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_rejected(self, value):
+        for terms in ((1, {0: value}), (2, {}, {(0, 1): value}), (1, {}, {}, value)):
+            with pytest.raises(ValueError, match="coefficient must be finite"):
+                Qubo.from_terms(*terms)
+
 
 class TestConversions:
     def test_single_coupling(self):

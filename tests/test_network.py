@@ -14,17 +14,18 @@ from quboprep import _fast, decompose, network, persistency
 from quboprep._fast import BranchPair, analyze_branch
 from quboprep.graphs import gen_gnp
 from quboprep.model import Qubo
-from quboprep.network import SINK, SOURCE, _dinic, build_network, max_flow, roof_dual
+from quboprep.network import SINK, SOURCE, build_network, max_flow, roof_dual
 from quboprep.posiform import IntArrays, to_posiform
 from quboprep.probing import probe
 
 from helpers import (
     arc_dict,
     assert_skew_partners,
-    edmonds_karp,
+    count_kernel_calls,
     exact_min,
     flow_fractions,
     literal_node,
+    network_flow_value,
     network_from_arcs,
     random_qubo,
     reference_network,
@@ -82,33 +83,16 @@ def test_parallel_arcs_merge():
     assert arc_dict(net) == {(SOURCE, 3): 3, (2, SINK): 3}
 
 
-def _arrays(arcs):
-    return (np.array([a[k] for a in arcs], dtype=np.int64) for k in range(3))
-
-
-def test_bottleneck_path():
-    # s -> u -> t with capacities 3 and 5; not skew-closed, so plain Dinic.
-    value, flows = _dinic(3, *_arrays([(SOURCE, 2, 3), (2, SINK, 5)]), SOURCE, SINK)
-    assert value == 3
-    assert flows.tolist() == [3, 3]
-
-
 def test_flow_matches_independent_oracle():
     for seed in range(8):
         q = random_qubo(np.random.default_rng(200 + seed), 10)
         net = _network(q)
-        result = max_flow(net)
-        oracle_value = edmonds_karp(
-            net.num_nodes,
-            list(zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist())),
-            SOURCE,
-            SINK,
-        )
-        assert result.flow_value == oracle_value
+        assert max_flow(net).flow_value == network_flow_value(net)
 
 
-def test_backends_agree():
-    """Capacities × 2**32 leave int32, so the scaled copy runs on Dinic."""
+def test_scaled_capacities_scale_the_flow():
+    """Capacities × 2**32 leave int32, so the scaled copy takes several
+    scaling phases; its flow value is the unscaled one × 2**32."""
     for seed in range(4):
         q = random_qubo(np.random.default_rng(300 + seed), 9)
         net = _network(q)
@@ -146,13 +130,6 @@ def test_symmetric_flow_and_residuals():
         if node not in (SOURCE, SINK):
             assert net_out == 0
     assert balance.get(SOURCE, 0) == Fraction(result.flow_value, net.scale)
-
-
-def test_dinic_handles_big_capacities():
-    big = 2**40
-    value, flows = _dinic(3, *_arrays([(SOURCE, 2, big), (2, SINK, big // 2)]), SOURCE, SINK)
-    assert value == big // 2
-    assert flows.tolist() == [big // 2, big // 2]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -298,7 +275,8 @@ def _certificate_cases():
 
 @pytest.mark.parametrize("case", range(6))
 def test_max_flow_certificate_on_both_kernels(case):
-    """On the scipy path, and on the Dinic path with capacities × 2**32."""
+    """With one scaling phase, and with several on capacities × 2**32.  The
+    name is historical: the scaled copy used to run on a second kernel."""
     q = list(_certificate_cases())[case]
     net = _network(q)
     _assert_max_flow_certificate(max_flow(net))
@@ -310,20 +288,42 @@ def test_max_flow_certificate_on_both_kernels(case):
 @pytest.mark.parametrize("seed", range(3))
 def test_source_total_past_int32_stays_on_scipy(seed, monkeypatch):
     """Every arc fits int32 but the source capacities, and the flow value,
-    add up past 2**31: scipy's kernel still runs (an arc's flow never
-    exceeds its capacity) and its int64 flow value is Dinic's."""
+    add up past 2**31: scipy's kernel runs once (an arc's flow never
+    exceeds its capacity) and its int64 flow value is the oracle's."""
     net = _network(random_qubo(np.random.default_rng(960 + seed), 16, density=0.3))
     big = replace(net, caps=net.caps * ((2**31 - 1) // int(net.caps.max())))
     assert int(big.caps.max()) <= 2**31 - 1
-    expected, _ = _dinic(big.num_nodes, big.tails, big.heads, big.caps, SOURCE, SINK)
+    expected = network_flow_value(big)
     assert expected > 2**31
-
-    def no_dinic(*args):
-        raise AssertionError("max_flow fell back to Dinic")
-
-    monkeypatch.setattr(network, "_dinic", no_dinic)
+    calls = count_kernel_calls(monkeypatch)
     result = max_flow(big)
+    assert len(calls) == 1
     assert result.flow_value == expected
+    _assert_max_flow_certificate(result)
+
+
+def _scaled_networks():
+    """Random int and Fraction QUBO networks with capacities × 10**7, × 2**40
+    and × the largest factor that keeps Σ caps below 2**62."""
+    rng = np.random.default_rng(1300)
+    for k in range(8):
+        q = random_qubo(rng, int(rng.integers(6, 15)), density=rng.uniform(0.2, 0.8))
+        net = _network(q if k % 2 == 0 else with_fractions(rng, q))
+        for factor in (10**7, 2**40, (2**62 - 1) // int(net.caps.sum())):
+            yield replace(net, caps=net.caps * factor)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_multi_phase_flow_equals_the_oracle(case, monkeypatch):
+    """One kernel call per scaling phase, top + 1 of them, with the
+    oracle's flow value and a max-flow certificate."""
+    net = list(_scaled_networks())[case]
+    assert int(net.caps.sum()) < 2**62
+    top = max(0, int(net.caps.max()).bit_length() - 31)
+    calls = count_kernel_calls(monkeypatch)
+    result = max_flow(net)
+    assert len(calls) == top + 1
+    assert result.flow_value == network_flow_value(net)
     _assert_max_flow_certificate(result)
 
 

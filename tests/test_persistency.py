@@ -13,7 +13,7 @@ from quboprep.persistency import PersistencyResult, analyze, reduce
 from quboprep.posiform import IntArrays
 from quboprep.probing import probe
 
-from helpers import exact_min, random_qubo
+from helpers import count_kernel_calls, exact_min, random_qubo, scaled_qubo, with_fractions
 
 
 def test_unique_optimum_is_strong():
@@ -63,20 +63,40 @@ def test_soundness_on_random_instances(seed):
 
 
 def test_scaled_problem_agrees_across_flow_paths():
-    """2**32·q takes the Dinic path, q the scipy one; labels must agree and
-    bounds scale exactly."""
+    """2**32·q takes several capacity-scaling phases, q one; labels must
+    agree and bounds scale exactly."""
     k = 2**32
     for seed in range(40):
         q = random_qubo(np.random.default_rng(300 + seed), 9)
-        big = Qubo.from_terms(
-            q.num_vars,
-            {i: k * a for i, a in q.linear.items()},
-            {key: k * a for key, a in q.quadratic.items()},
-        )
+        big = scaled_qubo(q, k)
         res, res_big = analyze(q), analyze(big)
         assert (res_big.strong, res_big.weak) == (res.strong, res.weak)
         assert res_big.bound == k * res.bound
         assert roof_dual(big) == k * roof_dual(q)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_analyze_and_probe_past_int32_equal_the_unscaled_run(chunk, monkeypatch):
+    """Int and Fraction QUBOs of 10–16 variables, × 2**40, run every flow
+    through several scaling phases; analyze's labels and probe's fixes,
+    relations and passes equal the unscaled run's, bounds × 2**40."""
+    k = 2**40
+    rng = np.random.default_rng(3300 + chunk)
+    calls = count_kernel_calls(monkeypatch)
+    for case in range(5):
+        q = random_qubo(rng, int(rng.integers(10, 17)), density=rng.uniform(0.2, 0.7))
+        q = with_fractions(rng, q) if case % 2 else q
+        big = scaled_qubo(q, k)
+        calls.clear()
+        res, out = analyze(q), probe(q)
+        small_calls = len(calls)
+        res_big, out_big = analyze(big), probe(big)
+        assert len(calls) - small_calls > small_calls
+        assert (res_big.strong, res_big.weak) == (res.strong, res.weak)
+        assert res_big.bound == k * res.bound
+        assert (out_big.fixed, out_big.relations) == (out.fixed, out.relations)
+        assert out_big.passes == out.passes
+        assert out_big.bound == k * out.bound
 
 
 @pytest.mark.parametrize("denominator", [1, 3])
