@@ -26,6 +26,7 @@ Python's recursion limit.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -66,7 +67,11 @@ class LeafSolver:
             raise ValueError("threshold must be >= 1")
 
     def solve(self, g: Graph) -> tuple[int, ...]:
-        result = tuple(sorted(set(self.fn(g))))
+        found = self.fn(g)
+        try:
+            result = tuple(sorted(map(operator.index, set(found))))
+        except TypeError:
+            raise SolverValidationError(f"solver returned a non-integer vertex in {found}") from None
         if any(not 0 <= v < g.n for v in result):
             raise SolverValidationError(f"solver returned out-of-range vertices {result}")
         if not g.is_clique(result):

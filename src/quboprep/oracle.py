@@ -2,9 +2,9 @@
 
 Nothing here touches the posiform/network pipeline: QUBO minimization is
 plain enumeration over assignment chunks, Maximum Clique is a bitset
-branch-and-bound with a greedy-coloring bound, Maximum Cut is enumeration.
-Size guards are hard errors; a silently degraded oracle would invalidate
-every acceptance run built on it.
+branch-and-bound whose coloring bound peels color classes off the candidate
+mask, Maximum Cut is enumeration.  Size guards are hard errors; a silently
+degraded oracle would invalidate every acceptance run built on it.
 """
 
 from __future__ import annotations
@@ -34,15 +34,8 @@ def _scaled_int_arrays(q: Qubo):
     Raises SizeGuardError unless Σ|a|·denom + |offset·denom| < 2**62, which
     bounds every energy the enumeration sums in int64.
     """
-    denom = 1
-    for a in q.linear.values():
-        if isinstance(a, Fraction):
-            denom = math.lcm(denom, a.denominator)
-    for a in q.quadratic.values():
-        if isinstance(a, Fraction):
-            denom = math.lcm(denom, a.denominator)
-    if isinstance(q.offset, Fraction):
-        denom = math.lcm(denom, q.offset.denominator)
+    coeffs = (*q.linear.values(), *q.quadratic.values(), q.offset)
+    denom = math.lcm(*(a.denominator for a in coeffs))
     lin_vals = {i: int(a * denom) for i, a in q.linear.items()}
     pair_list = sorted(q.quadratic)
     quad_vals = [int(q.quadratic[p] * denom) for p in pair_list]
@@ -98,49 +91,50 @@ def brute_force_qubo(
     return minimum, assignments
 
 
-def _greedy_clique(g: Graph) -> int:
+def _greedy_clique(adj) -> int:
     """Bitmask of a greedily grown clique (initial lower bound)."""
+    degrees = [a.bit_count() for a in adj]
     best = 0
-    adj = g.adjacency_bits
-    order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
-    for seed in order[: min(g.n, 8)]:
-        mask = 1 << seed
-        cand = adj[seed]
+    for seed in sorted(range(len(adj)), key=degrees.__getitem__, reverse=True)[:8]:
+        mask, cand = 1 << seed, adj[seed]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            mask |= 1 << v
-            cand &= adj[v]
+            low = cand & -cand
+            mask |= low
+            cand &= adj[low.bit_length() - 1]
         if mask.bit_count() > best.bit_count():
             best = mask
     return best
 
 
-def _color_order(vertices: list[int], adj) -> tuple[list[int], list[int]]:
-    """Greedy coloring; returns vertices ordered by color with bounds."""
-    classes: list[int] = []  # bitmask per color class
-    color_of: dict[int, int] = {}
-    for v in vertices:
-        placed = False
-        for ci, cmask in enumerate(classes):
-            if not (adj[v] & cmask):
-                classes[ci] = cmask | (1 << v)
-                color_of[v] = ci
-                placed = True
-                break
-        if not placed:
-            color_of[v] = len(classes)
-            classes.append(1 << v)
-    ordered = sorted(vertices, key=lambda v: color_of[v])
-    bounds = [color_of[v] + 1 for v in ordered]
+def _color_order(cand: int, outside, floor: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring: the vertices of ``cand`` ordered by color, with color
+    counts as bounds, leaving out colors up to ``floor``.  Each class is peeled
+    off what is left: take the lowest vertex v, keep ``outside[v]`` (neither v
+    nor a neighbour), repeat.  These are first-fit's classes over the vertices
+    in ascending order."""
+    ordered, bounds, color = [], [], 0
+    while cand:
+        color += 1
+        q = cand
+        while q:
+            low = q & -q
+            cand ^= low
+            v = low.bit_length() - 1
+            q &= outside[v]
+            if color > floor:
+                ordered.append(v)
+        bounds += [color] * (len(ordered) - len(bounds))
     return ordered, bounds
 
 
 def exact_max_clique(g: Graph) -> tuple[int, ...]:
-    """A maximum clique via branch-and-bound with a greedy-coloring bound."""
+    """A maximum clique via branch-and-bound with a greedy-coloring bound,
+    the color classes peeled off each node's candidate bitmask."""
     if g.n == 0:
         return ()
     adj = g.adjacency_bits
-    best_mask = _greedy_clique(g)
+    outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+    best_mask = _greedy_clique(adj)
     best_size = best_mask.bit_count()
     nodes_visited = 0
 
@@ -149,7 +143,8 @@ def exact_max_clique(g: Graph) -> tuple[int, ...]:
         nodes_visited += 1
         if nodes_visited % 500000 == 0:
             logger.info("clique search: %d nodes, best=%d", nodes_visited, best_size)
-        ordered, bounds = _color_order(set_bits(cand_mask), adj)
+        # A vertex of color <= best_size - size cannot lead to a larger clique.
+        ordered, bounds = _color_order(cand_mask, outside, best_size - size)
         for k in range(len(ordered) - 1, -1, -1):
             if size + bounds[k] <= best_size:
                 return
@@ -164,7 +159,7 @@ def exact_max_clique(g: Graph) -> tuple[int, ...]:
 
     expand((1 << g.n) - 1, 0, 0)
     result = tuple(set_bits(best_mask))
-    if not g.is_clique(result):
+    if any(best_mask & outside[v] for v in result):
         raise AssertionError("branch-and-bound produced a non-clique")
     return result
 

@@ -446,3 +446,27 @@ def class_and_fixes(draw):
     cls = {m: (order[0], draw(st.booleans())) for m in order[1:size]}
     fixes = {v: draw(st.integers(0, 1)) for v in order[size:] if draw(st.booleans())}
     return q, cls, fixes
+
+
+def reference_color_order(vertices: list[int], adj) -> tuple[list[int], list[int]]:
+    """Greedy coloring; returns vertices ordered by color with bounds.
+
+    The first-fit scan over color classes that ``oracle.exact_max_clique``
+    used before it peeled the classes off a bitmask; kept as its
+    differential oracle."""
+    classes: list[int] = []  # bitmask per color class
+    color_of: dict[int, int] = {}
+    for v in vertices:
+        placed = False
+        for ci, cmask in enumerate(classes):
+            if not (adj[v] & cmask):
+                classes[ci] = cmask | (1 << v)
+                color_of[v] = ci
+                placed = True
+                break
+        if not placed:
+            color_of[v] = len(classes)
+            classes.append(1 << v)
+    ordered = sorted(vertices, key=lambda v: color_of[v])
+    bounds = [color_of[v] + 1 for v in ordered]
+    return ordered, bounds

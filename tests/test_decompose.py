@@ -86,6 +86,23 @@ def test_bad_solver_is_a_hard_error():
         max_clique_split(g, LeafSolver(liar, threshold=20))
 
 
+@pytest.mark.parametrize("vertex", [1.5, "0", None, np.float64(1.0)])
+def test_non_integer_leaf_vertex_is_a_validation_error(vertex):
+    """Not a raw TypeError from sorting or range checks: the CLI maps only
+    SolverValidationError to its solver exit code."""
+    solver = LeafSolver(lambda g: [vertex], 10)
+    with pytest.raises(SolverValidationError, match="non-integer"):
+        max_clique_split(gen_gnp(30, 0.5, 1), solver, use_persistency=False)
+
+
+def test_numpy_integer_leaf_vertices_are_accepted():
+    g = gen_gnp(30, 0.5, 1)
+    numpy_solver = LeafSolver(lambda sub: np.array(exact_max_clique(sub), dtype=np.int64), 10)
+    clique, stats = max_clique_split(g, numpy_solver, use_persistency=False)
+    assert (clique, stats) == max_clique_split(g, default_leaf_solver(10), use_persistency=False)
+    assert all(type(v) is int for v in clique)
+
+
 def test_threshold_validation():
     with pytest.raises(ValueError):
         LeafSolver(exact_max_clique, threshold=0)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quboprep.errors import SizeGuardError
-from quboprep.graphs import Graph, gen_cfat, gen_gnp
+from quboprep.graphs import Graph, gen_cfat, gen_gnp, set_bits
 from quboprep.model import Qubo
 from quboprep.oracle import (
+    _color_order,
     brute_force_qubo,
     exact_max_clique,
     exact_max_cut,
@@ -14,9 +17,30 @@ from quboprep.oracle import (
 )
 from quboprep.persistency import PersistencyResult, analyze
 
-from helpers import exact_min, random_qubo
+from helpers import exact_min, random_qubo, reference_color_order
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+def graphs(max_n: int):
+    """Seeded G(n, p) graphs on up to ``max_n`` vertices, density drawn too."""
+    return st.builds(
+        gen_gnp, st.integers(0, max_n), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1)
+    )
+
+
+def brute_force_clique_size(g: Graph) -> int:
+    """Size of a maximum clique by checking every vertex subset (n small)."""
+    adj = g.adjacency_bits
+    is_clique = [True] * (1 << g.n)
+    best = 0
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        is_clique[mask] = is_clique[rest] and adj[low.bit_length() - 1] & rest == rest
+        if is_clique[mask]:
+            best = max(best, mask.bit_count())
+    return best
 
 
 class TestBruteForce:
@@ -93,6 +117,32 @@ class TestExactMaxClique:
             g = gen_gnp(12, 0.5, seed)
             clique = exact_max_clique(g)
             assert -exact_min(clique_qubo(g))[0] == len(clique)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=30), st.data())
+    def test_peeled_colors_match_first_fit(self, g, data):
+        """Classes peeled off a candidate mask are first-fit's classes, in the
+        same order and with the same bounds; colors up to the floor are left
+        out."""
+        cand = data.draw(st.integers(0, (1 << g.n) - 1))
+        floor = data.draw(st.integers(0, g.n))
+        adj = g.adjacency_bits
+        outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+        ordered, bounds = reference_color_order(set_bits(cand), adj)
+        assert _color_order(cand, outside, 0) == (ordered, bounds)
+        kept = [k for k, b in enumerate(bounds) if b > floor]
+        assert _color_order(cand, outside, floor) == (
+            [ordered[k] for k in kept],
+            [bounds[k] for k in kept],
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=16))
+    def test_returns_a_maximum_clique(self, g):
+        clique = exact_max_clique(g)
+        assert list(clique) == sorted(set(clique))
+        assert g.is_clique(clique)
+        assert len(clique) == brute_force_clique_size(g)
 
 
 class TestExactMaxCut:
