@@ -1,24 +1,29 @@
-"""Probe branch analysis: both branches of a probe in one max flow.
+"""Probe branch analysis: the branches of several probes in one max flow.
 
 Probing analyzes x_u := 0 and x_u := 1 for every variable u of one working
 problem.  :class:`BranchPair` lays out, once per working problem, the
-implication network of two disjoint copies of it that share only the source
-and the sink.  A probe writes capacities into that layout: the terms that
-touch u get capacity 0 in both copies, and copy b's terminal arcs get the
-linear part of branch b's posiform.  One max flow then serves both branches:
+implication network of 2k disjoint copies of it (k pairs) that share only
+the source and the sink.  :func:`analyze_branch` probes k variables at once
+by writing capacities into that layout: in pair p, which probes ``us[p]``,
+the terms that touch ``us[p]`` get capacity 0 in both copies, and copy
+2p + b's terminal arcs get the linear part of branch x_{us[p]} := b's
+posiform.  One max flow then serves all 2k branches:
 
 * the flow restricted to each copy is a maximum flow of that branch, so a
   branch's bound is its posiform constant plus the flow on its copy's
   source arcs;
 * a middle literal (neither it nor its complement reachable from the
   source) reaches neither the sink nor, except through source-reachable
-  nodes, the other copy; so one :func:`~quboprep.persistency.extract_labels`
-  call over both copies gives each branch exactly the labels, in the same
+  nodes, another copy; so one :func:`~quboprep.persistency.extract_labels`
+  call over all copies gives each branch exactly the labels, in the same
   order, that it gets alone (residual reachability among those literals is
   the same for every maximum flow: Picard & Queyranne, 1980).
 
 :func:`~quboprep.persistency.split_blocks`, shared with
 :func:`~quboprep.persistency.analyze_all`, splits labels and bounds by copy.
+A layout of one pair is the plain probe of one variable; probing lays out
+more pairs only once its working problem has stopped changing (see
+:class:`~quboprep.probing._ProbeState`).
 
 Branches keep the problem's index space (the probed variable just loses its
 terms), so returned labels are in the problem's own indices.
@@ -26,6 +31,7 @@ terms), so returned labels are in the problem's own indices.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -38,71 +44,80 @@ from .posiform import IntArrays, posiform_lin
 
 @dataclass(frozen=True)
 class BranchPair:
-    """The pair network of ``arr``: copy b's variable k is variable
-    ``b * n + k`` of ``net``.  ``lin`` is the linear part of the posiform
-    rewrite of ``arr`` (each negative coupling also moved onto its lower
-    index), which a branch adjusts for the terms it drops."""
+    """The network of ``pairs`` pairs of copies of ``arr``: copy c's
+    variable k is variable ``c * n + k`` of ``net``.  ``lin`` is the linear
+    part of the posiform rewrite of ``arr`` (each negative coupling also
+    moved onto its lower index), which a branch adjusts for the terms it
+    drops."""
 
     arr: IntArrays
     net: ImplicationNetwork
     lin: np.ndarray
+    pairs: int
 
     @classmethod
-    def of(cls, arr: IntArrays) -> "BranchPair":
-        n = arr.num_vars
-        both = IntArrays(
-            2 * n,
+    def of(cls, arr: IntArrays, pairs: int = 1) -> "BranchPair":
+        n, copies = arr.num_vars, 2 * pairs
+        shift = np.repeat(np.arange(0, copies * n, n, dtype=np.int64), len(arr.qv))
+        union = IntArrays(
+            copies * n,
             arr.scale,
-            np.concatenate([arr.lin, arr.lin]),
-            np.concatenate([arr.qi, arr.qi + n]),
-            np.concatenate([arr.qj, arr.qj + n]),
-            np.concatenate([arr.qv, arr.qv]),
+            np.tile(arr.lin, copies),
+            np.tile(arr.qi, copies) + shift,
+            np.tile(arr.qj, copies) + shift,
+            np.tile(arr.qv, copies),
             arr.offset,
         )
-        return cls(arr, build_network(both), posiform_lin(arr))
+        return cls(arr, build_network(union), posiform_lin(arr), pairs)
 
 
 def analyze_branch(
-    pair: BranchPair, u: int
+    pair: BranchPair, us: Sequence[int]
 ) -> list[tuple[dict[int, int], dict[int, int], Fraction]]:
-    """(strong, weak, bound) of the subproblems x_u := 0 and x_u := 1.
+    """(strong, weak, bound) of the subproblems x_u := 0 and x_u := 1 of
+    each u in ``us`` (one per pair of the layout), in that order: entry
+    2p + b is branch x_{us[p]} := b.
 
-    Labels use the problem's index space and exclude u; each bound includes
-    the fold-out delta of fixing u, so it lower-bounds the problem
-    restricted to that value of x_u.
+    Labels use the problem's index space and exclude the probed variable;
+    each bound includes the fold-out delta of fixing it, so it lower-bounds
+    the problem restricted to that value.
     """
     arr, net = pair.arr, pair.net
     n, scale = arr.num_vars, arr.scale
-    t = (arr.qi == u) | (arr.qj == u)
-    qi, qv = arr.qi[t], arr.qv[t]
-    other = qi + arr.qj[t] - u
-    # Both branches drop the terms on u, and with them the share of the
-    # posiform rewrite that a negative one moved onto its other end; x_u := 1
-    # turns a·x_u·x_j into a·x_j.
-    lin = np.stack([pair.lin, pair.lin])
-    moved = (qv < 0) & (qi != u)
-    lin[:, other[moved]] -= qv[moved]
-    lin[1, other] += qv
-    lin[:, u] = 0
-    pos, neg = np.maximum(lin, 0), np.maximum(-lin, 0)
+    lin = np.tile(pair.lin, (2 * len(us), 1))
     caps = net.caps.copy()
-    # A term on u has one arc in the row of each of u's literals, and its
-    # other two arcs are their partners; zeroing all four drops the term.
-    # The terminal arcs of those rows are rewritten below.
-    for node in (2 * u + 2, 2 * (u + n) + 2):
-        rows = slice(net.indptr[node], net.indptr[node + 2])
-        caps[rows] = 0
-        caps[net.partner[rows]] = 0
-    caps[: 4 * n] = np.stack([neg, pos], axis=-1).ravel()
+    for p, u in enumerate(us):
+        t = (arr.qi == u) | (arr.qj == u)
+        qi, qv = arr.qi[t], arr.qv[t]
+        other = qi + arr.qj[t] - u
+        # Both branches drop the terms on u, and with them the share of the
+        # posiform rewrite that a negative one moved onto its other end;
+        # x_u := 1 turns a·x_u·x_j into a·x_j.
+        branches = lin[2 * p : 2 * p + 2]
+        moved = (qv < 0) & (qi != u)
+        branches[:, other[moved]] -= qv[moved]
+        branches[1, other] += qv
+        branches[:, u] = 0
+        # A term on u has one arc in the row of each of u's literals, and
+        # its other two arcs are their partners; zeroing all four drops the
+        # term.  The terminal arcs of those rows are rewritten below.
+        for c in (2 * p, 2 * p + 1):
+            node = 2 * (u + c * n) + 2
+            rows = slice(net.indptr[node], net.indptr[node + 2])
+            caps[rows] = 0
+            caps[net.partner[rows]] = 0
+    pos, neg = np.maximum(lin, 0), np.maximum(-lin, 0)
+    caps[: 2 * lin.size] = np.stack([neg, pos], axis=-1).ravel()
     caps[net.indptr[2:-1] + 1] = np.stack([pos, neg], axis=-1).ravel()
     flow = max_flow(replace(net, caps=caps))
-    strong, weak = extract_labels(flow, 2 * n)
+    strong, weak = extract_labels(flow, lin.size)
+    deltas = [d for u in us for d in (0, int(arr.lin[u]))]
     constants = [
-        arr.offset + Fraction(delta + int(lin[b][lin[b] < 0].sum()), scale)
-        for b, delta in ((0, 0), (1, int(arr.lin[u])))
+        arr.offset + Fraction(delta - negative, scale)
+        for delta, negative in zip(deltas, neg.sum(axis=1).tolist())
     ]
-    out = split_blocks(flow, strong, weak, [0, n, 2 * n], constants)
-    for s, w, _ in out:
-        s.pop(u, None)
-        w.pop(u, None)
+    out = split_blocks(flow, strong, weak, range(0, lin.size + 1, n), constants)
+    for c, (s, w, _) in enumerate(out):
+        s.pop(us[c // 2], None)
+        w.pop(us[c // 2], None)
     return out

@@ -26,12 +26,9 @@ def _rng(seed) -> np.random.Generator:
 
 
 def set_bits(mask: int) -> list[int]:
-    """Set bit positions of ``mask``, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
+    """Set bit positions of ``mask``, ascending, read off its binary digits
+    lowest first."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 @dataclass(frozen=True)

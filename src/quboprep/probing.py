@@ -29,14 +29,22 @@ problem and the implication penalties stay scaled int64 arrays throughout
 once, from the input, when probing ends.  The two branches of a probe share
 one max flow on the pair network of the working problem
 (:class:`~quboprep._fast.BranchPair`), laid out once per working problem;
-a probe only writes capacities into it.  Resolved
+a probe only writes capacities into it.  Once the working problem has
+stayed unchanged for ``_BATCH`` (4) probes in a row, as in the stalled last
+sweep that ends almost every call, the next 4 unresolved variables of the
+sweep share one flow on a layout of 4 pairs.  Their results are used in
+sweep order; the first probe that changes the working problem (an apply, or
+an implication that records a term) drops the rest, so every probe gets
+exactly the result it gets alone.  Resolved
 percentages count relation-eliminated variables as resolved (they leave the
 problem); reports state the convention.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -46,6 +54,8 @@ from .persistency import analyze
 from .posiform import IntArrays
 
 IMPLICATION_WEIGHT = 1
+_BATCH = 4  # probes per max flow once the working problem stops changing
+_BATCH_ENTRIES = 1 << 15  # quadratic entries of a batch's 2·_BATCH copies
 
 
 @dataclass(frozen=True)
@@ -109,12 +119,15 @@ class _ProbeState:
     every :class:`IntArrays` constructor leaves them; ``add_implications``
     looks couplings up by binary search.
 
-    ``_pair`` is the pair network of the last working problem probed.  It
-    is replaced when :meth:`working` returns another problem (after an
-    ``apply``, or an ``add_implications`` that records something), not
-    dropped when that problem changes: freed early, its arrays would leave
-    the top of the heap empty for the allocator to return to the system,
-    and the next layout would fault those pages back in.
+    ``_layouts`` holds the last one-pair layout and the last batch layout
+    (:class:`~quboprep._fast.BranchPair`).  Each is replaced when
+    :meth:`working` returns another problem (after an ``apply``, or an
+    ``add_implications`` that records something) or a batch needs another
+    size, not dropped when that problem changes: freed early, its arrays
+    would leave the top of the heap empty for the allocator to return to
+    the system, and the next layout would fault those pages back in.
+    ``_batch`` holds the results computed ahead for the working problem,
+    which a change drops (:meth:`_changed`).
 
     ``total`` does the index bookkeeping only: it composes the applied
     fixes and substitutions, and accumulates the exact ``delta``, but its
@@ -130,7 +143,9 @@ class _ProbeState:
         )
         self.total = Reduction.identity(Qubo(q.num_vars))
         self._working: IntArrays | None = None  # true + penalty; None when stale
-        self._pair: BranchPair | None = None
+        self._layouts: list[BranchPair | None] = [None, None]  # one pair, a batch
+        self._batch: dict[int, tuple] = {}  # u -> its branches, computed ahead
+        self._steady = 0  # probes since the working problem last changed
         self._impl_seen: set[tuple[int, int, int, int]] = set()
 
     @property
@@ -146,14 +161,38 @@ class _ProbeState:
             self._working = self.true.plus(self.penalty)
         return self._working
 
-    def analyze_branches(self, u: int):
-        """(strong, weak, bound) per branch, labels in current indices.
+    def analyze_branches(self, u: int, ahead: Iterator[int]):
+        """(strong, weak, bound) per branch of x_u, labels in current
+        indices.
 
-        Both branches share one flow on the pair network of the working
-        problem, laid out once until the working problem changes."""
-        if self._pair is None or self._pair.arr is not self.working():
-            self._pair = BranchPair.of(self.working())
-        return analyze_branch(self._pair, u)
+        ``ahead`` yields the variables the sweep probes after u, in order,
+        if nothing changes.  Once the working problem has stayed unchanged for
+        :data:`_BATCH` probes, u and the next ``_BATCH - 1`` of them share one
+        flow (fewer when their union would pass :data:`_BATCH_ENTRIES`
+        quadratic entries), and their results wait in ``_batch`` until they
+        are probed or the working problem changes."""
+        self._steady += 1
+        if u in self._batch:
+            return self._batch.pop(u)
+        w = self.working()
+        k = 1
+        if self._steady > _BATCH:
+            k = max(1, min(_BATCH, _BATCH_ENTRIES // max(1, 2 * len(w.qv))))
+        us = [u, *islice(ahead, k - 1)]
+        slot = int(len(us) > 1)
+        layout = self._layouts[slot]
+        if layout is None or layout.arr is not w or layout.pairs != len(us):
+            layout = self._layouts[slot] = BranchPair.of(w, len(us))
+        out = analyze_branch(layout, us)
+        self._batch = {v: out[2 * p : 2 * p + 2] for p, v in enumerate(us)}
+        return self._batch.pop(u)
+
+    def _changed(self) -> None:
+        """The working problem changed: drop what was computed for the old
+        one."""
+        self._working = None
+        self._batch = {}
+        self._steady = 0
 
     def add_implications(self, u: int, implied) -> None:
         """Penalize x_u=b ∧ x_j≠v for each (b, j, v) in ``implied`` (zero on
@@ -205,7 +244,7 @@ class _ProbeState:
         js, vals = (np.array(col, dtype=np.int64) for col in zip(*sorted(couplings)))
         added = IntArrays(n, w.scale, lin, np.minimum(u, js), np.maximum(u, js), vals, offset)
         self.penalty = self.penalty.plus(added)
-        self._working = None
+        self._changed()
 
     def apply(self, subs: dict[int, tuple[int, bool]], fixes: dict[int, int]) -> None:
         """Apply a relation class ``subs`` and ``fixes`` (both in current
@@ -217,7 +256,7 @@ class _ProbeState:
         self.penalty = replace(penalty, offset=penalty.offset + p_delta)
         step = Reduction(m, dict(fixes), dict(subs), surviving, Qubo(len(surviving)), delta)
         self.total = self.total.compose(step)
-        self._working = None
+        self._changed()
 
     def reduction(self) -> Reduction:
         """The whole reduction of the input: one substitute, then one
@@ -282,11 +321,12 @@ def probe(
         sweep_probes = 0
         cert_candidate: tuple[Coeff, list[int]] | None = None  # reset on apply
         pos = {o: k for k, o in enumerate(sweep_ids)}  # original id -> current index
-        for orig_v in sweep_ids:
+        for i, orig_v in enumerate(sweep_ids):
             if orig_v not in pos:
                 continue  # resolved earlier in this sweep
             u = pos[orig_v]
-            (s0, w0, b0), (s1, w1, b1) = state.analyze_branches(u)
+            ahead = (pos[o] for o in islice(sweep_ids, i + 1, None) if o in pos)
+            (s0, w0, b0), (s1, w1, b1) = state.analyze_branches(u, ahead)
             sweep_probes += 1
             b1_global = b1 + state.total.delta
             if sweep_branch1_min is None or b1_global < sweep_branch1_min:

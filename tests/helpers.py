@@ -448,6 +448,15 @@ def class_and_fixes(draw):
     return q, cls, fixes
 
 
+def reference_set_bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending: one lowest bit per step."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 def reference_color_order(vertices: list[int], adj) -> tuple[list[int], list[int]]:
     """Greedy coloring; returns vertices ordered by color with bounds.
 

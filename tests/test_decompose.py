@@ -86,6 +86,42 @@ def test_bad_solver_is_a_hard_error():
         max_clique_split(g, LeafSolver(liar, threshold=20))
 
 
+def _leaf_check_graph() -> Graph:
+    """A triangle 0-1-2 plus vertex 3, adjacent to 2 only, and vertex 4,
+    isolated."""
+    return Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "found, expected",
+    [
+        ((2, 0, 1), (0, 1, 2)),
+        ([1, 1, 0, 2], (0, 1, 2)),
+        ((np.int64(3), 2), (2, 3)),
+        ((4,), (4,)),
+        ((), ()),
+    ],
+)
+def test_leaf_cliques_pass_validation_sorted(found, expected):
+    assert LeafSolver(lambda g: found, 10).solve(_leaf_check_graph()) == expected
+
+
+@pytest.mark.parametrize(
+    "found, message",
+    [
+        ((0, 1, 3), "non-clique"),
+        ((0, 3), "non-clique"),
+        ((2, 4), "non-clique"),
+        ((0, 5), "out-of-range"),
+        ((-1, 0), "out-of-range"),
+        ((0, 1.0), "non-integer"),
+    ],
+)
+def test_leaf_validation_rejects(found, message):
+    with pytest.raises(SolverValidationError, match=message):
+        LeafSolver(lambda g: found, 10).solve(_leaf_check_graph())
+
+
 @pytest.mark.parametrize("vertex", [1.5, "0", None, np.float64(1.0)])
 def test_non_integer_leaf_vertex_is_a_validation_error(vertex):
     """Not a raw TypeError from sorting or range checks: the CLI maps only

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quboprep.errors import FormatError
 from quboprep.graphs import (
@@ -15,8 +17,11 @@ from quboprep.graphs import (
     gen_u,
     perturb,
     read_dimacs,
+    set_bits,
     write_dimacs,
 )
+
+from helpers import reference_set_bits
 
 # Edge counts and clique sizes of the published DIMACS c-fat instances.
 CFAT_PUBLISHED = {
@@ -28,6 +33,18 @@ CFAT_PUBLISHED = {
     (500, 5): (23191, 64),
     (500, 10): (46627, 126),
 }
+
+
+@pytest.mark.parametrize("mask", [0, *(1 << k for k in (0, 1, 31, 63, 64, 65, 200))])
+def test_set_bits_on_zero_and_single_bits(mask):
+    assert set_bits(mask) == reference_set_bits(mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 130) - 1))
+def test_set_bits_matches_the_loop(mask):
+    """Random masks below and past 2**64, as ascending positions."""
+    assert set_bits(mask) == reference_set_bits(mask)
 
 
 class TestGraphType:

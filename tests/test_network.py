@@ -328,7 +328,8 @@ def test_multi_phase_flow_equals_the_oracle(case, monkeypatch):
 
 
 def test_max_flow_certificate_on_pair_networks(monkeypatch):
-    """Every pair network a probe flows on, for int and Fraction QUBOs."""
+    """Every layout of 1, 2 and 4 pairs that probes flow on, for int and
+    Fraction QUBOs: each probe of u and the next k - 1 variables, cyclically."""
     flows = []
 
     def record(net):
@@ -338,10 +339,13 @@ def test_max_flow_certificate_on_pair_networks(monkeypatch):
     monkeypatch.setattr(_fast, "max_flow", record)
     rng = np.random.default_rng(910)
     for q in (random_qubo(rng, 14), with_fractions(rng, random_qubo(rng, 14))):
-        pair = BranchPair.of(IntArrays.from_qubo(q))
-        for u in range(q.num_vars):
-            analyze_branch(pair, u)
-    assert len(flows) == 28
+        n = q.num_vars
+        for k in (1, 2, 4):
+            pair = BranchPair.of(IntArrays.from_qubo(q), k)
+            for u in range(n):
+                analyze_branch(pair, [(u + d) % n for d in range(k)])
+    assert len(flows) == 2 * 3 * 14
+    assert {r.network.num_vars for r in flows} == {2 * 14, 4 * 14, 8 * 14}
     for result in flows:
         _assert_max_flow_certificate(result)
 

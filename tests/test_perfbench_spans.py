@@ -51,7 +51,7 @@ def test_wrapped_call_sites_are_called():
     q = maxcut_qubo(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
     with tracer.installed():
         analyze(q)
-        analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 0)
+        analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), [0])
         probe(q)
     _, calls = tracer.self_times()
     for name in (

@@ -108,7 +108,7 @@ def test_huge_coefficients_hit_the_size_guard(denominator):
         analyze,
         roof_dual,
         probe,
-        lambda q: analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 0),
+        lambda q: analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), [0]),
     )
     for run in runs:
         with pytest.raises(SizeGuardError):
@@ -128,7 +128,7 @@ def test_coefficients_near_2_to_58_stay_sound():
         res = analyze(q)
         _assert_sound(q, res)
         assert roof_dual(q) == res.bound
-        _, (strong, weak, bound) = analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), 0)
+        _, (strong, weak, bound) = analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), [0])
         red = fix_variables(q, {0: 1})
         ref = analyze(red.reduced)
         assert bound == ref.bound + red.delta

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quboprep.model import Qubo
+from quboprep import probing
+from quboprep.model import IsingModel, Qubo, ising_to_qubo
 from quboprep.persistency import analyze
 from quboprep.probing import probe
 
-from helpers import exact_min, random_qubo
+from helpers import exact_min, random_qubo, with_fractions
 
 
 def test_fully_weak_problem_resolves_in_pass_one():
@@ -215,3 +216,81 @@ def test_implication_entries_are_added_in_key_order(monkeypatch):
     (entries,) = added
     assert (entries.qi * 6 + entries.qj).tolist() == [9, 22, 23]
     assert (state.penalty.qi * 6 + state.penalty.qj).tolist() == [9, 22, 23]
+
+
+def _spin_glass(rng: np.random.Generator, n: int, density: float, field: float) -> Qubo:
+    """The QUBO of a random Ising spin glass: couplings ±1 or ±2 on a
+    G(n, density) graph, and a field ±1 on each spin with probability
+    ``field``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    couplings = {key: int(rng.choice([-2, -1, 1, 2])) for key in pairs}
+    fields = {i: int(rng.choice([-1, 1])) for i in range(n) if rng.random() < field}
+    return ising_to_qubo(IsingModel.from_terms(n, fields, couplings))
+
+
+def _batch_cases(chunk: int):
+    """100 seeded QUBOs per chunk with 5–14 variables, every second one
+    with Fraction coefficients.  Every other pair is a spin glass with no
+    fields, whose frustration leaves long runs of probes that change
+    nothing, so most of their probes run in batches."""
+    rng = np.random.default_rng(4400 + chunk)
+    for k in range(100):
+        n, density = int(rng.integers(5, 15)), rng.uniform(0.2, 0.9)
+        if k % 4 < 2:
+            q = random_qubo(rng, n, density=density)
+        else:
+            q = _spin_glass(rng, n, density, 0.0)
+        yield with_fractions(rng, q) if k % 2 else q
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_batched_probes_match_single_probes(chunk, monkeypatch):
+    """Outcomes are repr-identical with up to 4 (or 3, or 2) probes per max
+    flow and with one; every batch of more than one pair stays within the
+    entries budget, which every sixth case cuts to about 3 pairs."""
+    batches = []
+    analyze_branch = probing.analyze_branch
+
+    def spy(pair, us):
+        batches.append((len(us), 2 * len(us) * len(pair.arr.qv), probing._BATCH_ENTRIES))
+        return analyze_branch(pair, us)
+
+    for k, q in enumerate(_batch_cases(chunk)):
+        monkeypatch.setattr(probing, "analyze_branch", spy)
+        monkeypatch.setattr(probing, "_BATCH", 1)
+        alone = repr(probe(q))
+        monkeypatch.setattr(probing, "_BATCH", (4, 3, 2)[k % 3])
+        if k % 6 == 0:
+            monkeypatch.setattr(probing, "_BATCH_ENTRIES", 6 * len(q.quadratic))
+        assert repr(probe(q)) == alone
+        monkeypatch.undo()
+    assert {2, 3, 4} <= {size for size, _, _ in batches}
+    assert all(entries <= budget for size, entries, budget in batches if size > 1)
+
+
+def test_batch_results_never_outlive_their_working_problem(monkeypatch):
+    """Each probe's result was computed on the working problem it is used
+    on: a change drops the rest of a batch, also where a stale result would
+    give the same outcome (it is still sound, only weaker)."""
+    made = {}  # id of a branch result -> (the result, the problem it is of)
+    analyze_branch = probing.analyze_branch
+    analyze_branches = probing._ProbeState.analyze_branches
+
+    def spy(pair, us):
+        out = analyze_branch(pair, us)
+        made.update((id(branch), (branch, pair.arr)) for branch in out)
+        return out
+
+    def checked(state, u, ahead):
+        result = analyze_branches(state, u, ahead)
+        assert all(made[id(branch)][1] is state.working() for branch in result)
+        return result
+
+    monkeypatch.setattr(probing, "analyze_branch", spy)
+    monkeypatch.setattr(probing._ProbeState, "analyze_branches", checked)
+    # Sparse spin glasses with a few fields: some probes record implications
+    # or fix variables after long runs that change nothing.
+    rng = np.random.default_rng(4500)
+    for _ in range(100):
+        probe(_spin_glass(rng, int(rng.integers(12, 24)), rng.uniform(0.05, 0.25), 0.2))
+    assert len(made) > 1000
