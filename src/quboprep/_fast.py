@@ -57,17 +57,7 @@ class BranchPair:
 
     @classmethod
     def of(cls, arr: IntArrays, pairs: int = 1) -> "BranchPair":
-        n, copies = arr.num_vars, 2 * pairs
-        shift = np.repeat(np.arange(0, copies * n, n, dtype=np.int64), len(arr.qv))
-        union = IntArrays(
-            copies * n,
-            arr.scale,
-            np.tile(arr.lin, copies),
-            np.tile(arr.qi, copies) + shift,
-            np.tile(arr.qj, copies) + shift,
-            np.tile(arr.qv, copies),
-            arr.offset,
-        )
+        union = IntArrays.union([arr] * (2 * pairs))
         return cls(arr, build_network(union), posiform_lin(arr), pairs)
 
 
@@ -110,7 +100,7 @@ def analyze_branch(
     caps[: 2 * lin.size] = np.stack([neg, pos], axis=-1).ravel()
     caps[net.indptr[2:-1] + 1] = np.stack([pos, neg], axis=-1).ravel()
     flow = max_flow(replace(net, caps=caps))
-    strong, weak = extract_labels(flow, lin.size)
+    strong, weak = extract_labels(flow)
     deltas = [d for u in us for d in (0, int(arr.lin[u]))]
     constants = [
         arr.offset + Fraction(delta - negative, scale)

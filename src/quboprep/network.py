@@ -19,8 +19,8 @@ terminal ones included, leave the layout as it is.  A literal row of
 variable k then holds one arc per term on k, to a literal of the term's
 other variable j, by increasing j, so row lengths follow from the variable
 degrees and the CSR is written directly from arrays with sorted keys,
-without sorting arcs.  Both maps are recorded per arc (``partner``,
-``rev``), by construction.
+without sorting arcs.  Each arc's skew partner is recorded (``partner``),
+by construction; no reader needs the reverse's index, so it is not stored.
 
 :func:`max_flow` runs capacity scaling on scipy's int32 kernel, which adds
 no arcs to a reverse-closed CSR, so its flow matrix lines up with the arcs
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -49,20 +48,19 @@ SINK = 1
 class ImplicationNetwork:
     """Merged arcs over 2N+2 nodes, stored as one canonical CSR.
 
-    Arc k runs ``tails[k] → heads[k]``; arcs are sorted by (tail, head), so
-    the arcs leaving node u are ``indptr[u]:indptr[u + 1]``.  ``partner[k]``
-    is the index of arc k's skew partner (v̄ → ū), which has the same
-    capacity; ``rev[k]`` is the index of its reverse (v → u).
+    Arcs are sorted by (tail, head), so the arcs leaving node u are
+    ``indptr[u]:indptr[u + 1]`` and arc k runs from its row to ``heads[k]``.
+    ``partner[k]`` is the index of arc k's skew partner (v̄ → ū), which has
+    the same capacity.  ``partner`` is int64 because ``max_flow`` gathers
+    the flows through it, and an int32 index makes that gather slower.
     """
 
     num_vars: int
     scale: int
-    tails: np.ndarray
     heads: np.ndarray
     caps: np.ndarray
     indptr: np.ndarray
     partner: np.ndarray
-    rev: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -81,7 +79,8 @@ def build_network(arr: IntArrays) -> ImplicationNetwork:
     the linear term on ℓ (0 where there is none), and one arc (u → v̄) per
     term u·v.  Their slots, their skew partners', their reverses' and the
     reverses' partners' form four blocks, so an arc's partner is the same
-    offset in block ``b ^ 1`` and its reverse in block ``b ^ 2``.
+    offset in block ``b ^ 1``, and an arc's head is the tail of the same
+    offset in block ``b ^ 2``.
     """
     n, m = arr.num_vars, len(arr.qv)
     qi, qj = arr.qi, arr.qj
@@ -113,15 +112,13 @@ def build_network(arr: IntArrays) -> ImplicationNetwork:
     caps = np.zeros(blocks.size, dtype=np.int64)
     lin_caps = np.stack([np.maximum(lin, 0), np.maximum(-lin, 0)], axis=-1).ravel()
     caps[blocks[0]] = caps[blocks[1]] = np.concatenate([lin_caps, np.abs(arr.qv)])
+    heads = np.empty(blocks.size, dtype=np.int32)
     partner = np.empty(blocks.size, dtype=np.int64)
-    rev = np.empty(blocks.size, dtype=np.int64)
-    for b in range(4):
+    ends = ((lits ^ 1, v ^ 1), (SINK, xi + 1), (SOURCE, xi), (lits, v))
+    for b, (lit_head, term_head) in enumerate(ends):
+        heads[lit[b]], heads[term[b]] = lit_head, term_head
         partner[blocks[b]] = blocks[b ^ 1]
-        rev[blocks[b]] = blocks[b ^ 2]
-    tails = np.repeat(np.arange(2 * n + 2, dtype=np.int32), np.diff(indptr))
-    return ImplicationNetwork(
-        n, 2 * arr.scale, tails, tails[rev], caps, indptr.astype(np.int32), partner, rev
-    )
+    return ImplicationNetwork(n, 2 * arr.scale, heads, caps, indptr.astype(np.int32), partner)
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,8 @@ class FlowResult:
 
     ``flow2`` holds, per arc, twice the symmetrized net flow (net convention:
     the flow on an arc's reverse is its negative), so residual capacities
-    stay integral: residual2 = 2·cap − flow2 on every arc, reverses
-    included.  ``flow_value`` is in scaled units (divide by
+    stay integral: twice an arc's residual is 2·cap − flow2, on every arc,
+    reverses included.  ``flow_value`` is in scaled units (divide by
     ``network.scale`` for energy units).
     """
 
@@ -139,16 +136,12 @@ class FlowResult:
     flow_value: int
     flow2: np.ndarray
 
-    @cached_property
-    def residual2(self) -> np.ndarray:
-        return 2 * self.network.caps - self.flow2
-
     def residual_adjacency(self) -> csr_matrix:
         """CSR over nodes with an entry per positive-residual arc: the
         network's own CSR under a mask.  The data are float64 ones, the
         dtype csgraph works in, so traversals do not copy them."""
         net = self.network
-        keep = self.residual2 > 0
+        keep = 2 * net.caps - self.flow2 > 0
         kept = np.zeros(net.num_arcs + 1, dtype=net.indptr.dtype)
         np.cumsum(keep, out=kept[1:])
         return csr_matrix(

@@ -94,27 +94,16 @@ def analyze(q: Qubo | IntArrays) -> PersistencyResult:
 def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
     """:func:`analyze` of each problem, all in one max flow.
 
-    The problems must share one scale.  Their disjoint union (problem b's
-    variable k is variable ``starts[b] + k``) goes through one posiform
+    The problems must share one scale.  Their disjoint union
+    (:meth:`~quboprep.posiform.IntArrays.union`) goes through one posiform
     rewrite, one network, one flow and one label extraction; the blocks
     share only the source and the sink, so :func:`split_blocks` gives each
     problem exactly the result it gets alone.
     """
     if not problems:
         return []
-    if any(arr.scale != problems[0].scale for arr in problems):
-        raise ValueError("problems analyzed together must share one scale")
+    union = IntArrays.union(problems)
     starts = np.cumsum([0] + [arr.num_vars for arr in problems])
-    shift = np.repeat(starts[:-1], [len(arr.qv) for arr in problems])
-    union = IntArrays(
-        int(starts[-1]),
-        problems[0].scale,
-        np.concatenate([arr.lin for arr in problems]),
-        np.concatenate([arr.qi for arr in problems]) + shift,
-        np.concatenate([arr.qj for arr in problems]) + shift,
-        np.concatenate([arr.qv for arr in problems]),
-        0,
-    )
     p = to_posiform(union)
     # Each problem's posiform constant: its offset plus its negative linear
     # part after the rewrite (the complemented linear terms of its block).
@@ -127,7 +116,7 @@ def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
     ]
     net = build_network(union)
     flow = max_flow(net)
-    strong, weak = extract_labels(flow, p.num_vars)
+    strong, weak = extract_labels(flow)
     return [
         PersistencyResult(arr.num_vars, s, w, as_coeff(bound))
         for arr, (s, w, bound) in zip(
@@ -169,7 +158,7 @@ def split_blocks(
     ]
 
 
-def extract_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:
+def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
     """Strong and weak variable labels from a symmetrized max-flow residual.
 
     Middle variables are taken in ascending order; one without a value gets

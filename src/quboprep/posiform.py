@@ -7,7 +7,8 @@ flat int64 arrays, with the offset kept exact.  Probing keeps its working
 problem in this form: :meth:`IntArrays.fold` eliminates fixed and
 substituted variables, :meth:`IntArrays.plus` adds two problems by a
 ``searchsorted`` merge, and every result is checked against the same
-magnitude limit.  Every constructor keeps the quadratic keys
+magnitude limit.  :meth:`IntArrays.union` lays several problems side by
+side, for one max flow.  Every constructor keeps the quadratic keys
 ``qi * num_vars + qj`` strictly increasing and drops zero entries, and the
 network layer relies on that order.  :func:`to_posiform` rewrites the
 arrays as a posiform: an exact constant plus strictly positive terms over
@@ -18,7 +19,7 @@ literals x_i / x̄_i, each literal packed into the int code
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from .errors import SizeGuardError
 from .model import Coeff, Qubo, as_coeff
 
 # Σ|a|·scale must stay below this: in max flow, caps − flows ≤ an arc's plus its
-# reverse's capacity, and residual2 = 2·cap − flow2 ≤ twice that is the largest int64 value.
+# reverse's capacity, and 2·cap − flow2 (twice the residual) ≤ twice that is the
+# largest int64 value.
 _MAGNITUDE_LIMIT = 2**62
 
 
@@ -113,6 +115,27 @@ class IntArrays:
         if np.abs(lin, dtype=np.float64).sum() + np.abs(out.qv, dtype=np.float64).sum() >= 2**61:
             _guard(sum(map(abs, lin.tolist())) + sum(map(abs, out.qv.tolist())), scale)
         return out
+
+    @classmethod
+    def union(cls, problems: Sequence["IntArrays"]) -> "IntArrays":
+        """The disjoint union of one or more problems of one scale: problem
+        b's variable k becomes variable ``starts[b] + k``, ``starts`` being
+        the running sums of ``num_vars``, so the keys stay strictly
+        increasing.  The offset is 0."""
+        scale = problems[0].scale
+        if any(arr.scale != scale for arr in problems):
+            raise ValueError("problems analyzed together must share one scale")
+        starts = np.cumsum([0] + [arr.num_vars for arr in problems])
+        shift = np.repeat(starts[:-1], [len(arr.qv) for arr in problems])
+        return cls(
+            int(starts[-1]),
+            scale,
+            np.concatenate([arr.lin for arr in problems]),
+            np.concatenate([arr.qi for arr in problems]) + shift,
+            np.concatenate([arr.qj for arr in problems]) + shift,
+            np.concatenate([arr.qv for arr in problems]),
+            0,
+        )
 
     def plus(self, other: "IntArrays") -> "IntArrays":
         """The sum of two problems over the same variables and scale: the

@@ -56,9 +56,28 @@ def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
         total += bottleneck
 
 
+def arc_tails(net: ImplicationNetwork) -> np.ndarray:
+    """The tail of every arc, read off the CSR row pointers."""
+    return np.repeat(np.arange(net.num_nodes), np.diff(net.indptr))
+
+
+def arc_reverses(net: ImplicationNetwork) -> np.ndarray:
+    """The index of every arc's reverse (v → u): a search of its key
+    ``head * num_nodes + tail`` among the sorted arc keys.  Asserts that the
+    keys strictly increase and that every reverse is stored."""
+    tails, heads = arc_tails(net), net.heads.astype(np.int64)
+    keys = tails * net.num_nodes + heads
+    assert (np.diff(keys) > 0).all()
+    wanted = heads * net.num_nodes + tails
+    rev = np.searchsorted(keys, wanted)
+    assert (rev < len(keys)).all()
+    assert (keys[rev] == wanted).all()
+    return rev
+
+
 def network_flow_value(net: ImplicationNetwork) -> int:
     """:func:`edmonds_karp` on the arcs of an implication network."""
-    arcs = zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist())
+    arcs = zip(arc_tails(net).tolist(), net.heads.tolist(), net.caps.tolist())
     return edmonds_karp(net.num_nodes, arcs, SOURCE, SINK)
 
 
@@ -147,9 +166,8 @@ def literal_node(var: int, complemented: bool = False) -> int:
 
 def arc_dict(net) -> dict[tuple[int, int], int]:
     """Positive-capacity arcs; the layout also stores zero-capacity ones."""
-    return {
-        (int(u), int(v)): int(c) for u, v, c in zip(net.tails, net.heads, net.caps) if c > 0
-    }
+    arcs = zip(arc_tails(net).tolist(), net.heads.tolist(), net.caps.tolist())
+    return {(u, v): c for u, v, c in arcs if c > 0}
 
 
 def reference_network(p: Posiform) -> ImplicationNetwork:
@@ -164,8 +182,8 @@ def reference_network(p: Posiform) -> ImplicationNetwork:
     partners are laid out as four blocks, so that an arc's partner is the
     same offset in the block ``block ^ 1`` and its reverse the same offset
     in the block ``block ^ 2``.  One sort puts them in CSR order and merges
-    parallel arcs by capacity addition; both maps carry over to the merged
-    arcs.
+    parallel arcs by capacity addition; the partner map carries over to the
+    merged arcs.
     """
     n = p.num_vars
     num_nodes = 2 * n + 2
@@ -190,14 +208,9 @@ def reference_network(p: Posiform) -> ImplicationNetwork:
     blocks = slot.reshape(4, len(u))
     partner = np.empty(len(keys), dtype=np.int64)
     partner[blocks] = blocks[[1, 0, 3, 2]]
-    rev = np.empty(len(keys), dtype=np.int64)
-    rev[blocks] = blocks[[2, 3, 0, 1]]
     indptr = np.searchsorted(keys, np.arange(num_nodes + 1) * num_nodes).astype(np.int32)
-    tails = np.repeat(np.arange(num_nodes), np.diff(indptr))
-    heads = keys - tails * num_nodes
-    return ImplicationNetwork(
-        n, 2 * p.scale, tails.astype(np.int32), heads.astype(np.int32), caps, indptr, partner, rev
-    )
+    heads = keys % num_nodes
+    return ImplicationNetwork(n, 2 * p.scale, heads.astype(np.int32), caps, indptr, partner)
 
 
 def reference_merged(num_vars, scale, lin, qi, qj, qv, offset) -> IntArrays:
@@ -300,25 +313,20 @@ def network_from_arcs(num_vars: int, arcs, scale: int = 2) -> ImplicationNetwork
 def assert_skew_partners(net) -> None:
     """The layout invariants: a canonical CSR (rows by tail, heads strictly
     ascending) in which arc ``partner[k]`` of every arc k is (v̄ → ū) with
-    the same capacity and arc ``rev[k]`` is (v → u)."""
-    rows = np.repeat(np.arange(net.num_nodes), np.diff(net.indptr))
-    assert (net.tails == rows).all()
-    keys = net.tails.astype(np.int64) * net.num_nodes + net.heads
-    assert (np.diff(keys) > 0).all()
-    p, r = net.partner, net.rev
-    assert (net.tails[p] == net.heads ^ 1).all()
-    assert (net.heads[p] == net.tails ^ 1).all()
+    the same capacity and the reverse (v → u) of every arc is stored."""
+    arc_reverses(net)
+    tails, p = arc_tails(net), net.partner
+    assert (tails[p] == net.heads ^ 1).all()
+    assert (net.heads[p] == tails ^ 1).all()
     assert (net.caps[p] == net.caps).all()
-    assert (net.tails[r] == net.heads).all()
-    assert (net.heads[r] == net.tails).all()
 
 
 def flow_fractions(result) -> dict[tuple[int, int], Fraction]:
     """Net symmetrized flow per arc, in energy units."""
     net = result.network
     return {
-        (int(u), int(v)): Fraction(int(f2), 2 * net.scale)
-        for u, v, f2 in zip(net.tails, net.heads, result.flow2)
+        (u, v): Fraction(f2, 2 * net.scale)
+        for u, v, f2 in zip(arc_tails(net).tolist(), net.heads.tolist(), result.flow2.tolist())
     }
 
 
@@ -329,8 +337,8 @@ def residual_caps(result) -> dict[tuple[int, int], Fraction]:
     net = result.network
     out: dict[tuple[int, int], Fraction] = {}
     positive = arc_dict(net)
-    arcs = zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist(), result.flow2.tolist())
-    for u, v, c, f2 in arcs:
+    tails = arc_tails(net).tolist()
+    for u, v, c, f2 in zip(tails, net.heads.tolist(), net.caps.tolist(), result.flow2.tolist()):
         if c > 0:
             out[(u, v)] = Fraction(2 * c - f2, 2 * net.scale)
             if (v, u) not in positive and f2 > 0:
@@ -338,7 +346,7 @@ def residual_caps(result) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def reference_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int]]:
+def reference_labels(flow) -> tuple[dict[int, int], dict[int, int]]:
     """Strong and weak labels by the component-level closure search that
     ``persistency.extract_labels`` replaced; kept as its differential oracle."""
     n_nodes = flow.network.num_nodes
@@ -364,7 +372,7 @@ def reference_labels(flow, num_vars: int) -> tuple[dict[int, int], dict[int, int
     middle[:2] = False
 
     weak = dict(strong)
-    middle_vars = [v for v in range(num_vars) if middle[2 * v + 2]]
+    middle_vars = [v for v in range(flow.network.num_vars) if middle[2 * v + 2]]
     if middle_vars:
         _, labels = connected_components(adj, directed=True, connection="strong")
         comp_next: dict[int, set[int]] = {}

@@ -23,7 +23,7 @@ def _alone(arr: IntArrays) -> PersistencyResult:
     p = to_posiform(arr)
     net = reference_network(p)
     flow = max_flow(net)
-    strong, weak = extract_labels(flow, arr.num_vars)
+    strong, weak = extract_labels(flow)
     bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
     return PersistencyResult(arr.num_vars, strong, weak, bound)
 

@@ -66,10 +66,9 @@ def test_all_isolated_problem():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_pair_on_the_dinic_path(seed, monkeypatch):
+def test_pair_source_total_past_int32(seed, monkeypatch):
     """Coefficients scaled so that every branch's source capacity fits int32
-    but some pair's does not.  The name is historical: the pair used to fall
-    back to a second kernel here.  Every arc fits int32, so each flow is one
+    but some pair's does not.  Every arc fits int32, so each flow is one
     call of scipy's kernel, and the pair must match each branch alone."""
     sources: dict[str, list[int]] = {"pair": [], "single": []}
 

@@ -55,9 +55,9 @@ def _odd_cycle_cuts():
     return out
 
 
-def _same_labels(flow: FlowResult, num_vars: int) -> tuple[dict, dict]:
-    got = extract_labels(flow, num_vars)
-    assert repr(got) == repr(reference_labels(flow, num_vars))
+def _same_labels(flow: FlowResult) -> tuple[dict, dict]:
+    got = extract_labels(flow)
+    assert repr(got) == repr(reference_labels(flow))
     return got
 
 
@@ -65,13 +65,13 @@ def _same_labels(flow: FlowResult, num_vars: int) -> tuple[dict, dict]:
 def test_labels_match_reference_on_random_qubos(chunk):
     """480 seeded instances, every second one with Fraction coefficients."""
     for q in _random_cases(chunk):
-        _same_labels(_flow(q), q.num_vars)
+        _same_labels(_flow(q))
 
 
 def test_labels_match_reference_with_frustrated_variables():
     frustrated_seen = 0
     for q in _odd_cycle_cuts():
-        _, weak = _same_labels(_flow(q), q.num_vars)
+        _, weak = _same_labels(_flow(q))
         frustrated_seen += q.num_vars - len(weak)
     assert frustrated_seen > 0
 
@@ -89,7 +89,7 @@ def test_rejected_negative_closure_falls_back_to_positive():
     p = _hand_posiform(2, [], [(1, 3, 1), (1, 2, 1)])
     flow = max_flow(reference_network(p))
     assert flow.flow_value == 0
-    assert _same_labels(flow, 2) == ({}, {0: 1, 1: 0})
+    assert _same_labels(flow) == ({}, {0: 1, 1: 0})
 
 
 def test_both_literals_reachable_raises():
@@ -99,7 +99,7 @@ def test_both_literals_reachable_raises():
     flow = FlowResult(net, 0, np.zeros(net.num_arcs, dtype=np.int64))
     for labels in (extract_labels, reference_labels):
         with pytest.raises(AssertionError, match="max flow is not maximal"):
-            labels(flow, 2)
+            labels(flow)
 
 
 def _reach_is_consistent(adj, start: int, middle: np.ndarray) -> bool:
@@ -118,7 +118,7 @@ def test_no_unfrustrated_variable_has_two_failing_closures():
         if flow.network.num_arcs == 0:
             continue
         adj = flow.residual_adjacency()
-        strong, _ = extract_labels(flow, q.num_vars)
+        strong, _ = extract_labels(flow)
         _, comp = connected_components(adj, directed=True, connection="strong")
         middle = np.ones(flow.network.num_nodes, dtype=bool)
         middle[:2] = False

@@ -20,6 +20,8 @@ from quboprep.probing import probe
 
 from helpers import (
     arc_dict,
+    arc_reverses,
+    arc_tails,
     assert_skew_partners,
     count_kernel_calls,
     exact_min,
@@ -104,7 +106,7 @@ def test_scaled_capacities_scale_the_flow():
 def test_flow_value_invariant_under_arc_order():
     q = random_qubo(np.random.default_rng(7), 8)
     net = _network(q)
-    shuffled = list(zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist()))
+    shuffled = list(zip(arc_tails(net).tolist(), net.heads.tolist(), net.caps.tolist()))
     rng = np.random.default_rng(0)
     rng.shuffle(shuffled)
     net2 = network_from_arcs(q.num_vars, shuffled, scale=net.scale)
@@ -152,14 +154,15 @@ def test_csr_graph_from_stored_indptr_matches_coo(seed):
     caps32 = net.caps.astype(np.int32)
     shape = (net.num_nodes, net.num_nodes)
     stored = csr_matrix((caps32, net.heads, net.indptr), shape=shape)
-    from_coo = csr_matrix((caps32, (net.tails, net.heads)), shape=shape)
+    tails = arc_tails(net)
+    from_coo = csr_matrix((caps32, (tails, net.heads)), shape=shape)
     for a, b in ((stored.indptr, from_coo.indptr), (stored.indices, from_coo.indices)):
         assert a.tolist() == b.tolist()
     f1, f2 = maximum_flow(stored, SOURCE, SINK), maximum_flow(from_coo, SOURCE, SINK)
     assert (f1.flow != f2.flow).nnz == 0
     coo = f2.flow.tocoo()
     by_arc = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
-    per_arc = np.array([by_arc[arc] for arc in zip(net.tails.tolist(), net.heads.tolist())])
+    per_arc = np.array([by_arc[arc] for arc in zip(tails.tolist(), net.heads.tolist())])
     result = max_flow(net)
     assert result.flow_value == f2.flow_value
     assert result.flow2.tolist() == (per_arc + per_arc[net.partner]).tolist()
@@ -241,9 +244,9 @@ def _assert_max_flow_certificate(result) -> None:
     * 0 ≤ flow2 ≤ 2·cap on every arc of positive capacity.
     """
     net = result.network
-    tails, heads = net.tails.tolist(), net.heads.tolist()
+    tails, heads = arc_tails(net).tolist(), net.heads.tolist()
     caps, flow2 = net.caps.tolist(), result.flow2.tolist()
-    rev = net.rev.tolist()
+    rev = arc_reverses(net).tolist()
     out: dict[int, list[int]] = {}
     for k, u in enumerate(tails):
         out.setdefault(u, []).append(k)
@@ -274,9 +277,8 @@ def _certificate_cases():
 
 
 @pytest.mark.parametrize("case", range(6))
-def test_max_flow_certificate_on_both_kernels(case):
-    """With one scaling phase, and with several on capacities × 2**32.  The
-    name is historical: the scaled copy used to run on a second kernel."""
+def test_max_flow_certificate_on_one_and_many_phases(case):
+    """With one scaling phase, and with several on capacities × 2**32."""
     q = list(_certificate_cases())[case]
     net = _network(q)
     _assert_max_flow_certificate(max_flow(net))
@@ -355,10 +357,10 @@ def test_max_flow_certificate_on_pair_networks(monkeypatch):
 
 def _assert_reference_layout(arr: IntArrays) -> None:
     """``build_network(arr)`` equals the sort-and-merge network of the
-    posiform of ``arr`` in all six arrays, their dtypes, num_vars and scale."""
+    posiform of ``arr`` in all four arrays, their dtypes, num_vars and scale."""
     net, ref = build_network(arr), reference_network(to_posiform(arr))
     assert (net.num_vars, net.scale) == (ref.num_vars, ref.scale)
-    for name in ("tails", "heads", "caps", "indptr", "partner", "rev"):
+    for name in ("heads", "caps", "indptr", "partner"):
         got, want = getattr(net, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name

@@ -377,6 +377,56 @@ def test_fold_matches_the_reference(case):
     _same_or_both_raise(lambda: arr.fold(fixes, cls), lambda: reference_fold(arr, fixes, cls))
 
 
+@st.composite
+def _batches(draw):
+    """One to five problems of 0 to 5 variables with int or Fraction
+    coefficients, some without any term, and whether to bring them to one
+    scale."""
+    qs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 5))
+        coeff = st.integers(-4, 4)
+        if draw(st.booleans()):
+            coeff = st.builds(Fraction, coeff, st.integers(1, 4))
+        terms = draw(st.booleans())
+        lin = {i: draw(coeff) for i in range(n) if terms}
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        quad = {k: draw(coeff) for k in pairs if terms and draw(st.booleans())}
+        qs.append(Qubo.from_terms(n, lin, quad, draw(coeff)))
+    return qs, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+def test_union_shifts_each_block(case):
+    """Block b of the union is problem b with its variables shifted by the
+    variable count of the problems before it; mixed scales raise."""
+    qs, shared = case
+    arrs = [IntArrays.from_qubo(q) for q in qs]
+    if shared:
+        scale = math.lcm(*(arr.scale for arr in arrs))
+        arrs = [_at_scale(q, scale) for q in qs]
+    if len({arr.scale for arr in arrs}) > 1:
+        with pytest.raises(ValueError, match="scale"):
+            IntArrays.union(arrs)
+        return
+    union = IntArrays.union(arrs)
+    _assert_invariant(union)
+    assert (union.num_vars, union.scale, union.offset) == (
+        sum(arr.num_vars for arr in arrs), arrs[0].scale, 0
+    )
+    start = at = 0
+    for arr in arrs:
+        n, m = arr.num_vars, len(arr.qv)
+        qi, qj = union.qi[at : at + m] - start, union.qj[at : at + m] - start
+        block = IntArrays(
+            n, union.scale, union.lin[start : start + n], qi, qj, union.qv[at : at + m], arr.offset
+        )
+        assert_same_arrays(block, arr)
+        start, at = start + n, at + m
+    assert (start, at) == (union.num_vars, len(union.qv))
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_the_limit_is_kept_exactly(extra):
     """Results of magnitude 2**62 - 1 pass and results of 2**62 raise, in
