@@ -17,8 +17,12 @@ entries on very wide levels).  The depth-first recursion then replays that
 plan and calls the leaf solver, so leaf calls, their order and the
 statistics are those of analyzing node by node.  The root's boolean
 adjacency matrix is built once per call; a node's matrix is its rows and
-columns at the node's members, and a leaf's ``Graph`` is built from that
-matrix's packed rows as neighbour bitmasks, without edge tuples.  The
+columns at the node's members.  The default leaf solver searches a leaf on
+the root's neighbour masks (:func:`~quboprep.oracle.max_clique_within`):
+a leaf's members are sorted, so root indices order them as its own indices
+would, and the search finds the clique it finds on the leaf's own graph.
+Only a custom solver gets a leaf ``Graph``, built from the packed rows of
+the leaf's matrix as neighbour bitmasks, without edge tuples.  The
 recursion runs on an explicit stack, so its depth is not bounded by
 Python's recursion limit.
 """
@@ -32,6 +36,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import oracle
 from .errors import SolverValidationError
 from .graphs import Graph, set_bits
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
@@ -83,9 +88,7 @@ class LeafSolver:
 
 
 def default_leaf_solver(threshold: int = DEFAULT_THRESHOLD) -> LeafSolver:
-    from .oracle import exact_max_clique
-
-    return LeafSolver(exact_max_clique, threshold)
+    return LeafSolver(oracle.exact_max_clique, threshold)
 
 
 @dataclass
@@ -159,7 +162,7 @@ def _step(
                 raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
             keep &= adj[v]
         return _FORCED, ones, [keep]
-    v = min(members, key=lambda u: ((adj[u] & mask).bit_count(), u))
+    _, v = min(((adj[u] & mask).bit_count(), u) for u in members)
     return _SPLIT, 1 << v, [mask & ~(1 << v), adj[v] & mask]
 
 
@@ -226,6 +229,12 @@ def max_clique_split(
         solver = default_leaf_solver()
     stats = SplitStats()
     adj = g.adjacency_bits
+    # The exact oracle searches a leaf on the root's masks, with no leaf
+    # Graph.  The name is read at call time, so a wrapper put in its place
+    # in the module still matches.
+    on_root = solver.fn is oracle.exact_max_clique
+    if on_root:
+        outside = [~(a | 1 << v) for v, a in enumerate(adj)]
     matrix = np.zeros((g.n, g.n), dtype=bool)
     u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     matrix[u, v] = matrix[v, u] = True
@@ -250,8 +259,14 @@ def max_clique_split(
             continue
         if mask.bit_count() <= solver.threshold:
             stats.n_calls += 1
-            members, sub = _induced(matrix, mask)
-            found.append(sum(1 << members[k] for k in solver.solve(_leaf(sub))))
+            if on_root:
+                clique = oracle.max_clique_within(adj, outside, mask)
+                if clique & ~mask:
+                    raise AssertionError("leaf clique leaves its subgraph")
+                found.append(clique)
+            else:
+                members, sub = _induced(matrix, mask)
+                found.append(sum(1 << members[k] for k in solver.solve(_leaf(sub))))
             continue
         if use_persistency:
             combine, bits, children = plan[mask]

@@ -141,11 +141,9 @@ class FlowResult:
         network's own CSR under a mask.  The data are float64 ones, the
         dtype csgraph works in, so traversals do not copy them."""
         net = self.network
-        keep = 2 * net.caps - self.flow2 > 0
-        kept = np.zeros(net.num_arcs + 1, dtype=net.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
+        kept = np.flatnonzero(2 * net.caps - self.flow2 > 0)
         return csr_matrix(
-            (np.ones(int(kept[-1])), net.heads[keep], kept[net.indptr]),
+            (np.ones(len(kept)), net.heads[kept], np.searchsorted(kept, net.indptr)),
             shape=(net.num_nodes, net.num_nodes),
         )
 
@@ -177,7 +175,7 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
     if net.num_arcs == 0:
         return FlowResult(net, 0, np.empty(0, dtype=np.int64))
     top = max(0, int(net.caps.max()).bit_length() - 31)
-    flows = _kernel_flow(net, net.caps >> top) << top
+    flows = _kernel_flow(net, net.caps >> top) << top if top else _kernel_flow(net, net.caps)
     for s in range(top - 1, -1, -1):
         phase = np.minimum((net.caps - flows) >> s, 2 * net.num_arcs)
         flows += _kernel_flow(net, phase) << s

@@ -91,16 +91,24 @@ def brute_force_qubo(
     return minimum, assignments
 
 
-def _greedy_clique(adj) -> int:
-    """Bitmask of a greedily grown clique (initial lower bound)."""
-    degrees = [a.bit_count() for a in adj]
+def _greedy_clique(adj, cand: int) -> int:
+    """Bitmask of a clique greedily grown within ``cand`` (initial lower
+    bound), from each of the 8 vertices of highest degree within ``cand``
+    (ties by index).  A clique grown from a seed is at most one larger than
+    the seed's degree, and only a larger clique replaces the best one, so
+    the seeds stop once the best clique outgrows the next seed's degree."""
+    members = set_bits(cand)
+    degrees = [(adj[v] & cand).bit_count() for v in members]
     best = 0
-    for seed in sorted(range(len(adj)), key=degrees.__getitem__, reverse=True)[:8]:
-        mask, cand = 1 << seed, adj[seed]
-        while cand:
-            low = cand & -cand
+    for k in sorted(range(len(members)), key=degrees.__getitem__, reverse=True)[:8]:
+        if best.bit_count() > degrees[k]:
+            break
+        seed = members[k]
+        mask, grow = 1 << seed, adj[seed] & cand
+        while grow:
+            low = grow & -grow
             mask |= low
-            cand &= adj[low.bit_length() - 1]
+            grow &= adj[low.bit_length() - 1]
         if mask.bit_count() > best.bit_count():
             best = mask
     return best
@@ -127,14 +135,16 @@ def _color_order(cand: int, outside, floor: int) -> tuple[list[int], list[int]]:
     return ordered, bounds
 
 
-def exact_max_clique(g: Graph) -> tuple[int, ...]:
-    """A maximum clique via branch-and-bound with a greedy-coloring bound,
-    the color classes peeled off each node's candidate bitmask."""
-    if g.n == 0:
-        return ()
-    adj = g.adjacency_bits
-    outside = [~(a | 1 << v) for v, a in enumerate(adj)]
-    best_mask = _greedy_clique(adj)
+def max_clique_within(adj, outside, cand: int) -> int:
+    """Bitmask of a maximum clique among the vertices of ``cand``, by
+    branch-and-bound with a greedy-coloring bound, the color classes peeled
+    off each node's candidate bitmask.
+
+    ``adj[v]`` is v's neighbour bitmask and ``outside[v]`` is ``~(adj[v] |
+    1 << v)``.  Only the bits of ``cand`` are read, in ascending order, so a
+    subgraph's clique comes out of its parent's masks as it comes out of its
+    own, relabelled."""
+    best_mask = _greedy_clique(adj, cand)
     best_size = best_mask.bit_count()
     nodes_visited = 0
 
@@ -157,11 +167,18 @@ def exact_max_clique(g: Graph) -> tuple[int, ...]:
                 best_mask, best_size = new_mask, size + 1
             cand_mask &= ~(1 << v)
 
-    expand((1 << g.n) - 1, 0, 0)
-    result = tuple(set_bits(best_mask))
-    if any(best_mask & outside[v] for v in result):
+    if cand:
+        expand(cand, 0, 0)
+    if any(best_mask & outside[v] for v in set_bits(best_mask)):
         raise AssertionError("branch-and-bound produced a non-clique")
-    return result
+    return best_mask
+
+
+def exact_max_clique(g: Graph) -> tuple[int, ...]:
+    """A maximum clique of ``g``: :func:`max_clique_within` on all of it."""
+    adj = g.adjacency_bits
+    outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+    return tuple(set_bits(max_clique_within(adj, outside, (1 << g.n) - 1)))
 
 
 def exact_max_cut(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:

@@ -107,13 +107,11 @@ def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
     p = to_posiform(union)
     # Each problem's posiform constant: its offset plus its negative linear
     # part after the rewrite (the complemented linear terms of its block).
-    negative = np.zeros(p.num_vars, dtype=np.int64)
+    negative = np.zeros(p.num_vars + 1, dtype=np.int64)
     odd = (p.lin_codes & 1) == 1
-    negative[p.lin_codes[odd] >> 1] = p.lin_vals[odd]
-    constants = [
-        arr.offset - Fraction(int(negative[lo:hi].sum()), p.scale)
-        for arr, lo, hi in zip(problems, starts[:-1].tolist(), starts[1:].tolist())
-    ]
+    negative[(p.lin_codes[odd] >> 1) + 1] = p.lin_vals[odd]
+    sums = np.diff(np.cumsum(negative)[starts]).tolist()
+    constants = [arr.offset - Fraction(s, p.scale) for arr, s in zip(problems, sums)]
     net = build_network(union)
     flow = max_flow(net)
     strong, weak = extract_labels(flow)
@@ -151,11 +149,10 @@ def split_blocks(
                 lo, hi, block = starts[b], starts[b + 1], out[b][k]
             block[j - lo] = v
     scale = flow.network.scale
-    flow2 = flow.flow2
-    return [
-        (s, w, c + Fraction(int(flow2[2 * lo : 2 * hi].sum()) // 2, scale))
-        for (s, w), c, lo, hi in zip(out, constants, starts, starts[1:])
-    ]
+    source = np.zeros(2 * starts[-1] + 1, dtype=np.int64)
+    np.cumsum(flow.flow2[: 2 * starts[-1]], out=source[1:])
+    sums = np.diff(source[2 * np.asarray(starts)]).tolist()
+    return [(s, w, c + Fraction(f // 2, scale)) for (s, w), c, f in zip(out, constants, sums)]
 
 
 def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
@@ -194,8 +191,21 @@ def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
         frustrated[2:] = np.repeat(labels[2::2] == labels[3::2], 2)
         value = np.full(n_nodes, -1, dtype=np.int8)
         in_reach = np.zeros(n_nodes, dtype=bool)
-        for var in middle_vars[~frustrated[2 * middle_vars + 2]].tolist():
+        # A middle x̄ with no residual arc into a middle literal reaches none:
+        # what the source reaches reaches none, and an arc from x̄ to the
+        # sink or to the complement of a literal the source reaches would,
+        # by skew symmetry, let the source reach x.  So x̄'s closure is {x̄},
+        # which is consistent, and x takes 0 without a BFS.
+        into_middle = np.zeros(len(adj.indices) + 1, dtype=np.int64)
+        np.cumsum(middle[adj.indices], out=into_middle[1:])
+        todo = middle_vars[~frustrated[2 * middle_vars + 2]]
+        x_bar = 2 * todo + 3
+        alone = into_middle[adj.indptr[x_bar + 1]] == into_middle[adj.indptr[x_bar]]
+        for var, lone in zip(todo.tolist(), alone.tolist()):
             if value[2 * var + 2] >= 0:
+                continue
+            if lone:
+                value[2 * var + 2], value[2 * var + 3] = 0, 1
                 continue
             # Prefer the orientation that sets this (lowest unresolved) var to 0.
             for start in (2 * var + 3, 2 * var + 2):

@@ -45,7 +45,11 @@ def _denominator_lcm(*groups) -> int:
 
 
 def _scaled(values, scale: int) -> list[int]:
-    return list(values) if scale == 1 else [int(a * scale) for a in values]
+    """``values`` times ``scale``, a multiple of every denominator among them,
+    in integer arithmetic (an int's denominator is 1)."""
+    if scale == 1:
+        return list(values)
+    return [a.numerator * (scale // a.denominator) for a in values]
 
 
 def _guard(magnitude: int, scale: int) -> None:

@@ -261,16 +261,25 @@ def test_leaves_wider_than_64_vertices_equal_the_induced_subgraph(monkeypatch):
 
 
 def test_default_leaf_solver_never_derives_leaf_edges(monkeypatch):
-    """The oracle and the leaf validation read only bitmasks, so no leaf
-    graph builds its edge tuple; a leaf function that reads it gets it."""
+    """The default solver searches each leaf on the root's masks, so it
+    builds no leaf graph (``_leaf`` is never called) and no graph derives
+    its edge tuple; a custom leaf function gets a leaf graph, and one that
+    reads its edges gets them."""
     derived = []
     lazy = Graph.__getattr__
+    leaves = []
+    build_leaf = decompose._leaf
 
     def spy(self, name):
         derived.append(name)
         return lazy(self, name)
 
+    def leaf_spy(sub):
+        leaves.append(len(sub))
+        return build_leaf(sub)
+
     monkeypatch.setattr(Graph, "__getattr__", spy)
+    monkeypatch.setattr(decompose, "_leaf", leaf_spy)
     g = _bench_graph(1)
     threshold = _workloads().SPLIT_THRESHOLD
     calls = 0
@@ -279,6 +288,7 @@ def test_default_leaf_solver_never_derives_leaf_edges(monkeypatch):
         calls += stats.n_calls
     assert calls > 2000
     assert derived == []
+    assert leaves == []
 
     small = gen_gnp(30, 0.5, 0)
 
@@ -289,3 +299,26 @@ def test_default_leaf_solver_never_derives_leaf_edges(monkeypatch):
     clique, _ = max_clique_split(small, LeafSolver(reader, 10))
     assert len(clique) == len(exact_max_clique(small))
     assert "edges" in derived
+    assert leaves
+
+
+def test_default_solver_on_leaves_wider_than_64_vertices(monkeypatch):
+    """Leaves of more than 64 vertices span several words of the root's
+    masks; the default solver's cliques and counters equal those of the
+    same oracle handed a leaf ``Graph``."""
+    g = gen_gnp(80, 0.3, 5)
+    widths = []
+    within = decompose.oracle.max_clique_within
+
+    def spy(adj, outside, cand):
+        widths.append(cand.bit_count())
+        return within(adj, outside, cand)
+
+    monkeypatch.setattr(decompose.oracle, "max_clique_within", spy)
+    # A wrapper is not the oracle itself, so it takes the leaf-Graph path.
+    on_graphs = LeafSolver(lambda sub: exact_max_clique(sub), 65)
+    for use_persistency in (False, True):
+        widths.clear()
+        on_root = max_clique_split(g, default_leaf_solver(65), use_persistency)
+        assert max(widths) > 64
+        assert on_root == max_clique_split(g, on_graphs, use_persistency)

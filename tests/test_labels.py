@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from quboprep import _fast
+from quboprep._fast import BranchPair, analyze_branch
 from quboprep.graphs import Graph
 from quboprep.model import Qubo, ising_to_qubo
 from quboprep.network import FlowResult, build_network, max_flow
@@ -74,6 +76,38 @@ def test_labels_match_reference_with_frustrated_variables():
         _, weak = _same_labels(_flow(q))
         frustrated_seen += q.num_vars - len(weak)
     assert frustrated_seen > 0
+
+
+@pytest.mark.parametrize("pairs", [1, 4])
+def test_labels_match_reference_on_branch_layouts(pairs, monkeypatch):
+    """The flows of probe branch layouts, whose probed variables are
+    isolated in every copy; many middle x̄ there reach no middle literal,
+    which extract_labels values without a BFS."""
+    flows = []
+
+    def spy(flow):
+        flows.append(flow)
+        return extract_labels(flow)
+
+    monkeypatch.setattr(_fast, "extract_labels", spy)
+    for q in _random_cases(200 + pairs, 30) + _odd_cycle_cuts():
+        layout = BranchPair.of(IntArrays.from_qubo(q), pairs)
+        n = q.num_vars
+        for start in range(0, n, pairs):
+            analyze_branch(layout, [(start + p) % n for p in range(pairs)])
+    lone = 0
+    for flow in flows:
+        _same_labels(flow)
+        adj = flow.residual_adjacency()
+        strong, _ = extract_labels(flow)
+        middle = np.ones(flow.network.num_nodes, dtype=bool)
+        middle[:2] = False
+        for var in strong:
+            middle[2 * var + 2 : 2 * var + 4] = False
+        for var in np.flatnonzero(middle[3::2]).tolist():
+            x_bar = 2 * var + 3
+            lone += not middle[adj.indices[adj.indptr[x_bar] : adj.indptr[x_bar + 1]]].any()
+    assert lone > 0
 
 
 def _hand_posiform(num_vars, lin, quad) -> Posiform:

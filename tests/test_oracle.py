@@ -10,9 +10,11 @@ from quboprep.graphs import Graph, gen_cfat, gen_gnp, set_bits
 from quboprep.model import Qubo
 from quboprep.oracle import (
     _color_order,
+    _greedy_clique,
     brute_force_qubo,
     exact_max_clique,
     exact_max_cut,
+    max_clique_within,
     verify_persistency,
 )
 from quboprep.persistency import PersistencyResult, analyze
@@ -143,6 +145,39 @@ class TestExactMaxClique:
         assert list(clique) == sorted(set(clique))
         assert g.is_clique(clique)
         assert len(clique) == brute_force_clique_size(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=80), st.data())
+    def test_search_within_a_mask_is_the_induced_subgraphs_search(self, g, data):
+        """On the root's masks, the clique found within ``cand`` is the one
+        found on the induced subgraph, mapped back to root indices; n up to
+        80 makes masks span several words."""
+        cand = data.draw(st.integers(0, (1 << g.n) - 1))
+        adj = g.adjacency_bits
+        outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+        sub, labels = g.induced(set_bits(cand))
+        want = sum(1 << labels[v] for v in exact_max_clique(sub))
+        assert max_clique_within(adj, outside, cand) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=40), st.data())
+    def test_greedy_start_stops_without_changing_its_clique(self, g, data):
+        """Stopping once the best clique outgrows the next seed's degree
+        gives the clique that growing from all 8 seeds gives."""
+        cand = data.draw(st.integers(0, (1 << g.n) - 1))
+        adj = g.adjacency_bits
+        members = set_bits(cand)
+        degree = {v: (adj[v] & cand).bit_count() for v in members}
+        want = 0
+        for seed in sorted(members, key=lambda v: (-degree[v], v))[:8]:
+            mask, grow = 1 << seed, adj[seed] & cand
+            while grow:
+                low = grow & -grow
+                mask |= low
+                grow &= adj[low.bit_length() - 1]
+            if mask.bit_count() > want.bit_count():
+                want = mask
+        assert _greedy_clique(adj, cand) == want
 
 
 class TestExactMaxCut:

@@ -22,6 +22,7 @@ from helpers import (
     reference_fold,
     reference_merged,
     reference_plus,
+    with_fractions,
 )
 
 
@@ -290,6 +291,24 @@ def test_from_qubo_sorts_once_and_guards_the_magnitude(q):
             n, scale, lin, [i for i, _ in keys], [j for _, j in keys], qv, q.offset
         ),
     )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_qubo_scales_fractions_by_integer_products(seed):
+    """Each coefficient a scales to a.numerator * (scale // a.denominator),
+    which equals the old int(a * scale), with ints and Fractions mixed."""
+    rng = np.random.default_rng(seed)
+    q = with_fractions(rng, random_qubo(rng, int(rng.integers(1, 16)), (-9, 9)))
+    coeffs = [*q.linear.values(), *q.quadratic.values()]
+    assert any(isinstance(a, Fraction) for a in coeffs)
+    scale = math.lcm(*(Fraction(a).denominator for a in coeffs))
+    arr = IntArrays.from_qubo(q)
+    assert arr.scale == scale
+    assert arr.lin.tolist() == [int(q.linear.get(i, 0) * scale) for i in range(q.num_vars)]
+    quad = {k: int(a * scale) for k, a in sorted(q.quadratic.items()) if a}
+    assert list(zip(arr.qi.tolist(), arr.qj.tolist())) == list(quad)
+    assert arr.qv.tolist() == list(quad.values())
+    assert arr.offset == q.offset
 
 
 @st.composite

@@ -13,7 +13,10 @@ still built an induced ``Graph`` and a clique ``Qubo`` at every node:
 
 Each record holds the clique, the three ``SplitStats`` counters and a digest
 of the leaf calls: the sequence of graphs handed to the leaf solver, in call
-order.  Regenerate with ``PYTHONPATH=src python tests/test_split_golden.py``.
+order.  The records come from a custom leaf solver, which gets a leaf
+``Graph``; :func:`~quboprep.decompose.default_leaf_solver` searches each leaf
+on the root's masks instead and must give the same clique and counters.
+Regenerate with ``PYTHONPATH=src python tests/test_split_golden.py``.
 """
 
 import functools
@@ -27,7 +30,7 @@ import numpy as np
 import pytest
 
 from quboprep import decompose
-from quboprep.decompose import LeafSolver, max_clique_split
+from quboprep.decompose import LeafSolver, default_leaf_solver, max_clique_split
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique
 from quboprep.persistency import analyze_all
@@ -54,6 +57,17 @@ def _workloads():
     return module
 
 
+def counters(g: Graph, solver: LeafSolver, mode: str) -> dict:
+    """The clique and the three counters of splitting ``g`` in ``mode``."""
+    clique, stats = max_clique_split(g, solver, **_MODES[mode])
+    return {
+        "clique": list(clique),
+        "n_calls": stats.n_calls,
+        "max_depth": stats.max_depth,
+        "eliminated": stats.vertices_eliminated_by_persistency,
+    }
+
+
 def record(g: Graph, threshold: int, mode: str) -> dict:
     """Outcome of splitting ``g`` in ``mode`` with the exact leaf solver."""
     leaves = hashlib.sha256()
@@ -62,14 +76,15 @@ def record(g: Graph, threshold: int, mode: str) -> dict:
         leaves.update(json.dumps([sub.n, sub.edges]).encode())
         return exact_max_clique(sub)
 
-    clique, stats = max_clique_split(g, LeafSolver(leaf, threshold), **_MODES[mode])
-    return {
-        "clique": list(clique),
-        "n_calls": stats.n_calls,
-        "max_depth": stats.max_depth,
-        "eliminated": stats.vertices_eliminated_by_persistency,
-        "leaves": leaves.hexdigest()[:16],
-    }
+    outcome = counters(g, LeafSolver(leaf, threshold), mode)
+    return dict(outcome, leaves=leaves.hexdigest()[:16])
+
+
+def _default_solver_matches(g: Graph, threshold: int, mode: str, outcome: dict) -> bool:
+    """Whether the default solver, which builds no leaf graphs, gives the
+    recorded clique and counters."""
+    want = {k: v for k, v in outcome.items() if k != "leaves"}
+    return counters(g, default_leaf_solver(threshold), mode) == want
 
 
 class _OverBudget(Exception):
@@ -138,6 +153,17 @@ def test_random_outcomes_match_golden(mode):
         assert record(g, case["threshold"], mode) == case["outcome"], case
 
 
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_default_solver_matches_golden(mode):
+    """The default solver's root-mask leaves reproduce every recorded
+    clique and counter."""
+    cases = [c for c in _GOLDEN["random"] if c["mode"] == mode]
+    assert cases
+    for case in cases:
+        g = gen_gnp(case["n"], case["p"], case["seed"])
+        assert _default_solver_matches(g, case["threshold"], mode, case["outcome"]), case
+
+
 def test_golden_random_set_exercises_the_recursion():
     """The oracle covers deep splits, persistency shrinking and leaf-only graphs."""
     outcomes = [c["outcome"] for c in _GOLDEN["random"]]
@@ -177,6 +203,16 @@ def test_bench_outcomes_match_golden(seed, mode):
     (case,) = [c for c in _GOLDEN["bench"] if (c["seed"], c["mode"]) == (seed, mode)]
     threshold = _workloads().SPLIT_THRESHOLD
     assert record(_bench_graph(seed), threshold, mode) == case["outcome"]
+
+
+
+@pytest.mark.parametrize(
+    "seed, mode", [(c["seed"], c["mode"]) for c in _GOLDEN["bench"]]
+)
+def test_default_solver_matches_bench_golden(seed, mode):
+    (case,) = [c for c in _GOLDEN["bench"] if (c["seed"], c["mode"]) == (seed, mode)]
+    threshold = _workloads().SPLIT_THRESHOLD
+    assert _default_solver_matches(_bench_graph(seed), threshold, mode, case["outcome"])
 
 
 if __name__ == "__main__":
