@@ -10,7 +10,6 @@ from .model import (
     IsingModel,
     Qubo,
     Reduction,
-    evaluate,
     fix_variables,
     ising_to_qubo,
     qubo_to_ising,
@@ -64,7 +63,6 @@ __all__ = [
     "cut_from_ising_energy",
     "decode_clique",
     "decode_cut",
-    "evaluate",
     "exact_max_clique",
     "exact_max_cut",
     "fix_variables",

@@ -157,12 +157,15 @@ def cmd_experiment(args) -> int:
     outdir = Path(args.outdir) if args.outdir else experiments.default_outdir()
     name = args.which
     run = experiments.EXPERIMENTS[name]
+    pairs, most = args.n * (args.n - 1) // 2, max(experiments.FIG3_EDGE_GRID)
+    if name == "fig3" and pairs < most:
+        raise FormatError(f"fig3 --n {args.n} has {pairs} vertex pairs, below its grid's {most} edges")
     options = {
         "seeds": args.seeds,
         "with_probe": not args.no_probe,
         "jobs": args.jobs,
         "desk_scale": args.desk_scale,
-        "n": args.n or 100,
+        "n": args.n,
         "threshold": args.threshold,
     }
     accepted = inspect.signature(run).parameters
@@ -253,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="reproduce a table/figure as CSV")
     p_exp.add_argument("which", choices=sorted(experiments.EXPERIMENTS))
     p_exp.add_argument("--outdir", help="output directory (default $QUBOPREP_OUTDIR or ./results)")
-    p_exp.add_argument("--seeds", type=int, default=5)
+    p_exp.add_argument("--seeds", type=_positive_int, default=5)
     p_exp.add_argument("--jobs", type=int, default=1)
     p_exp.add_argument("--no-probe", action="store_true")
     p_exp.add_argument("--desk-scale", action="store_true", help="table3 at n=200")
-    p_exp.add_argument("--n", type=int, help="fig3 graph size (default 100)")
+    p_exp.add_argument("--n", type=_positive_int, default=100, help="fig3 graph size (default 100)")
     p_exp.add_argument("--threshold", type=_positive_int, default=15, help="fig3 leaf threshold")
     p_exp.set_defaults(fn=cmd_experiment)
 

@@ -285,7 +285,6 @@ def max_clique_split(
 def splitting_savings(
     graphs: Iterable[Graph],
     solver: LeafSolver | None = None,
-    threshold: int | None = None,
 ) -> list[SavingsRow]:
     """Run both split modes per graph and report the leaf-call ratio
     (n_qpbo - n_no_qpbo) / n_no_qpbo; negative means persistency saved calls."""
@@ -293,8 +292,6 @@ def splitting_savings(
     if not graphs:
         raise ValueError("need at least one graph")
     solver = default_leaf_solver() if solver is None else solver
-    if threshold is not None:
-        solver = LeafSolver(solver.fn, threshold)
     rows = []
     for gid, g in enumerate(graphs):
         with_clique, with_stats = max_clique_split(g, solver, use_persistency=True)

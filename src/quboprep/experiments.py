@@ -113,9 +113,9 @@ def _table1_row(args) -> dict:
     return row
 
 
-def run_table1(with_probe: bool = True, jobs: int = 1, rows=None) -> list[dict]:
+def run_table1(with_probe: bool = True, jobs: int = 1) -> list[dict]:
     """Strong/weak/probe percentages for the c-fat and Hamming clique rows."""
-    tasks = [(f, n, p, with_probe) for f, n, p in (rows or TABLE1_ROWS)]
+    tasks = [(f, n, p, with_probe) for f, n, p in TABLE1_ROWS]
     return _pool_map(_table1_row, tasks, jobs)
 
 
@@ -180,16 +180,13 @@ def run_table3(
     with_probe: bool = True,
     jobs: int = 1,
     desk_scale: bool = False,
-    rows=None,
 ) -> list[dict]:
     """Max-cut persistency on g (random) and U (geometric) graphs.
 
     The parameter column is the expected average degree.  desk_scale shrinks
     every row to n=200 keeping the degree.
     """
-    base = rows or TABLE3_ROWS
-    if desk_scale:
-        base = [(f, 200, d) for f, _, d in base]
+    base = [(f, 200 if desk_scale else n, d) for f, n, d in TABLE3_ROWS]
     tasks = [(f, n, d, s, with_probe) for f, n, d in base for s in range(seeds)]
     return _pool_map(_table3_row, tasks, jobs)
 
@@ -209,11 +206,10 @@ def _fig2_row(args) -> dict:
     }
 
 
-def run_fig2(seeds: int = 5, grid=None, jobs: int = 1) -> list[dict]:
+def run_fig2(seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Perturbation sweeps on Hamming(8,2): insert mode traces strong
     persistency growth, delete mode the collapse of weak persistency."""
-    grid = list(grid) if grid is not None else FIG2_GRID
-    tasks = [(m, p, s) for m in ("insert", "delete") for p in grid for s in range(seeds)]
+    tasks = [(m, p, s) for m in ("insert", "delete") for p in FIG2_GRID for s in range(seeds)]
     return _pool_map(_fig2_row, tasks, jobs)
 
 

@@ -103,9 +103,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adjacency[v]
-
     def complement(self) -> "Graph":
         present = np.zeros((self.n, self.n), dtype=bool)
         for u, v in self.edges:

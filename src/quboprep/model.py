@@ -183,11 +183,6 @@ class IsingModel:
         return e
 
 
-def evaluate(problem: Qubo | IsingModel, assignment) -> Coeff:
-    """Exact energy of ``assignment`` under ``problem``."""
-    return problem.energy(assignment)
-
-
 def ising_to_qubo(m: IsingModel) -> Qubo:
     """Convert via s_i = 2 x_i - 1 (equivalently x_i = (s_i + 1)/2).
 

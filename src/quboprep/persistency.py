@@ -67,12 +67,6 @@ class PersistencyResult:
     def weak_pct(self) -> float:
         return self._pct(len(self.weak))
 
-    def summary(self) -> str:
-        return (
-            f"strong_pct={self.strong_pct:.2f},weak_pct={self.weak_pct:.2f},"
-            f"bound={self.bound}"
-        )
-
     def to_csv_text(self) -> str:
         """`var,value,class` rows followed by a summary line."""
         lines = ["var,value,class"]

@@ -28,14 +28,14 @@ problem and the implication penalties stay scaled int64 arrays throughout
 (see :class:`_ProbeState`); the reduced ``Qubo`` of the outcome is built
 once, from the input, when probing ends.  The two branches of a probe share
 one max flow on the pair network of the working problem
-(:class:`~quboprep._fast.BranchPair`), laid out once per working problem;
-a probe only writes capacities into it.  Once the working problem has
-stayed unchanged for ``_BATCH`` (4) probes in a row, as in the stalled last
-sweep that ends almost every call, the next 4 unresolved variables of the
-sweep share one flow on a layout of 4 pairs.  Their results are used in
-sweep order; the first probe that changes the working problem (an apply, or
-an implication that records a term) drops the rest, so every probe gets
-exactly the result it gets alone.  Resolved
+(:class:`~quboprep._fast.BranchPair`), laid out once per working problem and
+number of pairs; a probe only writes capacities into it.  Once the working
+problem has stayed unchanged for ``_BATCH`` (4) probes in a row, as in the
+stalled last sweep that ends almost every call, the next 4 unresolved
+variables of the sweep share one flow on a layout of 4 pairs.  Their results
+are used in sweep order; the first probe that changes the working problem
+(an apply, or an implication that records a term) drops the rest, so every
+probe gets exactly the result it gets alone.  Resolved
 percentages count relation-eliminated variables as resolved (they leave the
 problem); reports state the convention.
 """
@@ -119,13 +119,13 @@ class _ProbeState:
     every :class:`IntArrays` constructor leaves them; ``add_implications``
     looks couplings up by binary search.
 
-    ``_layouts`` holds the last one-pair layout and the last batch layout
-    (:class:`~quboprep._fast.BranchPair`).  Each is replaced when
-    :meth:`working` returns another problem (after an ``apply``, or an
-    ``add_implications`` that records something) or a batch needs another
-    size, not dropped when that problem changes: freed early, its arrays
-    would leave the top of the heap empty for the allocator to return to
-    the system, and the next layout would fault those pages back in.
+    ``_layout`` is the last pair layout (:class:`~quboprep._fast.BranchPair`).
+    It is replaced when :meth:`working` returns another problem (after an
+    ``apply``, or an ``add_implications`` that records something) or a probe
+    needs another number of pairs, not dropped when that problem changes:
+    freed early, its arrays would leave the top of the heap empty for the
+    allocator to return to the system, and the next layout would fault
+    those pages back in.
     ``_batch`` holds the results computed ahead for the working problem,
     which a change drops (:meth:`_changed`).
 
@@ -143,7 +143,7 @@ class _ProbeState:
         )
         self.total = Reduction.identity(Qubo(q.num_vars))
         self._working: IntArrays | None = None  # true + penalty; None when stale
-        self._layouts: list[BranchPair | None] = [None, None]  # one pair, a batch
+        self._layout: BranchPair | None = None
         self._batch: dict[int, tuple] = {}  # u -> its branches, computed ahead
         self._steady = 0  # probes since the working problem last changed
         self._impl_seen: set[tuple[int, int, int, int]] = set()
@@ -170,7 +170,8 @@ class _ProbeState:
         :data:`_BATCH` probes, u and the next ``_BATCH - 1`` of them share one
         flow (fewer when their union would pass :data:`_BATCH_ENTRIES`
         quadratic entries), and their results wait in ``_batch`` until they
-        are probed or the working problem changes."""
+        are probed or the working problem changes.  The flow reuses
+        ``_layout`` while that has the working problem and ``len(us)`` pairs."""
         self._steady += 1
         if u in self._batch:
             return self._batch.pop(u)
@@ -179,10 +180,9 @@ class _ProbeState:
         if self._steady > _BATCH:
             k = max(1, min(_BATCH, _BATCH_ENTRIES // max(1, 2 * len(w.qv))))
         us = [u, *islice(ahead, k - 1)]
-        slot = int(len(us) > 1)
-        layout = self._layouts[slot]
+        layout = self._layout
         if layout is None or layout.arr is not w or layout.pairs != len(us):
-            layout = self._layouts[slot] = BranchPair.of(w, len(us))
+            layout = self._layout = BranchPair.of(w, len(us))
         out = analyze_branch(layout, us)
         self._batch = {v: out[2 * p : 2 * p + 2] for p, v in enumerate(us)}
         return self._batch.pop(u)

@@ -99,6 +99,24 @@ def test_nonpositive_threshold_is_a_usage_error(argv, threshold, capsys):
     assert "--threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, option", [("table3", "--seeds"), ("fig3", "--n")])
+def test_nonpositive_experiment_sizes_are_usage_errors(which, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", which, "--outdir", str(tmp_path), option, "0"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, pairs", [(20, 190), (1, 0), (80, 3160)])
+def test_fig3_n_must_leave_room_for_every_edge_count(n, pairs, tmp_path, capsys):
+    """fig3's largest grid value is 3200 expected edges; an n with fewer
+    vertex pairs is an input error that names both numbers."""
+    code, _, err = run(["experiment", "fig3", "--outdir", str(tmp_path), "--n", str(n)], capsys)
+    assert code == EXIT_PARSE
+    assert f"--n {n} has {pairs} vertex pairs" in err and "3200" in err
+    assert not (tmp_path / "fig3.csv").exists()
+
+
 def test_solve_clique_split_matches_oracle(tmp_path, capsys):
     code, out, _ = run(
         [
@@ -186,8 +204,8 @@ def test_experiment_fig2_writes_csv(tmp_path, capsys):
         ("fig2", ["--seeds", "4"], {"seeds": 4, "jobs": 2}),
         (
             "fig3",
-            ["--n", "30", "--threshold", "7", "--seeds", "2"],
-            {"n": 30, "threshold": 7, "seeds": 2, "jobs": 2},
+            ["--n", "81", "--threshold", "7", "--seeds", "2"],
+            {"n": 81, "threshold": 7, "seeds": 2, "jobs": 2},
         ),
     ],
 )

@@ -146,7 +146,7 @@ def test_threshold_validation():
 
 def test_savings_rows():
     graphs = [gen_gnp(30, 0.7, s) for s in range(2)]
-    rows = splitting_savings(graphs, threshold=8)
+    rows = splitting_savings(graphs, default_leaf_solver(8))
     assert [r.graph_id for r in rows] == [0, 1]
     for row in rows:
         assert row.n_no_qpbo >= 1
@@ -154,7 +154,7 @@ def test_savings_rows():
 
 
 def test_savings_below_threshold_is_zero():
-    rows = splitting_savings([gen_gnp(10, 0.5, 0)], threshold=20)
+    rows = splitting_savings([gen_gnp(10, 0.5, 0)], default_leaf_solver(20))
     assert rows[0].n_qpbo == rows[0].n_no_qpbo == 1
     assert rows[0].ratio == 0.0
 
@@ -164,15 +164,9 @@ def test_savings_requires_graphs():
         splitting_savings([])
 
 
-@pytest.mark.parametrize("solver", [None, default_leaf_solver(5)])
-def test_savings_rejects_a_zero_threshold(solver):
-    with pytest.raises(ValueError, match="threshold"):
-        splitting_savings([gen_gnp(10, 0.5, 0)], solver, threshold=0)
-
-
 def test_dense_graph_gets_persistency_savings():
     g = gen_gnp(40, 0.85, 3)
-    rows = splitting_savings([g], threshold=10)
+    rows = splitting_savings([g], default_leaf_solver(10))
     assert rows[0].n_qpbo <= rows[0].n_no_qpbo
 
 

@@ -172,7 +172,7 @@ class TestCfat:
         frontier = [0]
         while frontier:
             v = frontier.pop()
-            for w in g.neighbors(v):
+            for w in g.adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)

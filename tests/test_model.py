@@ -14,7 +14,6 @@ from quboprep.model import (
     IsingModel,
     Qubo,
     Reduction,
-    evaluate,
     fix_variables,
     ising_to_qubo,
     qubo_to_ising,
@@ -60,9 +59,9 @@ class TestEvaluate:
 
     def test_assignment_kind_check(self):
         q = Qubo.from_terms(1, {0: 1})
-        assert evaluate(q, Assignment.binary([1])) == 1
+        assert q.energy(Assignment.binary([1])) == 1
         with pytest.raises(ValueError):
-            evaluate(q, Assignment.spin([1]))
+            q.energy(Assignment.spin([1]))
 
 
 class TestCanonicalization:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from quboprep import probing
+from quboprep._fast import BranchPair
 from quboprep.model import IsingModel, Qubo, ising_to_qubo
 from quboprep.persistency import analyze
 from quboprep.probing import probe
 
 from helpers import exact_min, random_qubo, with_fractions
+from test_probe_golden import _workloads
 
 
 def test_fully_weak_problem_resolves_in_pass_one():
@@ -294,3 +296,30 @@ def test_batch_results_never_outlive_their_working_problem(monkeypatch):
     for _ in range(100):
         probe(_spin_glass(rng, int(rng.integers(12, 24)), rng.uniform(0.05, 0.25), 0.2))
     assert len(made) > 1000
+
+
+def test_probing_reuses_its_layout(monkeypatch):
+    """A pair layout is laid out again only for another working problem or
+    another number of pairs: no two consecutive layouts have the same
+    ``(arr, pairs)``, on the benchmark's probe inputs and on seeded int and
+    Fraction QUBOs, whose long unchanged runs switch between one pair and
+    batches."""
+    layouts = []
+    of = BranchPair.of.__func__
+
+    def spy(cls, arr, pairs=1):
+        layouts.append((arr, pairs))
+        return of(cls, arr, pairs)
+
+    monkeypatch.setattr(BranchPair, "of", classmethod(spy))
+    wl = _workloads()
+    for name in ("probe-cfat", "probe-gcut", "probe-rational"):
+        probe(wl.WORKLOADS[name].build(wl.op_seed(1, 0)).qubo)
+    rng = np.random.default_rng(4600)
+    for k in range(60):
+        n, density = int(rng.integers(5, 15)), rng.uniform(0.2, 0.9)
+        q = random_qubo(rng, n, density=density) if k % 4 < 2 else _spin_glass(rng, n, density, 0.0)
+        probe(with_fractions(rng, q) if k % 2 else q)
+    assert {pairs for _, pairs in layouts} >= {1, 4}
+    for (arr, pairs), (next_arr, next_pairs) in zip(layouts, layouts[1:]):
+        assert next_arr is not arr or next_pairs != pairs
