@@ -54,7 +54,10 @@ def _load_graph(args) -> graphs.Graph:
         raise FormatError("need --input or --family")
     if args.n is None or args.param is None:
         raise FormatError(f"family {args.family!r} needs --n and --param")
-    return experiments.make_graph(args.family, args.n, args.param, args.seed)
+    try:
+        return experiments.make_graph(args.family, args.n, args.param, args.seed)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _load_qubo(args) -> tuple[Qubo, graphs.Graph | None]:

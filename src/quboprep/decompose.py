@@ -9,22 +9,23 @@ vertex v into G1 (the neighbors of v) and G2 (everything but v) and recurse.
 Every subproblem is a bitmask over the root graph's vertices: an induced
 subgraph is a mask AND with the root's neighbour masks and a degree is a
 popcount.  A node's children depend only on its mask, so with persistency
-the tree of oversized nodes is first expanded breadth-first (:func:`_plan`):
-the clique problems of a whole level, as scaled integer arrays of each
-node's non-adjacent pairs, go to :func:`~quboprep.persistency.analyze_all`
-together, one max flow per level (per :data:`_UNION_ENTRIES` quadratic
-entries on very wide levels).  The depth-first recursion then replays that
-plan and calls the leaf solver, so leaf calls, their order and the
-statistics are those of analyzing node by node.  The root's boolean
-adjacency matrix is built once per call; a node's matrix is its rows and
-columns at the node's members.  The default leaf solver searches a leaf on
-the root's neighbour masks (:func:`~quboprep.oracle.max_clique_within`):
-a leaf's members are sorted, so root indices order them as its own indices
-would, and the search finds the clique it finds on the leaf's own graph.
-Only a custom solver gets a leaf ``Graph``, built from the packed rows of
-the leaf's matrix as neighbour bitmasks, without edge tuples.  The
-recursion runs on an explicit stack, so its depth is not bounded by
-Python's recursion limit.
+the tree of oversized nodes is first expanded breadth-first (:func:`_plan`).
+:func:`_level` unpacks a level's masks into one node × vertex matrix and
+builds the disjoint union of the level's clique problems from it in one
+array pass: the root's non-adjacent pairs inside each node, at the ranks of
+their ends.  Each union goes to :func:`~quboprep.persistency.analyze_union`,
+one max flow per level (per :data:`_UNION_ENTRIES` quadratic entries on very
+wide levels).  The depth-first recursion then replays that plan and calls
+the leaf solver, so leaf calls, their order and the statistics are those of
+analyzing node by node.  The root's boolean adjacency matrix is built once
+per call; a leaf's matrix is its rows and columns at the leaf's members.
+The default leaf solver searches a leaf on the root's neighbour masks
+(:func:`~quboprep.oracle.max_clique_within`): a leaf's members are sorted,
+so root indices order them as its own indices would, and the search finds
+the clique it finds on the leaf's own graph.  Only a custom solver gets a
+leaf ``Graph``, built from the packed rows of the leaf's matrix as
+neighbour bitmasks, without edge tuples.  The recursion runs on an
+explicit stack, so its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from . import oracle
 from .errors import SolverValidationError
 from .graphs import Graph, set_bits
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
-from .persistency import analyze, analyze_all  # noqa: F401
+from .persistency import analyze, analyze_union  # noqa: F401
 from .posiform import IntArrays
 from .probing import probe
 from .problems import CliqueEncodingParams, clique_qubo
@@ -51,9 +52,12 @@ DEFAULT_THRESHOLD = 45
 
 _ENCODING = CliqueEncodingParams.complement_penalty()
 _SOLVE, _FORCED, _SPLIT = range(3)
-# Quadratic entries per analyze_all union; bounds the union network's size
+# Quadratic entries per analyze_union run; bounds the union network's size
 # on very wide levels of the split tree.
 _UNION_ENTRIES = 1 << 15
+# Nodes times root non-adjacent pairs per block of _level; bounds its
+# node-pair membership temporary on wide levels of nodes with few entries.
+_RUN_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -127,17 +131,6 @@ def _leaf(sub: np.ndarray) -> Graph:
     return Graph._from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
-def _clique_arrays(absent: np.ndarray) -> IntArrays:
-    """The clique problem of the graph whose non-adjacent pairs u < v are
-    the True entries of ``absent``: ``IntArrays.from_qubo(clique_qubo(g,
-    _ENCODING))`` without the graph, the complement and the Qubo.  −A on
-    every vertex and B on every non-adjacent pair, keys sorted."""
-    iu, iv = np.nonzero(absent)
-    lin = np.full(len(absent), -_ENCODING.A, dtype=np.int64)
-    qv = np.full(len(iu), _ENCODING.B, dtype=np.int64)
-    return IntArrays(len(absent), 1, lin, iu, iv, qv, 0)
-
-
 def _step(
     adj: tuple[int, ...], mask: int, members: list[int], fixed: dict[int, int] | None
 ) -> tuple:
@@ -162,27 +155,75 @@ def _step(
                 raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
             keep &= adj[v]
         return _FORCED, ones, [keep]
-    _, v = min(((adj[u] & mask).bit_count(), u) for u in members)
+    # Members ascend, so a tie goes to the lowest vertex.
+    v = min(members, key=lambda u: (adj[u] & mask).bit_count())
     return _SPLIT, 1 << v, [mask & ~(1 << v), adj[v] & mask]
 
 
-def _unions(absent: np.ndarray, masks: list[int]) -> Iterator[list[tuple]]:
-    """(mask, members, clique problem) of each of ``masks``, in runs of at
-    most _UNION_ENTRIES quadratic entries (a problem larger than that forms
-    a run alone).  ``absent`` marks the root's non-adjacent pairs u < v;
-    members are sorted, so a node's submatrix marks its own."""
-    run: list[tuple] = []
-    entries = 0
-    for mask in masks:
-        members, sub = _induced(absent, mask)
-        arr = _clique_arrays(sub)
-        if run and entries + len(arr.qv) > _UNION_ENTRIES:
-            yield run
-            run, entries = [], 0
-        run.append((mask, members, arr))
-        entries += len(arr.qv)
-    if run:
-        yield run
+def _level(
+    masks: list[int], n: int, pairs: tuple[np.ndarray, np.ndarray]
+) -> Iterator[tuple[int, list[list[int]], IntArrays, np.ndarray]]:
+    """The clique problems of the split-tree nodes ``masks`` over ``n``
+    root vertices, in runs of at most _UNION_ENTRIES quadratic entries (a
+    node larger than that forms a run alone): for each run, the index in
+    ``masks`` of its first node, each node's sorted members, the disjoint
+    union of their problems and its block starts.
+
+    ``pairs`` lists the root's non-adjacent pairs u < v in row-major order.
+    Nodes are taken in blocks of at most _RUN_CELLS node-pair cells, and no
+    run spans two blocks; a block's temporaries are gone before its runs
+    are handed out.
+    """
+    pu, pv = pairs
+    # Row r marks the members of masks[r], unpacked from its bytes.
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    member = bits.view(bool)
+    step = _RUN_CELLS // max(len(pu), 1) or 1
+    for top in range(0, len(masks), step):
+        yield from _block(member[top : top + step], top, pu, pv)
+
+
+def _block(
+    member: np.ndarray, top: int, pu: np.ndarray, pv: np.ndarray
+) -> list[tuple[int, list[list[int]], IntArrays, np.ndarray]]:
+    """:func:`_level`'s runs of the nodes whose membership rows are
+    ``member``, the first of them node ``top`` of the level.
+
+    Node b's member of rank k is variable ``starts[b] + k``, so a root pair
+    inside the node becomes the ranks of its ends: −A on every variable and
+    B on every such pair, the keys strictly increasing without a sort.  That
+    is ``IntArrays.union`` of each node's ``IntArrays.from_qubo(clique_qubo(
+    g.induced(members)[0], _ENCODING))``.
+    """
+    inside = member[:, pu]
+    inside &= member[:, pv]
+    entries = inside.sum(1)
+    cuts, total = [], 0
+    for r, count in enumerate(entries.tolist()):
+        if not cuts or total + count > _UNION_ENTRIES:
+            cuts.append(r)
+            total = 0
+        total += count
+    cuts.append(len(member))
+    starts = np.zeros(len(member) + 1, dtype=np.int64)
+    np.cumsum(member.sum(1), out=starts[1:])
+    index = np.cumsum(member, axis=1) + (starts[:-1, None] - 1)
+    rows, p = np.nonzero(inside)
+    qi, qj = index[rows, pu[p]], index[rows, pv[p]]
+    ends = [0, *np.cumsum(entries).tolist()]
+    cols = np.nonzero(member)[1].tolist()
+    bounds = starts.tolist()
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        base, a, b = bounds[lo], ends[lo], ends[hi]
+        lin = np.full(bounds[hi] - base, -_ENCODING.A, dtype=np.int64)
+        qv = np.full(b - a, _ENCODING.B, dtype=np.int64)
+        union = IntArrays(bounds[hi] - base, 1, lin, qi[a:b] - base, qj[a:b] - base, qv, 0)
+        members = [cols[x:y] for x, y in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1])]
+        runs.append((top + lo, members, union, starts[lo : hi + 1] - base))
+    return runs
 
 
 def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> dict[int, tuple]:
@@ -190,12 +231,16 @@ def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> di
     of ``g``, whose adjacency matrix is ``matrix``, by node mask.
 
     The tree is expanded breadth-first, so all nodes of a level are known
-    before any of them is analyzed: each run of :func:`_unions` is one
-    :func:`~quboprep.persistency.analyze_all` call.  With ``use_probing``
+    before any of them is analyzed: :func:`_level` builds their clique
+    problems from the node masks and the root's non-adjacent pairs, found
+    once per call, and each of its runs is one
+    :func:`~quboprep.persistency.analyze_union` call.  With ``use_probing``
     each node is probed on its own.  A mask met again is not analyzed again.
     """
     plan: dict[int, tuple] = {}
-    absent = None if use_probing else np.triu(~matrix, 1)
+    adj = g.adjacency_bits
+    if not use_probing:
+        pairs = np.nonzero(np.triu(~matrix, 1))
     level = [(1 << g.n) - 1]
     while level:
         todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]
@@ -203,12 +248,12 @@ def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> di
             for mask in todo:
                 members, sub = _induced(matrix, mask)
                 fixed = probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
-                plan[mask] = _step(g.adjacency_bits, mask, members, fixed)
+                plan[mask] = _step(adj, mask, members, fixed)
         else:
-            for run in _unions(absent, todo):
-                results = analyze_all([arr for *_, arr in run])
-                for (mask, members, _), result in zip(run, results):
-                    plan[mask] = _step(g.adjacency_bits, mask, members, result.weak)
+            for lo, members, union, starts in _level(todo, g.n, pairs):
+                results = analyze_union(union, starts, [0] * len(members))
+                for mask, mem, result in zip(todo[lo : lo + len(members)], members, results):
+                    plan[mask] = _step(adj, mask, mem, result.weak)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan
 

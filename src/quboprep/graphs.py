@@ -25,10 +25,18 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# The set bit positions of each byte value, ascending.
+_BYTE_BITS = [tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)]
+
+
 def set_bits(mask: int) -> list[int]:
-    """Set bit positions of ``mask``, ascending, read off its binary digits
-    lowest first."""
-    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+    """Set bit positions of ``mask``, ascending, read off its bytes lowest
+    first; raises ValueError on a negative mask."""
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bases = range(0, 8 * len(data), 8)
+    return [base + i for base, byte in zip(bases, data) for i in _BYTE_BITS[byte]]
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,10 @@ def gen_cfat(n: int, c: int) -> Graph:
 
 
 def _gnp(n: int, p: float, seed) -> Graph:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     if n < 2:
-        return Graph(max(n, 0), ())
+        return Graph(n, ())
     iu, iv = np.triu_indices(n, 1)
     mask = _rng(seed).random(len(iu)) < p
     return Graph(n, tuple(zip(iu[mask].tolist(), iv[mask].tolist())))
@@ -222,10 +232,12 @@ def gen_u(n: int, density_pct, seed) -> Graph:
     calibrated so the expected edge density equals density_pct/100."""
     if not 0 <= density_pct <= 100:
         raise ValueError("density_pct must be in [0, 100]")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     radius = _radius_for_density(float(density_pct) / 100.0)
     points = _rng(seed).random((n, 2))
     if n < 2 or radius == 0.0:
-        return Graph(max(n, 0), ())
+        return Graph(n, ())
     iu, iv = np.triu_indices(n, 1)
     diff = points[iu] - points[iv]
     mask = (diff * diff).sum(axis=1) <= radius * radius

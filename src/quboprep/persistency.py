@@ -2,13 +2,15 @@
 
 All labels come from the residual graph of one symmetrized max flow, built
 once as a CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
-:func:`analyze_all` runs several problems through one flow, on the network
+:func:`analyze_union` runs several problems through one flow, on the network
 of their disjoint union, and :func:`split_blocks` hands each problem its own
-labels and bound; :func:`analyze` is the one-problem case.  The blocks share
-only the source and the sink.  The sink is never reachable at a maximum
-flow, a middle literal reaches no middle literal of another block, and
-residual reachability is the same for every maximum flow (Picard &
-Queyranne, 1980), so every block gets exactly the result it gets alone.
+labels and bound.  :func:`analyze_all` lays out that union from separate
+problems and :func:`analyze` is the one-problem case; the split solver
+builds its unions directly.  The blocks share only the source and the
+sink.  The sink is never reachable at a maximum flow, a middle literal
+reaches no middle literal of another block, and residual reachability is
+the same for every maximum flow (Picard & Queyranne, 1980), so every block
+gets exactly the result it gets alone.
 
 Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
@@ -86,35 +88,53 @@ def analyze(q: Qubo | IntArrays) -> PersistencyResult:
 
 
 def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
-    """:func:`analyze` of each problem, all in one max flow.
+    """:func:`analyze` of each problem, all in one max flow: problem b
+    becomes block b of their disjoint union
+    (:meth:`~quboprep.posiform.IntArrays.union`), for :func:`analyze_union`.
 
-    The problems must share one scale.  Their disjoint union
-    (:meth:`~quboprep.posiform.IntArrays.union`) goes through one posiform
-    rewrite, one network, one flow and one label extraction; the blocks
-    share only the source and the sink, so :func:`split_blocks` gives each
-    problem exactly the result it gets alone.
+    The problems must share one scale.
     """
     if not problems:
         return []
-    union = IntArrays.union(problems)
     starts = np.cumsum([0] + [arr.num_vars for arr in problems])
+    return analyze_union(IntArrays.union(problems), starts, [arr.offset for arr in problems])
+
+
+def analyze_union(
+    union: IntArrays, starts: np.ndarray, offsets: Sequence[Coeff]
+) -> list[PersistencyResult]:
+    """:func:`analyze` of each block of ``union``, a disjoint union whose
+    block b is variables ``starts[b]:starts[b + 1]`` with offset
+    ``offsets[b]``, all in one max flow.
+
+    The union goes through one posiform rewrite, one network, one flow and
+    one label extraction; the blocks share only the source and the sink, so
+    :func:`split_blocks` gives each block exactly the result it gets alone.
+    """
     p = to_posiform(union)
-    # Each problem's posiform constant: its offset plus its negative linear
+    # Each block's posiform constant: its offset plus its negative linear
     # part after the rewrite (the complemented linear terms of its block).
     negative = np.zeros(p.num_vars + 1, dtype=np.int64)
     odd = (p.lin_codes & 1) == 1
     negative[(p.lin_codes[odd] >> 1) + 1] = p.lin_vals[odd]
     sums = np.diff(np.cumsum(negative)[starts]).tolist()
-    constants = [arr.offset - Fraction(s, p.scale) for arr, s in zip(problems, sums)]
+    constants = [offset - _exact(s, p.scale) for offset, s in zip(offsets, sums)]
     net = build_network(union)
     flow = max_flow(net)
     strong, weak = extract_labels(flow)
     return [
-        PersistencyResult(arr.num_vars, s, w, as_coeff(bound))
-        for arr, (s, w, bound) in zip(
-            problems, split_blocks(flow, strong, weak, starts.tolist(), constants)
+        PersistencyResult(n, s, w, as_coeff(bound))
+        for n, (s, w, bound) in zip(
+            np.diff(starts).tolist(), split_blocks(flow, strong, weak, starts.tolist(), constants)
         )
     ]
+
+
+def _exact(value: int, scale: int) -> Coeff:
+    """``value / scale`` exactly: an int, with no Fraction arithmetic, when
+    ``scale`` divides ``value``, else a Fraction."""
+    quotient, rest = divmod(value, scale)
+    return Fraction(value, scale) if rest else quotient
 
 
 def split_blocks(
@@ -123,7 +143,7 @@ def split_blocks(
     weak: dict[int, int],
     starts: Sequence[int],
     constants: Sequence[Coeff],
-) -> list[tuple[dict[int, int], dict[int, int], Fraction]]:
+) -> list[tuple[dict[int, int], dict[int, int], Coeff]]:
     """(strong, weak, bound) of each block of variables
     ``starts[b]:starts[b + 1]`` of a flow over disjoint problems that share
     only the source and the sink.
@@ -146,7 +166,7 @@ def split_blocks(
     source = np.zeros(2 * starts[-1] + 1, dtype=np.int64)
     np.cumsum(flow.flow2[: 2 * starts[-1]], out=source[1:])
     sums = np.diff(source[2 * np.asarray(starts)]).tolist()
-    return [(s, w, c + Fraction(f // 2, scale)) for (s, w), c, f in zip(out, constants, sums)]
+    return [(s, w, c + _exact(f // 2, scale)) for (s, w), c, f in zip(out, constants, sums)]
 
 
 def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:

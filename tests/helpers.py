@@ -21,6 +21,7 @@ from quboprep.errors import SizeGuardError
 from quboprep.model import Qubo
 from quboprep.network import SINK, SOURCE, ImplicationNetwork
 from quboprep.posiform import IntArrays, Posiform
+from quboprep.problems import clique_qubo
 
 
 def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
@@ -463,6 +464,15 @@ def reference_set_bits(mask: int) -> list[int]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def reference_level_union(g, masks: list[int]) -> tuple[IntArrays, list[list[int]]]:
+    """The clique problems of the subgraphs of ``g`` on ``masks``, node by
+    node (``g.induced`` → ``clique_qubo`` → ``IntArrays.from_qubo``) and
+    then ``IntArrays.union``; and each node's sorted members."""
+    members = [reference_set_bits(mask) for mask in masks]
+    arrs = [IntArrays.from_qubo(clique_qubo(g.induced(m)[0])) for m in members]
+    return IntArrays.union(arrs), members
 
 
 def reference_color_order(vertices: list[int], adj) -> tuple[list[int], list[int]]:

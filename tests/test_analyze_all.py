@@ -11,7 +11,13 @@ import pytest
 from quboprep import decompose
 from quboprep.model import Qubo, as_coeff
 from quboprep.network import max_flow
-from quboprep.persistency import PersistencyResult, analyze, analyze_all, extract_labels
+from quboprep.persistency import (
+    PersistencyResult,
+    analyze,
+    analyze_all,
+    analyze_union,
+    extract_labels,
+)
 from quboprep.posiform import IntArrays, to_posiform
 
 from helpers import random_qubo, reference_network, with_fractions
@@ -88,21 +94,37 @@ def test_mismatched_scales_raise():
         analyze_all([ints, halves])
 
 
+def _blocks(union: IntArrays, starts, offsets) -> list[IntArrays]:
+    """Block b of ``union`` (variables ``starts[b]:starts[b + 1]``, offset
+    ``offsets[b]``) as a problem of its own."""
+    bounds = np.searchsorted(union.qi, starts).tolist()
+    out = []
+    for a, b, lo, hi, offset in zip(starts, starts[1:], bounds, bounds[1:], offsets):
+        out.append(
+            IntArrays(
+                int(b - a), union.scale, union.lin[a:b],
+                union.qi[lo:hi] - a, union.qj[lo:hi] - a, union.qv[lo:hi], offset,
+            )
+        )
+    return out
+
+
 def test_every_split_dense_node_matches(monkeypatch):
     """All nodes the split solver analyzes on the split-dense benchmark
-    graph (seed 1), level by level in batches."""
+    graph (seed 1), level by level in unions."""
     batches = []
 
-    def record(problems):
-        results = analyze_all(problems)
-        batches.append((problems, results))
+    def record(union, starts, offsets):
+        results = analyze_union(union, starts, offsets)
+        batches.append((_blocks(union, starts, offsets), results))
         return results
 
-    monkeypatch.setattr(decompose, "analyze_all", record)
+    monkeypatch.setattr(decompose, "analyze_union", record)
     solver = decompose.default_leaf_solver(_workloads().SPLIT_THRESHOLD)
     decompose.max_clique_split(_bench_graph(1), solver)
     assert sum(len(problems) for problems, _ in batches) > 1000
     assert max(len(problems) for problems, _ in batches) > 20
     for problems, results in batches:
+        assert len(problems) == len(results)
         for arr, result in zip(problems, results):
             assert repr(result) == repr(_alone(arr))

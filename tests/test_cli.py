@@ -84,6 +84,37 @@ def test_missing_family_args_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["solve", "clique", "--family", "gnp", "--n", "5", "--param", "1.5"],
+            "p must be in [0, 1]",
+        ),
+        (
+            ["reduce", "--family", "hamming", "--n", "0", "--param", "2"],
+            "need 1 <= d <= bits <= 16",
+        ),
+    ],
+    ids=["solve-gnp-p", "reduce-hamming-bits"],
+)
+def test_out_of_range_family_args_exit_code(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_PARSE
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_gen_negative_vertex_count_writes_no_file(tmp_path, capsys):
+    out_file = tmp_path / "g.dimacs"
+    argv = ["gen", "--family", "gnp", "--n", "-1", "--param", "0.5", "--out", str(out_file)]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_PARSE
+    assert err == "error: vertex count must be nonnegative\n"
+    assert out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "clique", "--family", "gnp", "--n", "10", "--param", "0.5", "--split"],

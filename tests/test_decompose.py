@@ -4,13 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quboprep import decompose
 from quboprep.decompose import (
     LeafSolver,
-    _clique_arrays,
     _induced,
     _leaf,
+    _level,
     default_leaf_solver,
     max_clique_split,
     splitting_savings,
@@ -22,6 +24,7 @@ from quboprep.persistency import analyze
 from quboprep.posiform import IntArrays
 from quboprep.problems import clique_qubo
 
+from helpers import reference_level_union
 from test_split_golden import _bench_graph, _workloads
 
 
@@ -222,12 +225,71 @@ def test_clique_arrays_match_the_qubo_route(g, mask):
     ref_graph, labels = g.induced(members)
     assert tuple(members) == labels
     assert _leaf(sub) == ref_graph
-    # As the split solver does: a node's non-adjacent pairs cut from the root's.
-    arr = _clique_arrays(_induced(np.triu(~_matrix(g), 1), mask)[1])
+    # As the split solver does: the node's problem built from its mask.
+    [(lo, [built], arr, starts)] = _level([mask], g.n, _pairs(g))
+    assert (lo, built, starts.tolist()) == (0, members, [0, len(members)])
     ref = IntArrays.from_qubo(clique_qubo(ref_graph))
     assert arr.lin.dtype == arr.qi.dtype == arr.qj.dtype == arr.qv.dtype == np.int64
     assert _fields(arr, sort=False) == _fields(ref, sort=True)
     assert analyze(arr) == analyze(ref)
+
+
+def _pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The non-adjacent pairs u < v of ``g``, row-major, as the split
+    solver lists them."""
+    return np.nonzero(np.triu(~_matrix(g), 1))
+
+
+@st.composite
+def _level_cases(draw):
+    """A gnp graph of 1–130 vertices and a level of masks over it, with
+    empty and one-vertex nodes among them, and a union budget."""
+    n = draw(st.integers(1, 130))
+    g = gen_gnp(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
+    node = st.one_of(
+        st.just(0),
+        st.integers(0, n - 1).map(lambda v: 1 << v),
+        st.integers(0, (1 << n) - 1),
+    )
+    masks = draw(st.lists(node, min_size=1, max_size=8))
+    budget = draw(st.sampled_from([0, 1, 7, 60, 500, decompose._UNION_ENTRIES]))
+    cells = draw(st.sampled_from([1, 3000, decompose._RUN_CELLS]))
+    return g, masks, budget, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(_level_cases())
+def test_level_builder_matches_the_reference_union(case):
+    """Each run of ``_level`` is the union of its nodes' clique problems
+    built node by node, with the same arrays, dtypes and order; runs are
+    cut greedily at the union budget and stay within blocks of at most
+    ``_RUN_CELLS`` node-pair cells."""
+    g, masks, budget, cells = case
+    pairs = _pairs(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_UNION_ENTRIES", budget)
+        mp.setattr(decompose, "_RUN_CELLS", cells)
+        runs = list(_level(masks, g.n, pairs))
+    block = max(1, cells // max(len(pairs[0]), 1))
+    bounds = [lo for lo, *_ in runs] + [len(masks)]
+    assert bounds[0] == 0
+    for (lo, members, union, starts), hi in zip(runs, bounds[1:]):
+        assert lo < hi
+        ref, ref_members = reference_level_union(g, masks[lo:hi])
+        assert members == ref_members
+        assert starts.tolist() == np.cumsum([0] + [len(m) for m in members]).tolist()
+        for name in ("lin", "qi", "qj", "qv"):
+            got, want = getattr(union, name), getattr(ref, name)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+        assert (union.num_vars, union.scale, union.offset) == (ref.num_vars, ref.scale, ref.offset)
+        # Within the budget unless one node exceeds it alone, within one
+        # block, and no run could take the next run's first node from it.
+        assert len(union.qv) <= budget or hi - lo == 1
+        assert lo // block == (hi - 1) // block
+        if hi < len(masks) and hi % block:
+            first = reference_level_union(g, masks[hi : hi + 1])[0]
+            assert len(union.qv) + len(first.qv) > budget
 
 
 def test_leaves_wider_than_64_vertices_equal_the_induced_subgraph(monkeypatch):

@@ -47,6 +47,12 @@ def test_set_bits_matches_the_loop(mask):
     assert set_bits(mask) == reference_set_bits(mask)
 
 
+@pytest.mark.parametrize("mask", [-1, -5, -(1 << 70)])
+def test_set_bits_rejects_negative_masks(mask):
+    with pytest.raises(ValueError, match="nonnegative"):
+        set_bits(mask)
+
+
 class TestGraphType:
     def test_canonicalization(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
@@ -205,6 +211,12 @@ class TestRandomFamilies:
         pairs = n * (n - 1) / 2
         mean = sum(counts) / len(counts)
         assert abs(mean - pairs * pct / 100) < 0.25 * pairs * pct / 100
+
+    @pytest.mark.parametrize("gen", [gen_g, gen_gnp, gen_u])
+    @pytest.mark.parametrize("n", [-1, -7])
+    def test_negative_vertex_counts_raise(self, gen, n):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            gen(n, 0.5, 0)
 
     def test_seeded_reproducibility(self):
         assert gen_g(50, 10, 7) == gen_g(50, 10, 7)

@@ -33,7 +33,7 @@ from quboprep import decompose
 from quboprep.decompose import LeafSolver, default_leaf_solver, max_clique_split
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique
-from quboprep.persistency import analyze_all
+from quboprep.persistency import analyze_union
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PATH = _ROOT / "tests" / "data" / "split_golden.json"
@@ -176,15 +176,15 @@ def test_golden_random_set_exercises_the_recursion():
 @pytest.mark.parametrize("budget", [0, 60])
 def test_outcomes_match_golden_with_small_unions(budget, monkeypatch):
     """With a union budget of a few quadratic entries, each level is cut
-    into many ``analyze_all`` calls; the outcomes must not change."""
+    into many ``analyze_union`` calls; the outcomes must not change."""
     runs = []
 
-    def spy(problems):
-        runs.append((len(problems), sum(len(arr.qv) for arr in problems)))
-        return analyze_all(problems)
+    def spy(union, starts, offsets):
+        runs.append((len(offsets), len(union.qv)))
+        return analyze_union(union, starts, offsets)
 
     monkeypatch.setattr(decompose, "_UNION_ENTRIES", budget)
-    monkeypatch.setattr(decompose, "analyze_all", spy)
+    monkeypatch.setattr(decompose, "analyze_union", spy)
     cases = [c for c in _GOLDEN["random"] if c["mode"] == "persistency"][:40]
     for case in cases:
         g = gen_gnp(case["n"], case["p"], case["seed"])
