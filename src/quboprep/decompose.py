@@ -22,10 +22,19 @@ per call; a leaf's matrix is its rows and columns at the leaf's members.
 The default leaf solver searches a leaf on the root's neighbour masks
 (:func:`~quboprep.oracle.max_clique_within`): a leaf's members are sorted,
 so root indices order them as its own indices would, and the search finds
-the clique it finds on the leaf's own graph.  Only a custom solver gets a
-leaf ``Graph``, built from the packed rows of the leaf's matrix as
-neighbour bitmasks, without edge tuples.  The recursion runs on an
-explicit stack, so its depth is not bounded by Python's recursion limit.
+the clique it finds on the leaf's own graph.  That search is bounded by the
+clique the leaf has to beat (Carraghan & Pardalos, 1990, across the split
+tree): a subproblem's ``need`` is 0 at the root, one less in G1 (whose
+clique gains v), one more than G1's clique in G2 (solved after G1; a tie
+keeps G1), and less the forced vertices below a forced node.  A leaf that
+holds no clique of ``need`` vertices is settled without its clique, and any
+other leaf gets the clique of the unbounded search, so the answer is that
+of searching every leaf in full.  The tree does not change: ``n_calls``
+counts every leaf handed to the leaf solver, the settled ones too.  A
+custom solver is not bounded and still gets every leaf, as a leaf
+``Graph`` built from the packed rows of the leaf's matrix as neighbour
+bitmasks, without edge tuples.  The recursion runs on an explicit stack,
+so its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_THRESHOLD = 45
 
 _ENCODING = CliqueEncodingParams.complement_penalty()
-_SOLVE, _FORCED, _SPLIT = range(3)
+_SOLVE, _FORCED, _SPLIT, _RIVAL = range(4)
 # Quadratic entries per analyze_union run; bounds the union network's size
 # on very wide levels of the split tree.
 _UNION_ENTRIES = 1 << 15
@@ -97,6 +106,11 @@ def default_leaf_solver(threshold: int = DEFAULT_THRESHOLD) -> LeafSolver:
 
 @dataclass
 class SplitStats:
+    """Counters of one split: ``n_calls`` leaves handed to the leaf solver
+    (with the default solver, also the leaves its search settles against
+    the clique they have to beat), the deepest node's depth, and vertices
+    dropped or forced by persistency."""
+
     n_calls: int = 0
     max_depth: int = 0
     vertices_eliminated_by_persistency: int = 0
@@ -251,9 +265,9 @@ def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> di
                 plan[mask] = _step(adj, mask, members, fixed)
         else:
             for lo, members, union, starts in _level(todo, g.n, pairs):
-                results = analyze_union(union, starts, [0] * len(members))
-                for mask, mem, result in zip(todo[lo : lo + len(members)], members, results):
-                    plan[mask] = _step(adj, mask, mem, result.weak)
+                blocks = analyze_union(union, starts, [0] * len(members))
+                for mask, mem, (_, weak, _) in zip(todo[lo : lo + len(members)], members, blocks):
+                    plan[mask] = _step(adj, mask, mem, weak)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan
 
@@ -284,13 +298,18 @@ def max_clique_split(
     u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     matrix[u, v] = matrix[v, u] = True
     plan = _plan(g, matrix, solver.threshold, use_probing) if use_persistency else {}
-    # Explicit stack: (_SOLVE, mask, depth) solves the subgraph on ``mask``;
-    # a _FORCED or _SPLIT entry combines the cliques found for the entries
-    # pushed just above it.  Cliques are root-vertex masks.
-    todo = [(_SOLVE, (1 << g.n) - 1, 0)]
+    # Explicit stack: (_SOLVE, mask, depth, need) solves the subgraph on
+    # ``mask``; a _FORCED or _SPLIT entry combines the cliques found for the
+    # entries pushed just above it.  Cliques are root-vertex masks.  ``need``
+    # is the smallest clique of the subgraph that can change the answer: a
+    # subgraph with a clique that large yields the clique of searching every
+    # leaf in full, any other one a smaller clique.  A _RIVAL entry is a G2,
+    # popped right after its G1 sibling is solved: it has to beat that
+    # clique plus the split vertex.
+    todo = [(_SOLVE, (1 << g.n) - 1, 0, 0)]
     found: list[int] = []
     while todo:
-        kind, mask, depth = todo.pop()
+        kind, mask, depth, need = todo.pop()
         if kind == _FORCED:
             found.append(found.pop() | mask)
             continue
@@ -298,6 +317,8 @@ def max_clique_split(
             c2, c1 = found.pop(), found.pop()
             found.append(c1 | mask if c1.bit_count() + 1 > c2.bit_count() else c2)
             continue
+        if kind == _RIVAL:
+            need = max(need, found[-1].bit_count() + 1)
         stats.max_depth = max(stats.max_depth, depth)
         if not mask:
             found.append(0)
@@ -305,7 +326,7 @@ def max_clique_split(
         if mask.bit_count() <= solver.threshold:
             stats.n_calls += 1
             if on_root:
-                clique = oracle.max_clique_within(adj, outside, mask)
+                clique = oracle.max_clique_within(adj, outside, mask, need)
                 if clique & ~mask:
                     raise AssertionError("leaf clique leaves its subgraph")
                 found.append(clique)
@@ -317,10 +338,13 @@ def max_clique_split(
             combine, bits, children = plan[mask]
         else:
             combine, bits, children = _step(adj, mask, set_bits(mask), None)
+        todo.append((combine, bits, 0, 0))
         if combine == _FORCED:
             stats.vertices_eliminated_by_persistency += mask.bit_count() - children[0].bit_count()
-        todo.append((combine, bits, 0))
-        todo += [(_SOLVE, child, depth + 1) for child in children]
+            todo.append((_SOLVE, children[0], depth + 1, need - bits.bit_count()))
+        else:
+            g2, g1 = children
+            todo += [(_RIVAL, g2, depth + 1, need), (_SOLVE, g1, depth + 1, need - 1)]
     clique = tuple(set_bits(found.pop()))
     if not g.is_clique(clique):
         raise AssertionError("split recursion assembled a non-clique")

@@ -135,7 +135,7 @@ def _color_order(cand: int, outside, floor: int) -> tuple[list[int], list[int]]:
     return ordered, bounds
 
 
-def max_clique_within(adj, outside, cand: int) -> int:
+def max_clique_within(adj, outside, cand: int, need: int = 0) -> int:
     """Bitmask of a maximum clique among the vertices of ``cand``, by
     branch-and-bound with a greedy-coloring bound, the color classes peeled
     off each node's candidate bitmask.
@@ -143,9 +143,20 @@ def max_clique_within(adj, outside, cand: int) -> int:
     ``adj[v]`` is v's neighbour bitmask and ``outside[v]`` is ``~(adj[v] |
     1 << v)``.  Only the bits of ``cand`` are read, in ascending order, so a
     subgraph's clique comes out of its parent's masks as it comes out of its
-    own, relabelled."""
-    best_mask = _greedy_clique(adj, cand)
-    best_size = best_mask.bit_count()
+    own, relabelled.
+
+    A positive ``need`` bounds the search by the clique it has to beat: it
+    starts from the bound ``need - 1``, with no greedy clique, and returns 0
+    when ``cand`` holds no clique of ``need`` vertices.  Otherwise the
+    unbounded search runs, so a clique that is returned is the one that
+    ``need <= 0`` returns.  The split solver bounds each leaf this way and
+    still counts every leaf in ``SplitStats.n_calls``; a custom leaf solver
+    gets no bound and still sees every leaf."""
+    if need > 0:
+        best_mask, best_size = 0, need - 1
+    else:
+        best_mask = _greedy_clique(adj, cand)
+        best_size = best_mask.bit_count()
     nodes_visited = 0
 
     def expand(cand_mask: int, current_mask: int, size: int) -> None:
@@ -169,6 +180,8 @@ def max_clique_within(adj, outside, cand: int) -> int:
 
     if cand:
         expand(cand, 0, 0)
+    if need > 0:
+        return max_clique_within(adj, outside, cand) if best_mask else 0
     if any(best_mask & outside[v] for v in set_bits(best_mask)):
         raise AssertionError("branch-and-bound produced a non-clique")
     return best_mask

@@ -5,12 +5,13 @@ once as a CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
 :func:`analyze_union` runs several problems through one flow, on the network
 of their disjoint union, and :func:`split_blocks` hands each problem its own
 labels and bound.  :func:`analyze_all` lays out that union from separate
-problems and :func:`analyze` is the one-problem case; the split solver
-builds its unions directly.  The blocks share only the source and the
-sink.  The sink is never reachable at a maximum flow, a middle literal
-reaches no middle literal of another block, and residual reachability is
-the same for every maximum flow (Picard & Queyranne, 1980), so every block
-gets exactly the result it gets alone.
+problems and makes each one's :class:`PersistencyResult`, and
+:func:`analyze` is the one-problem case; the split solver builds its unions
+directly and reads the weak labels off the blocks.  The blocks share only
+the source and the sink.  The sink is never reachable at a maximum flow, a
+middle literal reaches no middle literal of another block, and residual
+reachability is the same for every maximum flow (Picard & Queyranne, 1980),
+so every block gets exactly the result it gets alone.
 
 Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
@@ -97,15 +98,20 @@ def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
     if not problems:
         return []
     starts = np.cumsum([0] + [arr.num_vars for arr in problems])
-    return analyze_union(IntArrays.union(problems), starts, [arr.offset for arr in problems])
+    blocks = analyze_union(IntArrays.union(problems), starts, [arr.offset for arr in problems])
+    return [
+        PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
+        for arr, (strong, weak, bound) in zip(problems, blocks)
+    ]
 
 
 def analyze_union(
     union: IntArrays, starts: np.ndarray, offsets: Sequence[Coeff]
-) -> list[PersistencyResult]:
-    """:func:`analyze` of each block of ``union``, a disjoint union whose
-    block b is variables ``starts[b]:starts[b + 1]`` with offset
-    ``offsets[b]``, all in one max flow.
+) -> list[tuple[dict[int, int], dict[int, int], Coeff]]:
+    """The strong labels, weak labels and bound of :func:`analyze` for each
+    block of ``union``, a disjoint union whose block b is variables
+    ``starts[b]:starts[b + 1]`` with offset ``offsets[b]``, all in one max
+    flow.
 
     The union goes through one posiform rewrite, one network, one flow and
     one label extraction; the blocks share only the source and the sink, so
@@ -122,12 +128,7 @@ def analyze_union(
     net = build_network(union)
     flow = max_flow(net)
     strong, weak = extract_labels(flow)
-    return [
-        PersistencyResult(n, s, w, as_coeff(bound))
-        for n, (s, w, bound) in zip(
-            np.diff(starts).tolist(), split_blocks(flow, strong, weak, starts.tolist(), constants)
-        )
-    ]
+    return split_blocks(flow, strong, weak, starts.tolist(), constants)
 
 
 def _exact(value: int, scale: int) -> Coeff:

@@ -115,16 +115,17 @@ def test_every_split_dense_node_matches(monkeypatch):
     batches = []
 
     def record(union, starts, offsets):
-        results = analyze_union(union, starts, offsets)
-        batches.append((_blocks(union, starts, offsets), results))
-        return results
+        blocks = analyze_union(union, starts, offsets)
+        batches.append((_blocks(union, starts, offsets), blocks))
+        return blocks
 
     monkeypatch.setattr(decompose, "analyze_union", record)
     solver = decompose.default_leaf_solver(_workloads().SPLIT_THRESHOLD)
     decompose.max_clique_split(_bench_graph(1), solver)
     assert sum(len(problems) for problems, _ in batches) > 1000
     assert max(len(problems) for problems, _ in batches) > 20
-    for problems, results in batches:
-        assert len(problems) == len(results)
-        for arr, result in zip(problems, results):
+    for problems, blocks in batches:
+        assert len(problems) == len(blocks)
+        for arr, (strong, weak, bound) in zip(problems, blocks):
+            result = PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
             assert repr(result) == repr(_alone(arr))

@@ -18,14 +18,14 @@ from quboprep.decompose import (
     splitting_savings,
 )
 from quboprep.errors import SolverValidationError
-from quboprep.graphs import Graph, gen_gnp
-from quboprep.oracle import exact_max_clique
+from quboprep.graphs import Graph, gen_gnp, set_bits
+from quboprep.oracle import exact_max_clique, max_clique_within
 from quboprep.persistency import analyze
 from quboprep.posiform import IntArrays
 from quboprep.problems import clique_qubo
 
 from helpers import reference_level_union
-from test_split_golden import _bench_graph, _workloads
+from test_split_golden import _MODES, _PROBING_MAX_N, _bench_graph, _fits, _workloads
 
 
 def test_leaf_only_graph():
@@ -366,9 +366,9 @@ def test_default_solver_on_leaves_wider_than_64_vertices(monkeypatch):
     widths = []
     within = decompose.oracle.max_clique_within
 
-    def spy(adj, outside, cand):
+    def spy(adj, outside, cand, need=0):
         widths.append(cand.bit_count())
-        return within(adj, outside, cand)
+        return within(adj, outside, cand, need)
 
     monkeypatch.setattr(decompose.oracle, "max_clique_within", spy)
     # A wrapper is not the oracle itself, so it takes the leaf-Graph path.
@@ -378,3 +378,78 @@ def test_default_solver_on_leaves_wider_than_64_vertices(monkeypatch):
         on_root = max_clique_split(g, default_leaf_solver(65), use_persistency)
         assert max(widths) > 64
         assert on_root == max_clique_split(g, on_graphs, use_persistency)
+
+
+def _reference_needs(g: Graph, threshold: int, mode: str) -> list[tuple[int, int]]:
+    """(leaf mask, bound) of every leaf of splitting ``g`` in ``mode``, in
+    call order, read recursively off the split tree: 0 at the root, one less
+    for G1, one more than G1's unbounded clique for G2 when that is larger,
+    and less the forced vertices below a forced node."""
+    adj = g.adjacency_bits
+    outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+    options = _MODES[mode]
+    if options["use_persistency"]:
+        plan = decompose._plan(g, _matrix(g), threshold, options.get("use_probing", False))
+    leaves = []
+
+    def solve(mask: int, need: int) -> int:
+        if not mask:
+            return 0
+        if mask.bit_count() <= threshold:
+            leaves.append((mask, need))
+            return max_clique_within(adj, outside, mask)
+        if options["use_persistency"]:
+            kind, bits, children = plan[mask]
+        else:
+            kind, bits, children = decompose._step(adj, mask, set_bits(mask), None)
+        if kind == decompose._FORCED:
+            return solve(children[0], need - bits.bit_count()) | bits
+        g2, g1 = children
+        c1 = solve(g1, need - 1)
+        c2 = solve(g2, max(need, c1.bit_count() + 1))
+        return c1 | bits if c1.bit_count() + 1 > c2.bit_count() else c2
+
+    solve((1 << g.n) - 1, 0)
+    return leaves
+
+
+@st.composite
+def _split_cases(draw):
+    """A gnp graph of up to 40 vertices and a leaf threshold of 2–15, raised
+    until the split without persistency makes at most 2,000 leaf calls."""
+    g = gen_gnp(draw(st.integers(0, 40)), draw(st.floats(0.05, 0.95)), draw(st.integers(0, 2**16)))
+    threshold = draw(st.integers(2, 15))
+    while not _fits(g, threshold):
+        threshold += 1
+    return g, threshold
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_cases())
+def test_bounded_leaves_match_the_unbounded_leaf_graph_path(case):
+    """The default solver bounds each leaf search by the clique it has to
+    beat; the clique and counters equal those of the unbounded leaf-Graph
+    path, and each leaf gets the bound of a recursive reading of the tree."""
+    g, threshold = case
+    on_graphs = LeafSolver(lambda sub: exact_max_clique(sub), threshold)
+    within = decompose.oracle.max_clique_within
+    for mode in _MODES:
+        if mode == "probing" and g.n > _PROBING_MAX_N:
+            continue
+        calls, depth = [], 0
+
+        def spy(adj, outside, cand, need=0):
+            nonlocal depth
+            if not depth:
+                calls.append((cand, need))
+            depth += 1
+            try:
+                return within(adj, outside, cand, need)
+            finally:
+                depth -= 1
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose.oracle, "max_clique_within", spy)
+            bounded = max_clique_split(g, default_leaf_solver(threshold), **_MODES[mode])
+        assert bounded == max_clique_split(g, on_graphs, **_MODES[mode])
+        assert calls == _reference_needs(g, threshold, mode)

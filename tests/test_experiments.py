@@ -1,7 +1,11 @@
 """Experiment harness plumbing tests (row structure, CSV, graph mapping)."""
 
+import csv
+from pathlib import Path
+
 import pytest
 
+from quboprep.cli import main
 from quboprep.experiments import (
     degree_to_density_pct,
     make_graph,
@@ -59,3 +63,19 @@ def test_fig3_rows_carry_parameters(tmp_path):
 def test_write_csv_requires_rows(tmp_path):
     with pytest.raises(ValueError):
         write_csv([], tmp_path / "x.csv")
+
+
+def test_fig3_rows_match_golden(tmp_path, capsys):
+    """``quboprep experiment fig3 --seeds 1`` (n = 100, threshold 15) gives
+    the recorded rows in every column but the timing: the leaf calls with
+    and without persistency and the clique size, end to end."""
+    assert main(["experiment", "fig3", "--seeds", "1", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def rows(path):
+        with open(path, newline="") as f:
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(f)]
+
+    golden = rows(Path(__file__).parent / "data" / "fig3_golden.csv")
+    assert len(golden) == 5
+    assert rows(tmp_path / "fig3.csv") == golden

@@ -160,6 +160,24 @@ class TestExactMaxClique:
         assert max_clique_within(adj, outside, cand) == want
 
     @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=80), st.data())
+    def test_need_bounds_the_search_by_the_clique_to_beat(self, g, data):
+        """With ``need``, the search returns the clique of the unbounded
+        search when that has at least ``need`` vertices, else 0; ``need <=
+        0`` is the unbounded search.  Half the draws sit next to the clique
+        size, where the bound decides."""
+        cand = data.draw(st.integers(0, (1 << g.n) - 1))
+        adj = g.adjacency_bits
+        outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+        want = max_clique_within(adj, outside, cand)
+        size = want.bit_count()
+        need = data.draw(
+            st.one_of(st.integers(-1, cand.bit_count() + 1), st.integers(size - 1, size + 1))
+        )
+        got = max_clique_within(adj, outside, cand, need)
+        assert got == (want if size >= need else 0)
+
+    @settings(max_examples=200, deadline=None)
     @given(graphs(max_n=40), st.data())
     def test_greedy_start_stops_without_changing_its_clique(self, g, data):
         """Stopping once the best clique outgrows the next seed's degree
