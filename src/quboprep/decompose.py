@@ -7,18 +7,15 @@ neighbors; fixed-to-0 vertices are dropped), then split on a minimum-degree
 vertex v into G1 (the neighbors of v) and G2 (everything but v) and recurse.
 
 Every subproblem is a bitmask over the root graph's vertices: an induced
-subgraph is a mask AND with the root's neighbour masks and a degree is a
-popcount.  A node's children depend only on its mask, so with persistency
-the tree of oversized nodes is first expanded breadth-first (:func:`_plan`).
-:func:`_level` unpacks a level's masks into one node × vertex matrix and
-builds the disjoint union of the level's clique problems from it in one
-array pass: the root's non-adjacent pairs inside each node, at the ranks of
-their ends.  Each union goes to :func:`~quboprep.persistency.analyze_union`,
-one max flow per level (per :data:`_UNION_ENTRIES` quadratic entries on very
-wide levels).  The depth-first recursion then replays that plan and calls
-the leaf solver, so leaf calls, their order and the statistics are those of
-analyzing node by node.  The root's boolean adjacency matrix is built once
-per call; a leaf's matrix is its rows and columns at the leaf's members.
+subgraph is a mask AND with the root's neighbour masks.  A node's children
+depend only on its mask, so in every mode (plain, roof duality, probing)
+the tree of oversized nodes is first expanded breadth-first by
+:func:`_plan`, which takes each level's split vertices from one matrix
+product and, with roof duality, analyzes the level in one max flow.  The
+depth-first recursion then replays that plan and calls the leaf solver, so
+leaf calls, their order and the statistics are those of expanding node by
+node.  The root's boolean adjacency matrix is built once per call; a
+leaf's matrix is its rows and columns at the leaf's members.
 The default leaf solver searches a leaf on the root's neighbour masks
 (:func:`~quboprep.oracle.max_clique_within`): a leaf's members are sorted,
 so root indices order them as its own indices would, and the search finds
@@ -42,7 +39,7 @@ from __future__ import annotations
 import logging
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,8 +61,8 @@ _SOLVE, _FORCED, _SPLIT, _RIVAL = range(4)
 # Quadratic entries per analyze_union run; bounds the union network's size
 # on very wide levels of the split tree.
 _UNION_ENTRIES = 1 << 15
-# Nodes times root non-adjacent pairs per block of _level; bounds its
-# node-pair membership temporary on wide levels of nodes with few entries.
+# Node-vertex and node-pair cells per block of a level in _plan; bounds the
+# membership, degree and node-pair temporaries on wide levels.
 _RUN_CELLS = 1 << 22
 
 
@@ -145,72 +142,59 @@ def _leaf(sub: np.ndarray) -> Graph:
     return Graph._from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
-def _step(
-    adj: tuple[int, ...], mask: int, members: list[int], fixed: dict[int, int] | None
-) -> tuple:
-    """How the split tree goes on below the oversized node ``mask``, whose
-    sorted ``members`` are given.
-
-    With weak fixes ``fixed`` (by position among the members), the node is
-    shrunk: (_FORCED, the members fixed to 1, [the rest restricted to their
-    common neighbours]).  Without, it is split on a minimum-degree vertex v:
-    (_SPLIT, v's bit, [G2, G1]), children in push order.
-    """
+def _step(adj: tuple, mask: int, members: list | None, fixed: dict | None, v: int) -> tuple:
+    """How the split tree goes on below the oversized node ``mask``: with
+    weak fixes ``fixed`` (by position among its sorted ``members``), shrunk
+    to (_FORCED, the members fixed to 1, [the rest restricted to their
+    common neighbours]); without, split on ``v`` into (_SPLIT, v's bit,
+    [G2, G1]), children in push order."""
     if fixed:
-        ones = zeros = 0
-        for k, val in fixed.items():
-            if val == 1:
-                ones |= 1 << members[k]
-            else:
-                zeros |= 1 << members[k]
-        keep = mask & ~ones & ~zeros
-        for v in set_bits(ones):
-            if (adj[v] | 1 << v) & ones != ones:
+        ones = sum(1 << members[k] for k, val in fixed.items() if val == 1)
+        keep = mask & ~sum(1 << members[k] for k in fixed)
+        for u in set_bits(ones):
+            if (adj[u] | 1 << u) & ones != ones:
                 raise AssertionError("weakly-fixed-to-1 vertices are not pairwise adjacent")
-            keep &= adj[v]
+            keep &= adj[u]
         return _FORCED, ones, [keep]
-    # Members ascend, so a tie goes to the lowest vertex.
-    v = min(members, key=lambda u: (adj[u] & mask).bit_count())
     return _SPLIT, 1 << v, [mask & ~(1 << v), adj[v] & mask]
 
 
-def _level(
-    masks: list[int], n: int, pairs: tuple[np.ndarray, np.ndarray]
-) -> Iterator[tuple[int, list[list[int]], IntArrays, np.ndarray]]:
-    """The clique problems of the split-tree nodes ``masks`` over ``n``
-    root vertices, in runs of at most _UNION_ENTRIES quadratic entries (a
-    node larger than that forms a run alone): for each run, the index in
-    ``masks`` of its first node, each node's sorted members, the disjoint
-    union of their problems and its block starts.
-
-    ``pairs`` lists the root's non-adjacent pairs u < v in row-major order.
-    Nodes are taken in blocks of at most _RUN_CELLS node-pair cells, and no
-    run spans two blocks; a block's temporaries are gone before its runs
-    are handed out.
-    """
-    pu, pv = pairs
-    # Row r marks the members of masks[r], unpacked from its bytes.
+def _membership(masks: list[int], n: int) -> np.ndarray:
+    """The boolean node × vertex matrix whose row r marks the members of
+    ``masks[r]`` among ``n`` root vertices, unpacked from the masks' bytes."""
     width = (n + 7) // 8
     data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     bits = np.unpackbits(data.reshape(len(masks), width), axis=1, count=n, bitorder="little")
-    member = bits.view(bool)
-    step = _RUN_CELLS // max(len(pu), 1) or 1
-    for top in range(0, len(masks), step):
-        yield from _block(member[top : top + step], top, pu, pv)
+    return bits.view(bool)
 
 
-def _block(
-    member: np.ndarray, top: int, pu: np.ndarray, pv: np.ndarray
-) -> list[tuple[int, list[list[int]], IntArrays, np.ndarray]]:
-    """:func:`_level`'s runs of the nodes whose membership rows are
-    ``member``, the first of them node ``top`` of the level.
+def _split_vertices(member: np.ndarray, weights: np.ndarray) -> list[int]:
+    """Each node's minimum-degree member, the lowest vertex on a tie:
+    ``member`` is :func:`_membership` of the nodes and ``weights`` the root's
+    adjacency matrix in float32, so entry (r, u) of their product is the
+    degree of u inside node r (exact below 2^24 vertices)."""
+    degree = np.matmul(member, weights, dtype=np.float32)
+    degree[~member] = np.inf
+    return degree.argmin(1).tolist()
 
+
+def _level(
+    member: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
+) -> list[tuple[list[list[int]], IntArrays, np.ndarray]]:
+    """The clique problems of the split-tree nodes whose membership rows
+    are ``member`` (:func:`_membership`), in runs of at most _UNION_ENTRIES
+    quadratic entries (a node larger than that forms a run alone): for each
+    run, each node's sorted members, the disjoint union of their problems
+    and its block starts.
+
+    ``pairs`` lists the root's non-adjacent pairs u < v in row-major order.
     Node b's member of rank k is variable ``starts[b] + k``, so a root pair
     inside the node becomes the ranks of its ends: −A on every variable and
     B on every such pair, the keys strictly increasing without a sort.  That
     is ``IntArrays.union`` of each node's ``IntArrays.from_qubo(clique_qubo(
     g.induced(members)[0], _ENCODING))``.
     """
+    pu, pv = pairs
     inside = member[:, pu]
     inside &= member[:, pv]
     entries = inside.sum(1)
@@ -236,38 +220,51 @@ def _block(
         qv = np.full(b - a, _ENCODING.B, dtype=np.int64)
         union = IntArrays(bounds[hi] - base, 1, lin, qi[a:b] - base, qj[a:b] - base, qv, 0)
         members = [cols[x:y] for x, y in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1])]
-        runs.append((top + lo, members, union, starts[lo : hi + 1] - base))
+        runs.append((members, union, starts[lo : hi + 1] - base))
     return runs
 
 
-def _plan(g: Graph, matrix: np.ndarray, threshold: int, use_probing: bool) -> dict[int, tuple]:
-    """:func:`_step` of every oversized node of the persistency split tree
-    of ``g``, whose adjacency matrix is ``matrix``, by node mask.
+def _plan(
+    g: Graph, matrix: np.ndarray, threshold: int, use_persistency: bool, use_probing: bool
+) -> dict[int, tuple]:
+    """:func:`_step` of every oversized node of the split tree of ``g``,
+    whose adjacency matrix is ``matrix``, by node mask.
 
-    The tree is expanded breadth-first, so all nodes of a level are known
-    before any of them is analyzed: :func:`_level` builds their clique
-    problems from the node masks and the root's non-adjacent pairs, found
-    once per call, and each of its runs is one
-    :func:`~quboprep.persistency.analyze_union` call.  With ``use_probing``
-    each node is probed on its own.  A mask met again is not analyzed again.
+    Every mode expands the tree breadth-first, a level in blocks of at most
+    _RUN_CELLS node-vertex and node-pair cells (or one node): one product of
+    a block's :func:`_membership` matrix gives every node's split vertex.
+    The plain split analyzes no node.  With persistency, :func:`_level`
+    builds the block's clique problems from the same matrix, one
+    :func:`~quboprep.persistency.analyze_union` call per run; with
+    ``use_probing`` each node is probed on its own.  A mask met again is
+    not expanded again.
     """
     plan: dict[int, tuple] = {}
     adj = g.adjacency_bits
-    if not use_probing:
-        pairs = np.nonzero(np.triu(~matrix, 1))
+    weights = matrix.astype(np.float32)
+    pairs = np.nonzero(np.triu(~matrix, 1)) if use_persistency and not use_probing else ((), ())
+    step = _RUN_CELLS // max(g.n, len(pairs[0]), 1) or 1
     level = [(1 << g.n) - 1]
     while level:
         todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]
-        if use_probing:
-            for mask in todo:
-                members, sub = _induced(matrix, mask)
-                fixed = probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
-                plan[mask] = _step(adj, mask, members, fixed)
-        else:
-            for lo, members, union, starts in _level(todo, g.n, pairs):
-                blocks = analyze_union(union, starts, [0] * len(members))
-                for mask, mem, (_, weak, _) in zip(todo[lo : lo + len(members)], members, blocks):
-                    plan[mask] = _step(adj, mask, mem, weak)
+        for top in range(0, len(todo), step):
+            masks = todo[top : top + step]
+            member = _membership(masks, g.n)
+            if not use_persistency:
+                fixes = [(None, None)] * len(masks)
+            elif use_probing:
+                fixes = []
+                for mask in masks:
+                    members, sub = _induced(matrix, mask)
+                    fixed = probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
+                    fixes.append((members, fixed))
+            else:
+                fixes = []
+                for members, union, starts in _level(member, pairs):
+                    blocks = analyze_union(union, starts, [0] * len(members))
+                    fixes += [(mem, weak) for mem, (_, weak, _) in zip(members, blocks)]
+            for mask, (members, fixed), v in zip(masks, fixes, _split_vertices(member, weights)):
+                plan[mask] = _step(adj, mask, members, fixed, v)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan
 
@@ -281,9 +278,12 @@ def max_clique_split(
     """Maximum clique of ``g`` by recursive vertex splitting.
 
     With ``use_persistency`` each oversized subgraph is first shrunk by the
-    weak persistencies of its clique QUBO (probing too when ``use_probing``;
-    off by default since probing every subgraph is far slower).
+    weak persistencies of its clique QUBO (by probing it when
+    ``use_probing``; off by default since probing every subgraph is far
+    slower).  ``use_probing`` without ``use_persistency`` is a ``ValueError``.
     """
+    if use_probing and not use_persistency:
+        raise ValueError("use_probing needs use_persistency")
     if solver is None:
         solver = default_leaf_solver()
     stats = SplitStats()
@@ -294,10 +294,8 @@ def max_clique_split(
     on_root = solver.fn is oracle.exact_max_clique
     if on_root:
         outside = [~(a | 1 << v) for v, a in enumerate(adj)]
-    matrix = np.zeros((g.n, g.n), dtype=bool)
-    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    matrix[u, v] = matrix[v, u] = True
-    plan = _plan(g, matrix, solver.threshold, use_probing) if use_persistency else {}
+    matrix = _membership(adj, g.n)
+    plan = _plan(g, matrix, solver.threshold, use_persistency, use_probing)
     # Explicit stack: (_SOLVE, mask, depth, need) solves the subgraph on
     # ``mask``; a _FORCED or _SPLIT entry combines the cliques found for the
     # entries pushed just above it.  Cliques are root-vertex masks.  ``need``
@@ -334,10 +332,7 @@ def max_clique_split(
                 members, sub = _induced(matrix, mask)
                 found.append(sum(1 << members[k] for k in solver.solve(_leaf(sub))))
             continue
-        if use_persistency:
-            combine, bits, children = plan[mask]
-        else:
-            combine, bits, children = _step(adj, mask, set_bits(mask), None)
+        combine, bits, children = plan[mask]
         todo.append((combine, bits, 0, 0))
         if combine == _FORCED:
             stats.vertices_eliminated_by_persistency += mask.bit_count() - children[0].bit_count()

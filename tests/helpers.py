@@ -466,6 +466,13 @@ def reference_set_bits(mask: int) -> list[int]:
     return out
 
 
+def reference_split_vertex(adj, mask: int) -> int:
+    """The split vertex of the split-tree node ``mask`` over neighbour
+    masks ``adj``: its member with the fewest neighbours inside ``mask``,
+    a tie going to the lowest vertex."""
+    return min(reference_set_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+
+
 def reference_level_union(g, masks: list[int]) -> tuple[IntArrays, list[list[int]]]:
     """The clique problems of the subgraphs of ``g`` on ``masks``, node by
     node (``g.induced`` → ``clique_qubo`` → ``IntArrays.from_qubo``) and

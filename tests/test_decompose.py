@@ -13,18 +13,19 @@ from quboprep.decompose import (
     _induced,
     _leaf,
     _level,
+    _membership,
     default_leaf_solver,
     max_clique_split,
     splitting_savings,
 )
 from quboprep.errors import SolverValidationError
-from quboprep.graphs import Graph, gen_gnp, set_bits
+from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique, max_clique_within
 from quboprep.persistency import analyze
 from quboprep.posiform import IntArrays
 from quboprep.problems import clique_qubo
 
-from helpers import reference_level_union
+from helpers import reference_level_union, reference_split_vertex
 from test_split_golden import _MODES, _PROBING_MAX_N, _bench_graph, _fits, _workloads
 
 
@@ -69,6 +70,34 @@ def test_probing_mode_stays_correct():
     g = gen_gnp(24, 0.6, 5)
     clique, _ = max_clique_split(g, default_leaf_solver(8), use_probing=True)
     assert len(clique) == len(exact_max_clique(g))
+
+
+def test_probing_without_persistency_is_rejected():
+    """``use_probing`` would otherwise be ignored, or start probing that
+    nobody asked for."""
+    with pytest.raises(ValueError, match="use_persistency"):
+        max_clique_split(gen_gnp(24, 0.6, 5), default_leaf_solver(8), False, True)
+
+
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_each_mode_runs_only_its_own_analysis(mode, monkeypatch):
+    """The plain split analyzes no node, roof duality never probes and
+    probing never builds level unions."""
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("analyze_union", "probe"):
+        monkeypatch.setattr(decompose, name, spy(name, getattr(decompose, name)))
+    g = gen_gnp(24, 0.6, 5)
+    clique, _ = max_clique_split(g, default_leaf_solver(8), **_MODES[mode])
+    assert len(clique) == len(exact_max_clique(g))
+    assert called == {"plain": set(), "persistency": {"analyze_union"}, "probing": {"probe"}}[mode]
 
 
 def test_empty_and_edgeless_graphs():
@@ -226,8 +255,8 @@ def test_clique_arrays_match_the_qubo_route(g, mask):
     assert tuple(members) == labels
     assert _leaf(sub) == ref_graph
     # As the split solver does: the node's problem built from its mask.
-    [(lo, [built], arr, starts)] = _level([mask], g.n, _pairs(g))
-    assert (lo, built, starts.tolist()) == (0, members, [0, len(members)])
+    [([built], arr, starts)] = _level(_membership([mask], g.n), _pairs(g))
+    assert (built, starts.tolist()) == (members, [0, len(members)])
     ref = IntArrays.from_qubo(clique_qubo(ref_graph))
     assert arr.lin.dtype == arr.qi.dtype == arr.qj.dtype == arr.qv.dtype == np.int64
     assert _fields(arr, sort=False) == _fields(ref, sort=True)
@@ -242,7 +271,7 @@ def _pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 @st.composite
 def _level_cases(draw):
-    """A gnp graph of 1–130 vertices and a level of masks over it, with
+    """A gnp graph of 1–130 vertices and a block of masks over it, with
     empty and one-vertex nodes among them, and a union budget."""
     n = draw(st.integers(1, 130))
     g = gen_gnp(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
@@ -253,8 +282,7 @@ def _level_cases(draw):
     )
     masks = draw(st.lists(node, min_size=1, max_size=8))
     budget = draw(st.sampled_from([0, 1, 7, 60, 500, decompose._UNION_ENTRIES]))
-    cells = draw(st.sampled_from([1, 3000, decompose._RUN_CELLS]))
-    return g, masks, budget, cells
+    return g, masks, budget
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,18 +290,14 @@ def _level_cases(draw):
 def test_level_builder_matches_the_reference_union(case):
     """Each run of ``_level`` is the union of its nodes' clique problems
     built node by node, with the same arrays, dtypes and order; runs are
-    cut greedily at the union budget and stay within blocks of at most
-    ``_RUN_CELLS`` node-pair cells."""
-    g, masks, budget, cells = case
-    pairs = _pairs(g)
+    cut greedily at the union budget."""
+    g, masks, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decompose, "_UNION_ENTRIES", budget)
-        mp.setattr(decompose, "_RUN_CELLS", cells)
-        runs = list(_level(masks, g.n, pairs))
-    block = max(1, cells // max(len(pairs[0]), 1))
-    bounds = [lo for lo, *_ in runs] + [len(masks)]
-    assert bounds[0] == 0
-    for (lo, members, union, starts), hi in zip(runs, bounds[1:]):
+        runs = _level(_membership(masks, g.n), _pairs(g))
+    bounds = np.cumsum([0] + [len(members) for members, _, _ in runs]).tolist()
+    assert bounds[-1] == len(masks)
+    for (members, union, starts), lo, hi in zip(runs, bounds, bounds[1:]):
         assert lo < hi
         ref, ref_members = reference_level_union(g, masks[lo:hi])
         assert members == ref_members
@@ -283,11 +307,10 @@ def test_level_builder_matches_the_reference_union(case):
             assert got.dtype == want.dtype == np.int64
             assert got.tolist() == want.tolist()
         assert (union.num_vars, union.scale, union.offset) == (ref.num_vars, ref.scale, ref.offset)
-        # Within the budget unless one node exceeds it alone, within one
-        # block, and no run could take the next run's first node from it.
+        # Within the budget unless one node exceeds it alone, and no run
+        # could take the next run's first node from it.
         assert len(union.qv) <= budget or hi - lo == 1
-        assert lo // block == (hi - 1) // block
-        if hi < len(masks) and hi % block:
+        if hi < len(masks):
             first = reference_level_union(g, masks[hi : hi + 1])[0]
             assert len(union.qv) + len(first.qv) > budget
 
@@ -380,6 +403,71 @@ def test_default_solver_on_leaves_wider_than_64_vertices(monkeypatch):
         assert on_root == max_clique_split(g, on_graphs, use_persistency)
 
 
+def _reference_split(adj: tuple[int, ...], mask: int) -> tuple:
+    """The plan entry of splitting the node ``mask`` on the reference
+    split vertex: (_SPLIT, its bit, [G2, G1])."""
+    v = reference_split_vertex(adj, mask)
+    return decompose._SPLIT, 1 << v, [mask & ~(1 << v), adj[v] & mask]
+
+
+def _reference_plain_plan(g: Graph, threshold: int, budget: int) -> dict[int, tuple] | None:
+    """Every oversized node of the plain split tree of ``g`` by its
+    reference split, or None past ``budget`` nodes."""
+    adj = g.adjacency_bits
+    plan, todo = {}, [(1 << g.n) - 1]
+    while todo:
+        mask = todo.pop()
+        if mask.bit_count() > threshold and mask not in plan:
+            if len(plan) == budget:
+                return None
+            plan[mask] = _reference_split(adj, mask)
+            todo += plan[mask][2]
+    return plan
+
+
+def _circulant(n: int, offsets: set[int]) -> Graph:
+    """The graph joining u and u ± d (mod n) for each d in ``offsets``:
+    every vertex has the same degree."""
+    edges = {tuple(sorted((u, (u + d) % n))) for u in range(n) for d in offsets}
+    return Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+
+
+@st.composite
+def _plan_cases(draw):
+    """A graph of 1–130 vertices, gnp or circulant (a regular graph, so
+    every degree ties at the root), and a leaf threshold, raised until the
+    plain split tree has at most 150 oversized nodes."""
+    n = draw(st.integers(1, 130))
+    if draw(st.booleans()):
+        g = gen_gnp(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
+    else:
+        g = _circulant(n, draw(st.sets(st.integers(1, max(1, n // 2)), max_size=6)))
+    threshold = draw(st.integers(1, n))
+    while _reference_plain_plan(g, threshold, 150) is None:
+        threshold += 1 + threshold // 8
+    return g, threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(_plan_cases())
+def test_every_split_vertex_is_the_reference_one(case):
+    """Each node ``_plan`` splits, in every mode, is split on its member of
+    fewest neighbours inside the node, the lowest on a tie, into the
+    children of that vertex; the plain plan is the reference tree."""
+    g, threshold = case
+    adj = g.adjacency_bits
+    for mode, options in _MODES.items():
+        if mode == "probing" and g.n > _PROBING_MAX_N:
+            continue
+        use_probing = options.get("use_probing", False)
+        plan = decompose._plan(g, _matrix(g), threshold, options["use_persistency"], use_probing)
+        if mode == "plain":
+            assert plan == _reference_plain_plan(g, threshold, 150)
+        for mask, entry in plan.items():
+            if entry[0] == decompose._SPLIT:
+                assert entry == _reference_split(adj, mask)
+
+
 def _reference_needs(g: Graph, threshold: int, mode: str) -> list[tuple[int, int]]:
     """(leaf mask, bound) of every leaf of splitting ``g`` in ``mode``, in
     call order, read recursively off the split tree: 0 at the root, one less
@@ -389,7 +477,7 @@ def _reference_needs(g: Graph, threshold: int, mode: str) -> list[tuple[int, int
     outside = [~(a | 1 << v) for v, a in enumerate(adj)]
     options = _MODES[mode]
     if options["use_persistency"]:
-        plan = decompose._plan(g, _matrix(g), threshold, options.get("use_probing", False))
+        plan = decompose._plan(g, _matrix(g), threshold, True, options.get("use_probing", False))
     leaves = []
 
     def solve(mask: int, need: int) -> int:
@@ -401,7 +489,7 @@ def _reference_needs(g: Graph, threshold: int, mode: str) -> list[tuple[int, int
         if options["use_persistency"]:
             kind, bits, children = plan[mask]
         else:
-            kind, bits, children = decompose._step(adj, mask, set_bits(mask), None)
+            kind, bits, children = _reference_split(adj, mask)
         if kind == decompose._FORCED:
             return solve(children[0], need - bits.bit_count()) | bits
         g2, g1 = children

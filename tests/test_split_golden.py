@@ -196,6 +196,35 @@ def test_outcomes_match_golden_with_small_unions(budget, monkeypatch):
         assert any(size > 1 for size, _ in runs)
 
 
+@pytest.mark.parametrize("cells", [1, 600])
+def test_outcomes_match_golden_in_small_row_blocks(cells, monkeypatch):
+    """With _RUN_CELLS cut to a few cells, each level is planned in many
+    blocks of at most that many node-vertex and node-pair cells (or one
+    node); the outcomes must not change."""
+    blocks = []
+    split_vertices, level = decompose._split_vertices, decompose._level
+
+    def vertex_spy(member, weights):
+        rows, n = member.shape
+        blocks.append(rows)
+        assert rows * n <= cells or rows == 1
+        return split_vertices(member, weights)
+
+    def pair_spy(member, pairs):
+        assert len(member) * len(pairs[0]) <= cells or len(member) == 1
+        return level(member, pairs)
+
+    monkeypatch.setattr(decompose, "_RUN_CELLS", cells)
+    monkeypatch.setattr(decompose, "_split_vertices", vertex_spy)
+    monkeypatch.setattr(decompose, "_level", pair_spy)
+    for mode in ("plain", "persistency"):
+        for case in [c for c in _GOLDEN["random"] if c["mode"] == mode][:40]:
+            g = gen_gnp(case["n"], case["p"], case["seed"])
+            assert record(g, case["threshold"], mode) == case["outcome"], case
+    assert len(blocks) > 100
+    assert (max(blocks) > 1) == (cells > 1)
+
+
 @pytest.mark.parametrize(
     "seed, mode", [(c["seed"], c["mode"]) for c in _GOLDEN["bench"]]
 )
