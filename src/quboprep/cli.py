@@ -1,8 +1,8 @@
 """Command-line front end: reduce problems, run experiments, solve instances.
 
 Exit codes: 0 success, 2 input/parse and usage errors (split flags outside
-``solve clique --split`` too), 3 oracle size-guard violations, 4
-solution-validation failures.
+``solve clique --split`` or together too), 3 oracle size-guard violations,
+4 solution-validation failures.
 """
 
 from __future__ import annotations
@@ -106,8 +106,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     split_only = args.probe_in_split or not args.persistency
-    if split_only and not (args.target == "clique" and args.split):
-        raise FormatError("--no-persistency and --probe-in-split need solve clique --split")
+    outside = args.target != "clique" or not args.split
+    if (split_only and outside) or (args.probe_in_split and not args.persistency):
+        raise FormatError(
+            "--no-persistency and --probe-in-split need solve clique --split and exclude each other"
+        )
     g = _load_graph(args)
     t0 = time.perf_counter()
     if args.target == "clique":
@@ -246,14 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p_solve)
     p_solve.add_argument("--split", action="store_true", help="use the vertex-splitting solver")
     p_solve.add_argument("--threshold", type=_positive_int, default=45)
-    split_mode = p_solve.add_mutually_exclusive_group()
-    split_mode.add_argument(
+    p_solve.add_argument(
         "--no-persistency",
         dest="persistency",
         action="store_false",
         help="disable persistency shrinking inside the split recursion",
     )
-    split_mode.add_argument(
+    p_solve.add_argument(
         "--probe-in-split",
         action="store_true",
         help="probe every subgraph too (much slower)",

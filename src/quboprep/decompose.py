@@ -10,12 +10,12 @@ Every subproblem is a bitmask over the root graph's vertices: an induced
 subgraph is a mask AND with the root's neighbour masks.  A node's children
 depend only on its mask, so in every mode (plain, roof duality, probing)
 the tree of oversized nodes is first expanded breadth-first by
-:func:`_plan`, which takes each level's split vertices from one matrix
-product and, with roof duality, analyzes the level in one max flow.  The
-depth-first recursion then replays that plan and calls the leaf solver, so
-leaf calls, their order and the statistics are those of expanding node by
-node.  The root's boolean adjacency matrix is built once per call; a
-leaf's matrix is its rows and columns at the leaf's members.
+:func:`_plan`, which with roof duality analyzes each level in one max
+flow.  The depth-first recursion then replays that plan and calls the leaf
+solver, so leaf calls, their order and the statistics are those of
+expanding node by node.  The root's boolean adjacency matrix is built
+once per call; a leaf's matrix is its rows and columns at the leaf's
+members.
 The default leaf solver searches a leaf on the root's neighbour masks
 (:func:`~quboprep.oracle.max_clique_within`): a leaf's members are sorted,
 so root indices order them as its own indices would, and the search finds
@@ -62,7 +62,7 @@ _SOLVE, _FORCED, _SPLIT, _RIVAL = range(4)
 # on very wide levels of the split tree.
 _UNION_ENTRIES = 1 << 15
 # Node-vertex and node-pair cells per block of a level in _plan; bounds the
-# membership, degree and node-pair temporaries on wide levels.
+# membership and node-pair temporaries on wide levels.
 _RUN_CELLS = 1 << 22
 
 
@@ -168,16 +168,6 @@ def _membership(masks: list[int], n: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _split_vertices(member: np.ndarray, weights: np.ndarray) -> list[int]:
-    """Each node's minimum-degree member, the lowest vertex on a tie:
-    ``member`` is :func:`_membership` of the nodes and ``weights`` the root's
-    adjacency matrix in float32, so entry (r, u) of their product is the
-    degree of u inside node r (exact below 2^24 vertices)."""
-    degree = np.matmul(member, weights, dtype=np.float32)
-    degree[~member] = np.inf
-    return degree.argmin(1).tolist()
-
-
 def _level(
     member: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
 ) -> list[tuple[list[list[int]], IntArrays, np.ndarray]]:
@@ -231,17 +221,16 @@ def _plan(
     whose adjacency matrix is ``matrix``, by node mask.
 
     Every mode expands the tree breadth-first, a level in blocks of at most
-    _RUN_CELLS node-vertex and node-pair cells (or one node): one product of
-    a block's :func:`_membership` matrix gives every node's split vertex.
-    The plain split analyzes no node.  With persistency, :func:`_level`
-    builds the block's clique problems from the same matrix, one
+    _RUN_CELLS node-vertex and node-pair cells (or one node).  The plain
+    split analyzes no node.  With persistency, :func:`_level` builds the
+    block's clique problems from its :func:`_membership` matrix, one
     :func:`~quboprep.persistency.analyze_union` call per run; with
-    ``use_probing`` each node is probed on its own.  A mask met again is
-    not expanded again.
+    ``use_probing`` each node is probed on its own.  An unfixed node splits
+    on its member with the fewest neighbours inside it, the lowest vertex
+    on a tie.  A mask met again is not expanded again.
     """
     plan: dict[int, tuple] = {}
     adj = g.adjacency_bits
-    weights = matrix.astype(np.float32)
     pairs = np.nonzero(np.triu(~matrix, 1)) if use_persistency and not use_probing else ((), ())
     step = _RUN_CELLS // max(g.n, len(pairs[0]), 1) or 1
     level = [(1 << g.n) - 1]
@@ -249,9 +238,8 @@ def _plan(
         todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]
         for top in range(0, len(todo), step):
             masks = todo[top : top + step]
-            member = _membership(masks, g.n)
             if not use_persistency:
-                fixes = [(None, None)] * len(masks)
+                fixes = [(set_bits(mask), None) for mask in masks]
             elif use_probing:
                 fixes = []
                 for mask in masks:
@@ -260,10 +248,11 @@ def _plan(
                     fixes.append((members, fixed))
             else:
                 fixes = []
-                for members, union, starts in _level(member, pairs):
+                for members, union, starts in _level(_membership(masks, g.n), pairs):
                     blocks = analyze_union(union, starts, [0] * len(members))
                     fixes += [(mem, weak) for mem, (_, weak, _) in zip(members, blocks)]
-            for mask, (members, fixed), v in zip(masks, fixes, _split_vertices(member, weights)):
+            for mask, (members, fixed) in zip(masks, fixes):
+                v = None if fixed else min(members, key=lambda u: (adj[u] & mask).bit_count())
                 plan[mask] = _step(adj, mask, members, fixed, v)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan

@@ -172,26 +172,19 @@ def test_solve_clique_split_matches_oracle(tmp_path, capsys):
         ("cut", ["--split", "--probe-in-split"]),
         ("cut", ["--split", "--no-persistency"]),
         ("cut", ["--probe-in-split"]),
+        ("clique", ["--split", "--probe-in-split", "--no-persistency"]),
+        ("clique", ["--split", "--no-persistency", "--probe-in-split"]),
     ],
 )
 def test_split_flags_without_a_split_are_input_errors(target, flags, capsys):
     argv = ["solve", target, "--family", "gnp", "--n", "10", "--param", "0.5", *flags]
     code, out, err = run(argv, capsys)
     assert code == EXIT_PARSE
-    assert err == "error: --no-persistency and --probe-in-split need solve clique --split\n"
+    assert err == (
+        "error: --no-persistency and --probe-in-split need solve clique --split"
+        " and exclude each other\n"
+    )
     assert out == ""
-
-
-@pytest.mark.parametrize(
-    "flags", [["--probe-in-split", "--no-persistency"], ["--no-persistency", "--probe-in-split"]]
-)
-def test_probing_without_persistency_is_a_usage_error(flags, capsys):
-    argv = ["solve", "clique", "--family", "gnp", "--n", "10", "--param", "0.5", "--split"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + flags)
-    assert exc.value.code == 2  # argparse's usage-error status
-    err = capsys.readouterr().err
-    assert f"argument {flags[1]}: not allowed with argument {flags[0]}" in err
 
 
 def test_solve_cut_k2(tmp_path, capsys):

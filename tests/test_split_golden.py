@@ -202,21 +202,16 @@ def test_outcomes_match_golden_in_small_row_blocks(cells, monkeypatch):
     blocks of at most that many node-vertex and node-pair cells (or one
     node); the outcomes must not change."""
     blocks = []
-    split_vertices, level = decompose._split_vertices, decompose._level
+    level = decompose._level
 
-    def vertex_spy(member, weights):
+    def block_spy(member, pairs):
         rows, n = member.shape
         blocks.append(rows)
-        assert rows * n <= cells or rows == 1
-        return split_vertices(member, weights)
-
-    def pair_spy(member, pairs):
-        assert len(member) * len(pairs[0]) <= cells or len(member) == 1
+        assert rows * max(n, len(pairs[0])) <= cells or rows == 1
         return level(member, pairs)
 
     monkeypatch.setattr(decompose, "_RUN_CELLS", cells)
-    monkeypatch.setattr(decompose, "_split_vertices", vertex_spy)
-    monkeypatch.setattr(decompose, "_level", pair_spy)
+    monkeypatch.setattr(decompose, "_level", block_spy)
     for mode in ("plain", "persistency"):
         for case in [c for c in _GOLDEN["random"] if c["mode"] == mode][:40]:
             g = gen_gnp(case["n"], case["p"], case["seed"])
