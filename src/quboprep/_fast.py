@@ -20,7 +20,7 @@ posiform.  One max flow then serves all 2k branches:
   the same for every maximum flow: Picard & Queyranne, 1980).
 
 :func:`~quboprep.persistency.split_blocks`, shared with
-:func:`~quboprep.persistency.analyze_all`, splits labels and bounds by copy.
+:func:`~quboprep.persistency.analyze_union`, splits labels and bounds by copy.
 A layout of one pair is the plain probe of one variable; probing lays out
 more pairs only once its working problem has stopped changing (see
 :class:`~quboprep.probing._ProbeState`).

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import experiments, graphs, oracle, problems
-from .decompose import default_leaf_solver, max_clique_split
+from .decompose import DEFAULT_THRESHOLD, default_leaf_solver, max_clique_split
 from .errors import FormatError, SizeGuardError, SolverValidationError
 from .model import Qubo, read_qubo, write_qubo
 from .persistency import analyze
@@ -105,17 +105,18 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    split_only = args.probe_in_split or not args.persistency
+    flags = (args.split, args.threshold is not None, args.probe_in_split, not args.persistency)
     outside = args.target != "clique" or not args.split
-    if (split_only and outside) or (args.probe_in_split and not args.persistency):
+    if (any(flags) and outside) or (args.probe_in_split and not args.persistency):
         raise FormatError(
-            "--no-persistency and --probe-in-split need solve clique --split and exclude each other"
+            "--split, --threshold, --no-persistency and --probe-in-split need solve clique"
+            " --split; --no-persistency and --probe-in-split exclude each other"
         )
     g = _load_graph(args)
     t0 = time.perf_counter()
     if args.target == "clique":
         if args.split:
-            solver = default_leaf_solver(args.threshold)
+            solver = default_leaf_solver(args.threshold or DEFAULT_THRESHOLD)
             clique, stats = max_clique_split(
                 g, solver, use_persistency=args.persistency, use_probing=args.probe_in_split
             )
@@ -127,7 +128,8 @@ def cmd_solve(args) -> int:
         else:
             clique = oracle.exact_max_clique(g)
             extra = {}
-        support, valid = problems.decode_clique(g, [1 if v in set(clique) else 0 for v in range(g.n)])
+        members = set(clique)
+        support, valid = problems.decode_clique(g, [int(v in members) for v in range(g.n)])
         if not valid:
             raise SolverValidationError(f"produced vertex set {support} is not a clique")
         if args.split and g.n <= 40:
@@ -146,7 +148,8 @@ def cmd_solve(args) -> int:
         }
     else:
         (side0, side1), value = oracle.exact_max_cut(g)
-        assignment = [1 if v in set(side1) else 0 for v in range(g.n)]
+        ones = set(side1)
+        assignment = [int(v in ones) for v in range(g.n)]
         (d0, d1), recomputed = problems.decode_cut(g, assignment)
         if recomputed != value:
             raise SolverValidationError("cut value mismatch between solver and decoder")
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("target", choices=["clique", "cut"])
     _add_graph_args(p_solve)
     p_solve.add_argument("--split", action="store_true", help="use the vertex-splitting solver")
-    p_solve.add_argument("--threshold", type=_positive_int, default=45)
+    p_solve.add_argument("--threshold", type=_positive_int, help=f"default {DEFAULT_THRESHOLD}")
     p_solve.add_argument(
         "--no-persistency",
         dest="persistency",

@@ -89,10 +89,7 @@ class LeafSolver:
             raise SolverValidationError(f"solver returned a non-integer vertex in {found}") from None
         if any(not 0 <= v < g.n for v in result):
             raise SolverValidationError(f"solver returned out-of-range vertices {result}")
-        adj = g.adjacency_bits
-        mask = sum(1 << v for v in result)
-        # In a clique, the only member outside a member's neighbours is itself.
-        if any(mask & ~adj[v] != 1 << v for v in result):
+        if not g.is_clique(result):
             raise SolverValidationError(f"solver returned a non-clique {result}")
         return result
 

@@ -9,7 +9,6 @@ degraded oracle would invalidate every acceptance run built on it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +18,6 @@ import numpy as np
 from .errors import SizeGuardError
 from .model import Coeff, Qubo, as_coeff
 from .graphs import Graph, set_bits
-
-logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_VARS = 25
 MAX_CUT_MAX_VARS = 25
@@ -157,13 +154,9 @@ def max_clique_within(adj, outside, cand: int, need: int = 0) -> int:
     else:
         best_mask = _greedy_clique(adj, cand)
         best_size = best_mask.bit_count()
-    nodes_visited = 0
 
     def expand(cand_mask: int, current_mask: int, size: int) -> None:
-        nonlocal best_mask, best_size, nodes_visited
-        nodes_visited += 1
-        if nodes_visited % 500000 == 0:
-            logger.info("clique search: %d nodes, best=%d", nodes_visited, best_size)
+        nonlocal best_mask, best_size
         # A vertex of color <= best_size - size cannot lead to a larger clique.
         ordered, bounds = _color_order(cand_mask, outside, best_size - size)
         for k in range(len(ordered) - 1, -1, -1):

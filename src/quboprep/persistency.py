@@ -4,14 +4,13 @@ All labels come from the residual graph of one symmetrized max flow, built
 once as a CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
 :func:`analyze_union` runs several problems through one flow, on the network
 of their disjoint union, and :func:`split_blocks` hands each problem its own
-labels and bound.  :func:`analyze_all` lays out that union from separate
-problems and makes each one's :class:`PersistencyResult`, and
-:func:`analyze` is the one-problem case; the split solver builds its unions
-directly and reads the weak labels off the blocks.  The blocks share only
-the source and the sink.  The sink is never reachable at a maximum flow, a
-middle literal reaches no middle literal of another block, and residual
-reachability is the same for every maximum flow (Picard & Queyranne, 1980),
-so every block gets exactly the result it gets alone.
+labels and bound.  :func:`analyze` is the one-block case, on the problem's
+own arrays; the split solver builds its unions directly and reads the weak
+labels off the blocks.  The blocks share only the source and the sink.  The
+sink is never reachable at a maximum flow, a middle literal reaches no
+middle literal of another block, and residual reachability is the same for
+every maximum flow (Picard & Queyranne, 1980), so every block gets exactly
+the result it gets alone.
 
 Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
@@ -85,24 +84,9 @@ class PersistencyResult:
 def analyze(q: Qubo | IntArrays) -> PersistencyResult:
     """Roof-dual bound plus strong and weak persistencies of ``q``, given as
     a Qubo or as its scaled arrays."""
-    return analyze_all([q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)])[0]
-
-
-def analyze_all(problems: Sequence[IntArrays]) -> list[PersistencyResult]:
-    """:func:`analyze` of each problem, all in one max flow: problem b
-    becomes block b of their disjoint union
-    (:meth:`~quboprep.posiform.IntArrays.union`), for :func:`analyze_union`.
-
-    The problems must share one scale.
-    """
-    if not problems:
-        return []
-    starts = np.cumsum([0] + [arr.num_vars for arr in problems])
-    blocks = analyze_union(IntArrays.union(problems), starts, [arr.offset for arr in problems])
-    return [
-        PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
-        for arr, (strong, weak, bound) in zip(problems, blocks)
-    ]
+    arr = q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)
+    [(strong, weak, bound)] = analyze_union(arr, np.array([0, arr.num_vars]), [arr.offset])
+    return PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
 
 
 def analyze_union(

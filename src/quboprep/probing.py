@@ -198,7 +198,10 @@ class _ProbeState:
         """Penalize x_u=b ∧ x_j≠v for each (b, j, v) in ``implied`` (zero on
         optima); skips implications already recorded or already carried by a
         coupling of the right sign.  Each j appears once in ``implied``, so
-        every check reads the working problem as it was before the call."""
+        every check reads the working problem as it was before the call.
+        The penalty is p·(c_u + s_u·x_u)·(c_j + s_j·x_j), the two factors
+        being [x_u = b] and [x_j ≠ v]; a u–j coupling of the sign of s_u·s_j
+        already carries it."""
         if not implied:
             return
         w = self.working()
@@ -208,40 +211,27 @@ class _ProbeState:
         at = np.minimum(np.searchsorted(have, keys), max(len(have) - 1, 0))
         existing = np.where(have[at] == keys, w.qv[at], 0) if len(have) else np.zeros_like(keys)
         p = IMPLICATION_WEIGHT * w.scale
-        lin = np.zeros(n, dtype=np.int64)
-        couplings: list[tuple[int, int]] = []  # (j, value) of a new u–j entry
-        offset = 0
+        couplings: list[tuple[int, int, int]] = []  # (j, coupling, x_j term)
+        lin_u = offset = 0
         orig_u = self.total.surviving[u]
         for (b, j, v), coupling in zip(implied, existing.tolist()):
             orig_j = self.total.surviving[j]
             if (orig_u, b, orig_j, v) in self._impl_seen:
                 continue
-            if b == 1 and v == 0:
-                if coupling > 0:
-                    continue  # a co-selection penalty already carries this arc
-                couplings.append((j, p))
-            elif b == 1 and v == 1:
-                if coupling < 0:
-                    continue
-                lin[u] += p
-                couplings.append((j, -p))
-            elif v == 0:  # b == 0: x_j implies x_u
-                if coupling < 0:
-                    continue
-                lin[j] += p
-                couplings.append((j, -p))
-            else:  # b == 0, v == 1: penalize both zero
-                if coupling > 0:
-                    continue
-                offset += IMPLICATION_WEIGHT
-                lin[u] -= p
-                lin[j] -= p
-                couplings.append((j, p))
+            c_u, s_u, c_j, s_j = 1 - b, 2 * b - 1, v, 1 - 2 * v
+            if coupling * s_u * s_j > 0:
+                continue
+            offset += IMPLICATION_WEIGHT * c_u * c_j
+            lin_u += p * c_j * s_u
+            couplings.append((j, p * s_u * s_j, p * c_u * s_j))
             self._impl_seen.add((orig_u, b, orig_j, v))
         if not couplings:
             return
         # Sorted by j, the keys of the u–j entries strictly increase.
-        js, vals = (np.array(col, dtype=np.int64) for col in zip(*sorted(couplings)))
+        js, vals, lin_js = (np.array(col, dtype=np.int64) for col in zip(*sorted(couplings)))
+        lin = np.zeros(n, dtype=np.int64)
+        lin[js] = lin_js
+        lin[u] = lin_u
         added = IntArrays(n, w.scale, lin, np.minimum(u, js), np.maximum(u, js), vals, offset)
         self.penalty = self.penalty.plus(added)
         self._changed()

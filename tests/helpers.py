@@ -504,3 +504,56 @@ def reference_color_order(vertices: list[int], adj) -> tuple[list[int], list[int
     ordered = sorted(vertices, key=lambda v: color_of[v])
     bounds = [color_of[v] + 1 for v in ordered]
     return ordered, bounds
+
+
+def reference_add_implications(state, u: int, implied) -> None:
+    """``_ProbeState.add_implications`` as four sign cases, one per (b, v);
+    the body it had before the penalty came from one product, kept as its
+    differential oracle."""
+    from quboprep.probing import IMPLICATION_WEIGHT
+
+    if not implied:
+        return
+    w = state.working()
+    n = w.num_vars
+    keys = np.array([min(u, j) * n + max(u, j) for _, j, _ in implied], dtype=np.int64)
+    have = w.qi * n + w.qj
+    at = np.minimum(np.searchsorted(have, keys), max(len(have) - 1, 0))
+    existing = np.where(have[at] == keys, w.qv[at], 0) if len(have) else np.zeros_like(keys)
+    p = IMPLICATION_WEIGHT * w.scale
+    lin = np.zeros(n, dtype=np.int64)
+    couplings: list[tuple[int, int]] = []  # (j, value) of a new u–j entry
+    offset = 0
+    orig_u = state.total.surviving[u]
+    for (b, j, v), coupling in zip(implied, existing.tolist()):
+        orig_j = state.total.surviving[j]
+        if (orig_u, b, orig_j, v) in state._impl_seen:
+            continue
+        if b == 1 and v == 0:
+            if coupling > 0:
+                continue  # a co-selection penalty already carries this arc
+            couplings.append((j, p))
+        elif b == 1 and v == 1:
+            if coupling < 0:
+                continue
+            lin[u] += p
+            couplings.append((j, -p))
+        elif v == 0:  # b == 0: x_j implies x_u
+            if coupling < 0:
+                continue
+            lin[j] += p
+            couplings.append((j, -p))
+        else:  # b == 0, v == 1: penalize both zero
+            if coupling > 0:
+                continue
+            offset += IMPLICATION_WEIGHT
+            lin[u] -= p
+            lin[j] -= p
+            couplings.append((j, p))
+        state._impl_seen.add((orig_u, b, orig_j, v))
+    if not couplings:
+        return
+    js, vals = (np.array(col, dtype=np.int64) for col in zip(*sorted(couplings)))
+    added = IntArrays(n, w.scale, lin, np.minimum(u, js), np.maximum(u, js), vals, offset)
+    state.penalty = state.penalty.plus(added)
+    state._changed()

@@ -1,6 +1,7 @@
-"""`analyze_all` runs many problems through one max flow; each problem must
-get exactly the result (repr-identical: labels in the same dict order, the
-same bound) that the single-problem pipeline gives it alone."""
+"""`analyze_union` runs many problems through one max flow, as blocks of
+their disjoint union (`IntArrays.union`); each problem must get exactly the
+result (repr-identical: labels in the same dict order, the same bound) that
+the single-problem pipeline gives it alone."""
 
 import math
 from fractions import Fraction
@@ -11,13 +12,7 @@ import pytest
 from quboprep import decompose
 from quboprep.model import Qubo, as_coeff
 from quboprep.network import max_flow
-from quboprep.persistency import (
-    PersistencyResult,
-    analyze,
-    analyze_all,
-    analyze_union,
-    extract_labels,
-)
+from quboprep.persistency import PersistencyResult, analyze, analyze_union, extract_labels
 from quboprep.posiform import IntArrays, to_posiform
 
 from helpers import random_qubo, reference_network, with_fractions
@@ -34,8 +29,18 @@ def _alone(arr: IntArrays) -> PersistencyResult:
     return PersistencyResult(arr.num_vars, strong, weak, bound)
 
 
+def _batch(problems: list[IntArrays]) -> list[PersistencyResult]:
+    """Each problem's result from one ``analyze_union`` of them all."""
+    starts = np.cumsum([0] + [arr.num_vars for arr in problems])
+    blocks = analyze_union(IntArrays.union(problems), starts, [arr.offset for arr in problems])
+    return [
+        PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
+        for arr, (strong, weak, bound) in zip(problems, blocks)
+    ]
+
+
 def _assert_batch_matches(problems: list[IntArrays]) -> None:
-    results = analyze_all(problems)
+    results = _batch(problems)
     assert len(results) == len(problems)
     for arr, result in zip(problems, results):
         assert repr(result) == repr(_alone(arr))
@@ -53,8 +58,8 @@ def test_int_batches_match_single_analyses(seed):
     rng = np.random.default_rng(4400 + seed)
     qs = [_random_problem(rng) for _ in range(int(rng.integers(1, 9)))]
     _assert_batch_matches([IntArrays.from_qubo(q) for q in qs])
-    if len(qs) == 1:
-        assert repr(analyze(qs[0])) == repr(_alone(IntArrays.from_qubo(qs[0])))
+    for q in qs:
+        assert repr(analyze(q)) == repr(_alone(IntArrays.from_qubo(q)))
 
 
 def test_batches_with_empty_and_term_free_problems():
@@ -64,7 +69,6 @@ def test_batches_with_empty_and_term_free_problems():
     quad = IntArrays.from_qubo(Qubo.from_terms(3, {0: -1}, {(0, 1): 2, (1, 2): -3}))
     for batch in ([empty], [empty, empty], [linear, empty, bare, quad, empty], [bare, quad]):
         _assert_batch_matches(batch)
-    assert analyze_all([]) == []
 
 
 def _at_scale(arr: IntArrays, scale: int) -> IntArrays:
@@ -81,7 +85,7 @@ def test_fraction_batches_sharing_one_scale(seed):
     qs = [with_fractions(rng, _random_problem(rng)) for _ in range(int(rng.integers(1, 7)))]
     arrs = [IntArrays.from_qubo(q) for q in qs]
     scale = math.lcm(*(arr.scale for arr in arrs))
-    results = analyze_all([_at_scale(arr, scale) for arr in arrs])
+    results = _batch([_at_scale(arr, scale) for arr in arrs])
     for arr, result in zip(arrs, results):
         assert repr(result) == repr(_alone(arr))
 
@@ -91,7 +95,7 @@ def test_mismatched_scales_raise():
     ints = IntArrays.from_qubo(Qubo.from_terms(2, {0: 1}, {(0, 1): -1}))
     assert halves.scale != ints.scale
     with pytest.raises(ValueError, match="scale"):
-        analyze_all([ints, halves])
+        _batch([ints, halves])
 
 
 def _blocks(union: IntArrays, starts, offsets) -> list[IntArrays]:

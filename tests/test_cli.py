@@ -174,6 +174,11 @@ def test_solve_clique_split_matches_oracle(tmp_path, capsys):
         ("cut", ["--probe-in-split"]),
         ("clique", ["--split", "--probe-in-split", "--no-persistency"]),
         ("clique", ["--split", "--no-persistency", "--probe-in-split"]),
+        ("cut", ["--split"]),
+        ("cut", ["--split", "--threshold", "3"]),
+        ("cut", ["--threshold", "3"]),
+        ("clique", ["--threshold", "3"]),
+        ("clique", ["--threshold", "45", "--no-persistency"]),
     ],
 )
 def test_split_flags_without_a_split_are_input_errors(target, flags, capsys):
@@ -181,8 +186,8 @@ def test_split_flags_without_a_split_are_input_errors(target, flags, capsys):
     code, out, err = run(argv, capsys)
     assert code == EXIT_PARSE
     assert err == (
-        "error: --no-persistency and --probe-in-split need solve clique --split"
-        " and exclude each other\n"
+        "error: --split, --threshold, --no-persistency and --probe-in-split need solve"
+        " clique --split; --no-persistency and --probe-in-split exclude each other\n"
     )
     assert out == ""
 

@@ -419,7 +419,7 @@ def _spy_on_build_network(monkeypatch, module) -> list:
 
 
 def test_layout_equals_the_reference_on_split_unions(monkeypatch):
-    """The ``analyze_all`` unions of the split-golden graphs, persistency
+    """The ``analyze_union`` unions of the split-golden graphs, persistency
     mode, and of the split-dense benchmark graph at seed 1."""
     seen = _spy_on_build_network(monkeypatch, persistency)
     solver = decompose.default_leaf_solver(_workloads().SPLIT_THRESHOLD)

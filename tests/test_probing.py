@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quboprep import probing
 from quboprep._fast import BranchPair
@@ -11,7 +13,13 @@ from quboprep.model import IsingModel, Qubo, ising_to_qubo
 from quboprep.persistency import analyze
 from quboprep.probing import probe
 
-from helpers import exact_min, random_qubo, with_fractions
+from helpers import (
+    assert_same_arrays,
+    exact_min,
+    random_qubo,
+    reference_add_implications,
+    with_fractions,
+)
 from test_probe_golden import _workloads
 
 
@@ -218,6 +226,63 @@ def test_implication_entries_are_added_in_key_order(monkeypatch):
     (entries,) = added
     assert (entries.qi * 6 + entries.qj).tolist() == [9, 22, 23]
     assert (state.penalty.qi * 6 + state.penalty.qj).tolist() == [9, 22, 23]
+
+
+@st.composite
+def _implication_rounds(draw):
+    """A QUBO whose u–j couplings have random signs (or are absent), with
+    int or Fraction coefficients, and rounds of implications (b, j, v) on
+    u, each j at most once per round.  Later rounds repeat implications
+    and meet the penalties of earlier ones."""
+    n = draw(st.integers(2, 6))
+    size = st.integers(1, 3)
+    if draw(st.booleans()):
+        size = st.builds(Fraction, size, st.integers(1, 4))
+    u = draw(st.integers(0, n - 1))
+    others = [j for j in range(n) if j != u]
+    lin = {i: draw(st.integers(-1, 1)) * draw(size) for i in range(n)}
+    quad = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign = draw(st.sampled_from([-1, 0, 1]))
+            if sign:
+                quad[i, j] = sign * draw(size)
+    rounds = [
+        [(draw(st.integers(0, 1)), j, draw(st.integers(0, 1))) for j in js]
+        for js in draw(st.lists(st.lists(st.sampled_from(others), unique=True), max_size=3))
+    ]
+    return Qubo.from_terms(n, lin, quad), u, rounds
+
+
+def _scaled_energy(arr, values) -> Fraction:
+    x = np.array(values, dtype=np.int64)
+    quad = int((arr.qv * x[arr.qi] * x[arr.qj]).sum())
+    return arr.offset + Fraction(int(arr.lin @ x) + quad, arr.scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_implication_rounds())
+def test_implication_penalties_match_the_four_sign_cases(case):
+    """``add_implications`` leaves the penalty arrays and the recorded
+    implications of the four-case reference, and each implication it
+    records adds exactly p·[x_u = b]·[x_j ≠ v] to every assignment."""
+    q, u, rounds = case
+    state, reference = probing._ProbeState(q), probing._ProbeState(q)
+    for implied in rounds:
+        before, seen = state.penalty, set(state._impl_seen)
+        state.add_implications(u, implied)
+        reference_add_implications(reference, u, implied)
+        assert_same_arrays(state.penalty, reference.penalty)
+        assert repr(state.penalty.offset) == repr(reference.penalty.offset)
+        assert state._impl_seen == reference._impl_seen
+        new = state._impl_seen - seen
+        for values in np.ndindex(*[2] * q.num_vars):
+            want = sum(
+                probing.IMPLICATION_WEIGHT * (values[u] == b) * (values[j] != v)
+                for _, b, j, v in new
+            )
+            got = _scaled_energy(state.penalty, values) - _scaled_energy(before, values)
+            assert got == want
 
 
 def _spin_glass(rng: np.random.Generator, n: int, density: float, field: float) -> Qubo:
