@@ -6,7 +6,6 @@ persistency-aware vertex-splitting decomposition.
 """
 
 from .model import (
-    Assignment,
     IsingModel,
     Qubo,
     Reduction,
@@ -38,7 +37,6 @@ from .errors import FormatError, QuboprepError, SizeGuardError, SolverValidation
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CliqueEncodingParams",
     "FlowResult",
     "FormatError",

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import ImplicationNetwork, build_network, max_flow
+from .network import ImplicationNetwork, build_network, max_flow, write_terminal_arcs
 from .persistency import extract_labels, split_blocks
 from .posiform import IntArrays, posiform_lin
 
@@ -96,15 +96,13 @@ def analyze_branch(
             rows = slice(net.indptr[node], net.indptr[node + 2])
             caps[rows] = 0
             caps[net.partner[rows]] = 0
-    pos, neg = np.maximum(lin, 0), np.maximum(-lin, 0)
-    caps[: 2 * lin.size] = np.stack([neg, pos], axis=-1).ravel()
-    caps[net.indptr[2:-1] + 1] = np.stack([pos, neg], axis=-1).ravel()
+    write_terminal_arcs(caps, net.indptr, lin)
     flow = max_flow(replace(net, caps=caps))
     strong, weak = extract_labels(flow)
     deltas = [d for u in us for d in (0, int(arr.lin[u]))]
     constants = [
         arr.offset + Fraction(delta - negative, scale)
-        for delta, negative in zip(deltas, neg.sum(axis=1).tolist())
+        for delta, negative in zip(deltas, np.maximum(-lin, 0).sum(axis=1).tolist())
     ]
     out = split_blocks(flow, strong, weak, range(0, lin.size + 1, n), constants)
     for c, (s, w, _) in enumerate(out):

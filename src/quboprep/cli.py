@@ -25,6 +25,12 @@ from .probing import probe
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_VALIDATION = 4
+EXIT_CODES = {
+    FormatError: EXIT_PARSE,
+    FileNotFoundError: EXIT_PARSE,
+    SizeGuardError: EXIT_GUARD,
+    SolverValidationError: EXIT_VALIDATION,
+}
 
 
 def _positive_int(text: str) -> int:
@@ -166,23 +172,26 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    """Run ``experiments.EXPERIMENTS[args.which]`` with the options it takes."""
-    outdir = Path(args.outdir) if args.outdir else experiments.default_outdir()
+    """Run ``experiments.EXPERIMENTS[args.which]`` with the options given,
+    each of which it has to take; the rest keep the run function's
+    defaults."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "which")}
+    outdir = Path(options.pop("outdir", None) or experiments.default_outdir())
     name = args.which
     run = experiments.EXPERIMENTS[name]
-    pairs, most = args.n * (args.n - 1) // 2, max(experiments.FIG3_EDGE_GRID)
-    if name == "fig3" and pairs < most:
-        raise FormatError(f"fig3 --n {args.n} has {pairs} vertex pairs, below its grid's {most} edges")
-    options = {
-        "seeds": args.seeds,
-        "with_probe": not args.no_probe,
-        "jobs": args.jobs,
-        "desk_scale": args.desk_scale,
-        "n": args.n,
-        "threshold": args.threshold,
-    }
     accepted = inspect.signature(run).parameters
-    rows = run(**{key: value for key, value in options.items() if key in accepted})
+    unknown = [k for k in options if k not in accepted]
+    if unknown:
+        flags = ["--no-probe" if k == "with_probe" else "--" + k.replace("_", "-") for k in unknown]
+        raise FormatError(f"experiment {name} does not take {', '.join(flags)}")
+    if name == "fig3":
+        n = options.get("n", accepted["n"].default)
+        pairs, most = n * (n - 1) // 2, max(experiments.FIG3_EDGE_GRID)
+        if pairs < most:
+            raise FormatError(
+                f"fig3 --n {n} has {pairs} vertex pairs, below its grid's {most} edges"
+            )
+    rows = run(**options)
     path = outdir / f"{name}.csv"
     experiments.write_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
@@ -266,15 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
 
-    p_exp = sub.add_parser("experiment", help="reproduce a table/figure as CSV")
+    # Only the options given reach the run function, which must take them.
+    p_exp = sub.add_parser(
+        "experiment", help="reproduce a table/figure as CSV", argument_default=argparse.SUPPRESS
+    )
     p_exp.add_argument("which", choices=sorted(experiments.EXPERIMENTS))
     p_exp.add_argument("--outdir", help="output directory (default $QUBOPREP_OUTDIR or ./results)")
-    p_exp.add_argument("--seeds", type=_positive_int, default=5)
-    p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.add_argument("--no-probe", action="store_true")
+    p_exp.add_argument("--seeds", type=_positive_int, help="seeds per row")
+    p_exp.add_argument("--jobs", type=int, help="worker processes")
+    p_exp.add_argument("--no-probe", dest="with_probe", action="store_false", help="skip probing")
     p_exp.add_argument("--desk-scale", action="store_true", help="table3 at n=200")
-    p_exp.add_argument("--n", type=_positive_int, default=100, help="fig3 graph size (default 100)")
-    p_exp.add_argument("--threshold", type=_positive_int, default=15, help="fig3 leaf threshold")
+    p_exp.add_argument("--n", type=_positive_int, help="fig3 graph size")
+    p_exp.add_argument("--threshold", type=_positive_int, help="fig3 leaf threshold")
     p_exp.set_defaults(fn=cmd_experiment)
 
     p_oracle = sub.add_parser("oracle", help="exact reference solvers")
@@ -297,18 +309,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except SolverValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

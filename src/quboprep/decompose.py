@@ -11,11 +11,12 @@ subgraph is a mask AND with the root's neighbour masks.  A node's children
 depend only on its mask, so in every mode (plain, roof duality, probing)
 the tree of oversized nodes is first expanded breadth-first by
 :func:`_plan`, which with roof duality analyzes each level in one max
-flow.  The depth-first recursion then replays that plan and calls the leaf
-solver, so leaf calls, their order and the statistics are those of
-expanding node by node.  The root's boolean adjacency matrix is built
-once per call; a leaf's matrix is its rows and columns at the leaf's
-members.
+flow per :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries, the
+budget that probe batches share.  The depth-first recursion then replays
+that plan and calls the leaf solver, so leaf calls, their order and the
+statistics are those of expanding node by node.  The root's boolean
+adjacency matrix is built once per call; a leaf's matrix is its rows and
+columns at the leaf's members.
 The default leaf solver searches a leaf on the root's neighbour masks
 (:func:`~quboprep.oracle.max_clique_within`): a leaf's members are sorted,
 so root indices order them as its own indices would, and the search finds
@@ -36,14 +37,13 @@ so its depth is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import oracle
+from . import oracle, persistency
 from .errors import SolverValidationError
 from .graphs import Graph, set_bits
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
@@ -52,15 +52,10 @@ from .posiform import IntArrays
 from .probing import probe
 from .problems import CliqueEncodingParams, clique_qubo
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_THRESHOLD = 45
 
 _ENCODING = CliqueEncodingParams.complement_penalty()
 _SOLVE, _FORCED, _SPLIT, _RIVAL = range(4)
-# Quadratic entries per analyze_union run; bounds the union network's size
-# on very wide levels of the split tree.
-_UNION_ENTRIES = 1 << 15
 # Node-vertex and node-pair cells per block of a level in _plan; bounds the
 # membership and node-pair temporaries on wide levels.
 _RUN_CELLS = 1 << 22
@@ -169,10 +164,10 @@ def _level(
     member: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
 ) -> list[tuple[list[list[int]], IntArrays, np.ndarray]]:
     """The clique problems of the split-tree nodes whose membership rows
-    are ``member`` (:func:`_membership`), in runs of at most _UNION_ENTRIES
-    quadratic entries (a node larger than that forms a run alone): for each
-    run, each node's sorted members, the disjoint union of their problems
-    and its block starts.
+    are ``member`` (:func:`_membership`), in runs of at most
+    :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries (a node
+    larger than that forms a run alone): for each run, each node's sorted
+    members, the disjoint union of their problems and its block starts.
 
     ``pairs`` lists the root's non-adjacent pairs u < v in row-major order.
     Node b's member of rank k is variable ``starts[b] + k``, so a root pair
@@ -187,7 +182,7 @@ def _level(
     entries = inside.sum(1)
     cuts, total = [], 0
     for r, count in enumerate(entries.tolist()):
-        if not cuts or total + count > _UNION_ENTRIES:
+        if not cuts or total + count > persistency.UNION_ENTRIES:
             cuts.append(r)
             total = 0
         total += count
@@ -351,14 +346,6 @@ def splitting_savings(
                 f"graph {gid}: split modes disagree "
                 f"({len(with_clique)} vs {len(without_clique)})"
             )
-        if with_stats.n_calls > without_stats.n_calls:
-            logger.info(
-                "graph %d: persistency increased leaf calls (%d > %d)",
-                gid,
-                with_stats.n_calls,
-                without_stats.n_calls,
-            )
-        rows.append(
-            SavingsRow(gid, with_stats.n_calls, without_stats.n_calls, len(with_clique))
-        )
+        row = SavingsRow(gid, with_stats.n_calls, without_stats.n_calls, len(with_clique))
+        rows.append(row)
     return rows

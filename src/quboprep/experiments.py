@@ -233,16 +233,9 @@ def _fig3_row(args) -> dict:
     }
 
 
-def run_fig3(
-    n: int = 100,
-    threshold: int = 15,
-    edge_grid=None,
-    seeds: int = 5,
-    jobs: int = 1,
-) -> list[dict]:
-    """Leaf-call savings of persistency-aware splitting over an edge sweep."""
-    grid = list(edge_grid) if edge_grid is not None else FIG3_EDGE_GRID
-    tasks = [(n, m, s, threshold) for m in grid for s in range(seeds)]
+def run_fig3(n: int = 100, threshold: int = 15, seeds: int = 5, jobs: int = 1) -> list[dict]:
+    """Leaf-call savings of persistency-aware splitting over FIG3_EDGE_GRID."""
+    tasks = [(n, m, s, threshold) for m in FIG3_EDGE_GRID for s in range(seeds)]
     return _pool_map(_fig3_row, tasks, jobs)
 
 

@@ -160,26 +160,13 @@ def gen_cfat(n: int, c: int) -> Graph:
         raise ValueError("need n >= 1 and c >= 1")
     if n == 1:
         return Graph(1, ())
-    k = int(n / (c * math.log(n)))
-    if k < 1:
-        k = 1
+    k = max(1, int(n / (c * math.log(n))))
     base, extra = divmod(n, k)
-    sizes = [base + 1] * extra + [base] * (k - extra)
-    starts = [0]
-    for s in sizes[:-1]:
-        starts.append(starts[-1] + s)
-    groups = [list(range(starts[g], starts[g] + sizes[g])) for g in range(k)]
-    edges = set()
-    for g, members in enumerate(groups):
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                edges.add((members[a], members[b]))
-        nxt = groups[(g + 1) % k]
-        if nxt is not members:
-            for u in members:
-                for v in nxt:
-                    edges.add((u, v) if u < v else (v, u))
-    return Graph(n, tuple(sorted(edges)))
+    group = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
+    iu, iv = np.triu_indices(n, 1)
+    gap = group[iv] - group[iu]
+    mask = (gap <= 1) | (gap == k - 1)
+    return Graph(n, tuple(zip(iu[mask].tolist(), iv[mask].tolist())))
 
 
 def _gnp(n: int, p: float, seed) -> Graph:

@@ -39,38 +39,7 @@ def canonical_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A full variable assignment, tagged binary ({0,1}) or spin ({-1,+1})."""
-
-    values: tuple[int, ...]
-    kind: str = "binary"
-
-    @classmethod
-    def binary(cls, values: Sequence[int]) -> "Assignment":
-        return cls(tuple(values), "binary")
-
-    @classmethod
-    def spin(cls, values: Sequence[int]) -> "Assignment":
-        return cls(tuple(values), "spin")
-
-    def __post_init__(self):
-        if self.kind not in ("binary", "spin"):
-            raise ValueError(f"unknown assignment kind: {self.kind!r}")
-        domain = (0, 1) if self.kind == "binary" else (-1, 1)
-        for v in self.values:
-            if v not in domain:
-                raise ValueError(f"value {v} outside {self.kind} domain {domain}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _check_values(values, num_vars: int, kind: str) -> Sequence[int]:
-    if isinstance(values, Assignment):
-        if values.kind != kind:
-            raise ValueError(f"expected a {kind} assignment, got {values.kind}")
-        values = values.values
     if len(values) != num_vars:
         raise ValueError(f"assignment length {len(values)} != num_vars {num_vars}")
     domain = (0, 1) if kind == "binary" else (-1, 1)

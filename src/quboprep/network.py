@@ -110,8 +110,8 @@ def build_network(arr: IntArrays) -> ImplicationNetwork:
     lit[2], term[2] = indptr[lits ^ 1], indptr[v ^ 1] + at_j  # ℓ̄ → s, v̄ → u
     lit[3], term[3] = lits + 2 * n - 2, indptr[xi + 1] + at_i  # t → ℓ, ū → v
     caps = np.zeros(blocks.size, dtype=np.int64)
-    lin_caps = np.stack([np.maximum(lin, 0), np.maximum(-lin, 0)], axis=-1).ravel()
-    caps[blocks[0]] = caps[blocks[1]] = np.concatenate([lin_caps, np.abs(arr.qv)])
+    caps[term[0]] = caps[term[1]] = np.abs(arr.qv)
+    write_terminal_arcs(caps, indptr, lin)
     heads = np.empty(blocks.size, dtype=np.int32)
     partner = np.empty(blocks.size, dtype=np.int64)
     ends = ((lits ^ 1, v ^ 1), (SINK, xi + 1), (SOURCE, xi), (lits, v))
@@ -119,6 +119,18 @@ def build_network(arr: IntArrays) -> ImplicationNetwork:
         heads[lit[b]], heads[term[b]] = lit_head, term_head
         partner[blocks[b]] = blocks[b ^ 1]
     return ImplicationNetwork(n, 2 * arr.scale, heads, caps, indptr.astype(np.int32), partner)
+
+
+def write_terminal_arcs(caps: np.ndarray, indptr: np.ndarray, lin: np.ndarray) -> None:
+    """Write into ``caps`` the terminal arcs of the posiform linear part
+    ``lin`` (one coefficient per variable, any shape of that size) on a
+    network with row pointers ``indptr``: a·x (a > 0) gives s → x̄ and
+    x → t capacity a, and −a·x gives s → x and x̄ → t capacity a.  Arc c of
+    the source row runs to literal c, and the arc to t is second in every
+    literal row."""
+    pos, neg = np.maximum(lin, 0).ravel(), np.maximum(-lin, 0).ravel()
+    caps[: 2 * lin.size] = np.stack([neg, pos], axis=-1).ravel()
+    caps[indptr[2:-1] + 1] = np.stack([pos, neg], axis=-1).ravel()
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,11 @@ def analyze(q: Qubo | IntArrays) -> PersistencyResult:
     return PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
 
 
+# Quadratic entries per disjoint union analyzed in one flow (a split level's
+# run, a probe batch's copies); a larger member runs alone.  Read at call time.
+UNION_ENTRIES = 1 << 15
+
+
 def analyze_union(
     union: IntArrays, starts: np.ndarray, offsets: Sequence[Coeff]
 ) -> list[tuple[dict[int, int], dict[int, int], Coeff]]:

@@ -32,10 +32,12 @@ one max flow on the pair network of the working problem
 number of pairs; a probe only writes capacities into it.  Once the working
 problem has stayed unchanged for ``_BATCH`` (4) probes in a row, as in the
 stalled last sweep that ends almost every call, the next 4 unresolved
-variables of the sweep share one flow on a layout of 4 pairs.  Their results
-are used in sweep order; the first probe that changes the working problem
-(an apply, or an implication that records a term) drops the rest, so every
-probe gets exactly the result it gets alone.  Resolved
+variables of the sweep share one flow on a layout of 4 pairs (fewer when
+the copies would pass :data:`~quboprep.persistency.UNION_ENTRIES` quadratic
+entries, the budget that the split solver's level runs share).  Their
+results are used in sweep order; the first probe that changes the working
+problem (an apply, or an implication that records a term) drops the rest,
+so every probe gets exactly the result it gets alone.  Resolved
 percentages count relation-eliminated variables as resolved (they leave the
 problem); reports state the convention.
 """
@@ -48,6 +50,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import persistency
 from ._fast import BranchPair, analyze_branch
 from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables, substitute
 from .persistency import analyze
@@ -55,7 +58,6 @@ from .posiform import IntArrays
 
 IMPLICATION_WEIGHT = 1
 _BATCH = 4  # probes per max flow once the working problem stops changing
-_BATCH_ENTRIES = 1 << 15  # quadratic entries of a batch's 2·_BATCH copies
 
 
 @dataclass(frozen=True)
@@ -168,17 +170,18 @@ class _ProbeState:
         ``ahead`` yields the variables the sweep probes after u, in order,
         if nothing changes.  Once the working problem has stayed unchanged for
         :data:`_BATCH` probes, u and the next ``_BATCH - 1`` of them share one
-        flow (fewer when their union would pass :data:`_BATCH_ENTRIES`
-        quadratic entries), and their results wait in ``_batch`` until they
-        are probed or the working problem changes.  The flow reuses
-        ``_layout`` while that has the working problem and ``len(us)`` pairs."""
+        flow (fewer when their copies would pass
+        :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries), and
+        their results wait in ``_batch`` until they are probed or the
+        working problem changes.  The flow reuses ``_layout`` while that
+        has the working problem and ``len(us)`` pairs."""
         self._steady += 1
         if u in self._batch:
             return self._batch.pop(u)
         w = self.working()
         k = 1
         if self._steady > _BATCH:
-            k = max(1, min(_BATCH, _BATCH_ENTRIES // max(1, 2 * len(w.qv))))
+            k = max(1, min(_BATCH, persistency.UNION_ENTRIES // max(1, 2 * len(w.qv))))
         us = [u, *islice(ahead, k - 1)]
         layout = self._layout
         if layout is None or layout.arr is not w or layout.pairs != len(us):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Assignment, Coeff, IsingModel, Qubo, _check_values, as_coeff
+from .model import Coeff, IsingModel, Qubo, _check_values, as_coeff, spins_to_binary
 from .graphs import Graph
 
 COMPLEMENT_PENALTY = "complement-penalty"
@@ -111,12 +111,10 @@ def decode_cut(g: Graph, assignment) -> tuple[tuple[tuple[int, ...], tuple[int, 
 
 
 def _side_values(assignment, n: int) -> Sequence[int]:
-    if isinstance(assignment, Assignment):
-        assignment = assignment.values
     if len(assignment) != n:
         raise ValueError(f"assignment length {len(assignment)} != {n}")
     if all(v in (0, 1) for v in assignment):
         return assignment
     if all(v in (-1, 1) for v in assignment):
-        return [(s + 1) // 2 for s in assignment]
+        return spins_to_binary(assignment)
     raise ValueError("assignment must be binary (0/1) or spin (-1/+1)")

@@ -8,6 +8,7 @@ readable assertions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -455,6 +456,29 @@ def class_and_fixes(draw):
     cls = {m: (order[0], draw(st.booleans())) for m in order[1:size]}
     fixes = {v: draw(st.integers(0, 1)) for v in order[size:] if draw(st.booleans())}
     return q, cls, fixes
+
+
+def reference_cfat_edges(n: int, c: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edges of the c-fat ring graph on n >= 2 vertices, group by
+    group: each group is a clique and is joined to the next one on the ring."""
+    k = max(1, int(n / (c * math.log(n))))
+    base, extra = divmod(n, k)
+    sizes = [base + 1] * extra + [base] * (k - extra)
+    starts = [0]
+    for s in sizes[:-1]:
+        starts.append(starts[-1] + s)
+    groups = [list(range(starts[g], starts[g] + sizes[g])) for g in range(k)]
+    edges = set()
+    for g, members in enumerate(groups):
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                edges.add((members[a], members[b]))
+        nxt = groups[(g + 1) % k]
+        if nxt is not members:
+            for u in members:
+                for v in nxt:
+                    edges.add((u, v) if u < v else (v, u))
+    return tuple(sorted(edges))
 
 
 def reference_set_bits(mask: int) -> list[int]:

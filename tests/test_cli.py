@@ -258,7 +258,7 @@ def test_experiment_fig2_writes_csv(tmp_path, capsys):
         (
             "table3",
             ["--seeds", "3", "--desk-scale"],
-            {"seeds": 3, "with_probe": True, "jobs": 2, "desk_scale": True},
+            {"seeds": 3, "jobs": 2, "desk_scale": True},
         ),
         ("fig2", ["--seeds", "4"], {"seeds": 4, "jobs": 2}),
         (
@@ -269,7 +269,8 @@ def test_experiment_fig2_writes_csv(tmp_path, capsys):
     ],
 )
 def test_experiment_dispatch_forwards_options(name, extra, expected, tmp_path, capsys, monkeypatch):
-    """Each experiment gets exactly the options its run function takes."""
+    """Each experiment gets exactly the options given; the rest keep the
+    run function's defaults."""
     calls = []
     real = experiments.EXPERIMENTS[name]
 
@@ -283,6 +284,43 @@ def test_experiment_dispatch_forwards_options(name, extra, expected, tmp_path, c
     assert code == 0
     assert calls == [expected]
     assert (tmp_path / f"{name}.csv").read_text().splitlines() == ["row", "1"]
+
+
+@pytest.mark.parametrize(
+    "name, extra, flags",
+    [
+        ("table1", ["--seeds", "2"], "--seeds"),
+        (
+            "table2",
+            ["--seeds", "3", "--no-probe", "--desk-scale"],
+            "--seeds, --no-probe, --desk-scale",
+        ),
+        ("table2", ["--threshold", "4"], "--threshold"),
+        ("table3", ["--n", "50"], "--n"),
+        (
+            "fig2",
+            ["--desk-scale", "--n", "50", "--threshold", "4"],
+            "--desk-scale, --n, --threshold",
+        ),
+        ("fig3", ["--no-probe"], "--no-probe"),
+    ],
+)
+def test_experiment_rejects_options_it_does_not_take(
+    name, extra, flags, tmp_path, capsys, monkeypatch
+):
+    """A flag the chosen experiment does not take is a usage error, raised
+    before any row runs."""
+    real = experiments.EXPERIMENTS[name]
+
+    @functools.wraps(real)
+    def never(**kwargs):
+        raise AssertionError(f"{name} ran with {kwargs}")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, name, never)
+    code, _, err = run(["experiment", name, "--outdir", str(tmp_path), *extra], capsys)
+    assert code == EXIT_PARSE
+    assert f"experiment {name} does not take {flags}" in err
+    assert not (tmp_path / f"{name}.csv").exists()
 
 
 def test_experiment_dispatch_covers_every_experiment():

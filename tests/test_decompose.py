@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quboprep import decompose
+from quboprep import decompose, persistency
 from quboprep.decompose import (
     LeafSolver,
     _induced,
@@ -281,7 +281,7 @@ def _level_cases(draw):
         st.integers(0, (1 << n) - 1),
     )
     masks = draw(st.lists(node, min_size=1, max_size=8))
-    budget = draw(st.sampled_from([0, 1, 7, 60, 500, decompose._UNION_ENTRIES]))
+    budget = draw(st.sampled_from([0, 1, 7, 60, 500, persistency.UNION_ENTRIES]))
     return g, masks, budget
 
 
@@ -293,7 +293,7 @@ def test_level_builder_matches_the_reference_union(case):
     cut greedily at the union budget."""
     g, masks, budget = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decompose, "_UNION_ENTRIES", budget)
+        mp.setattr(persistency, "UNION_ENTRIES", budget)
         runs = _level(_membership(masks, g.n), _pairs(g))
     bounds = np.cumsum([0] + [len(members) for members, _, _ in runs]).tolist()
     assert bounds[-1] == len(masks)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from quboprep import experiments
 from quboprep.cli import main
 from quboprep.experiments import (
     degree_to_density_pct,
@@ -49,8 +50,9 @@ def test_table2_rows_structure():
     assert cfat_eq4["note"]  # flagged as unverifiable against the paper
 
 
-def test_fig3_rows_carry_parameters(tmp_path):
-    rows = run_fig3(n=20, threshold=6, edge_grid=[30], seeds=2)
+def test_fig3_rows_carry_parameters(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "FIG3_EDGE_GRID", [30])
+    rows = run_fig3(n=20, threshold=6, seeds=2)
     assert len(rows) == 2
     for row in rows:
         assert {"n", "expected_edges", "seed", "threshold", "n_qpbo", "n_no_qpbo", "ratio"} <= set(row)
@@ -65,17 +67,30 @@ def test_write_csv_requires_rows(tmp_path):
         write_csv([], tmp_path / "x.csv")
 
 
+def _untimed_rows(path):
+    with open(path, newline="") as f:
+        return [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(f)]
+
+
 def test_fig3_rows_match_golden(tmp_path, capsys):
     """``quboprep experiment fig3 --seeds 1`` (n = 100, threshold 15) gives
     the recorded rows in every column but the timing: the leaf calls with
     and without persistency and the clique size, end to end."""
     assert main(["experiment", "fig3", "--seeds", "1", "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
-
-    def rows(path):
-        with open(path, newline="") as f:
-            return [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(f)]
-
-    golden = rows(Path(__file__).parent / "data" / "fig3_golden.csv")
+    golden = _untimed_rows(Path(__file__).parent / "data" / "fig3_golden.csv")
     assert len(golden) == 5
-    assert rows(tmp_path / "fig3.csv") == golden
+    assert _untimed_rows(tmp_path / "fig3.csv") == golden
+
+
+def test_table3_desk_rows_match_golden(tmp_path, capsys):
+    """``quboprep experiment table3 --desk-scale --seeds 1`` gives the
+    recorded rows in every column but the timing: the max-cut persistency
+    percentages, bounds and probe percentages of the nine n = 200 rows, end
+    to end through the CLI's dispatch and probing."""
+    argv = ["experiment", "table3", "--desk-scale", "--seeds", "1", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    golden = _untimed_rows(Path(__file__).parent / "data" / "table3_desk_golden.csv")
+    assert len(golden) == 9
+    assert _untimed_rows(tmp_path / "table3.csv") == golden

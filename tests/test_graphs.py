@@ -21,7 +21,7 @@ from quboprep.graphs import (
     write_dimacs,
 )
 
-from helpers import reference_set_bits
+from helpers import reference_cfat_edges, reference_set_bits
 
 # Edge counts and clique sizes of the published DIMACS c-fat instances.
 CFAT_PUBLISHED = {
@@ -164,6 +164,14 @@ class TestCfat:
     @pytest.mark.parametrize("n,c", sorted(CFAT_PUBLISHED))
     def test_matches_published_edge_counts(self, n, c):
         assert gen_cfat(n, c).num_edges == CFAT_PUBLISHED[(n, c)][0]
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 10, 50, 1000])
+    def test_edges_match_group_loop(self, c):
+        """The pair mask gives the edges of joining each group to itself and
+        to the next group on the ring, in sorted order."""
+        for n in [*range(2, 120), 200, 300, 500, 777, 1000]:
+            assert gen_cfat(n, c).edges == reference_cfat_edges(n, c), (n, c)
+        assert gen_cfat(1, c).edges == ()
 
     def test_matches_published_clique_sizes(self):
         from quboprep.oracle import exact_max_clique

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from quboprep.errors import FormatError
 from quboprep.model import (
-    Assignment,
     IsingModel,
     Qubo,
     Reduction,
@@ -56,12 +55,6 @@ class TestEvaluate:
         m = IsingModel.from_terms(2, {0: 1})
         with pytest.raises(ValueError):
             m.energy((0, 1))
-
-    def test_assignment_kind_check(self):
-        q = Qubo.from_terms(1, {0: 1})
-        assert q.energy(Assignment.binary([1])) == 1
-        with pytest.raises(ValueError):
-            q.energy(Assignment.spin([1]))
 
 
 class TestCanonicalization:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quboprep import probing
+from quboprep import persistency, probing
 from quboprep._fast import BranchPair
 from quboprep.model import IsingModel, Qubo, ising_to_qubo
 from quboprep.persistency import analyze
@@ -319,7 +319,7 @@ def test_batched_probes_match_single_probes(chunk, monkeypatch):
     analyze_branch = probing.analyze_branch
 
     def spy(pair, us):
-        batches.append((len(us), 2 * len(us) * len(pair.arr.qv), probing._BATCH_ENTRIES))
+        batches.append((len(us), 2 * len(us) * len(pair.arr.qv), persistency.UNION_ENTRIES))
         return analyze_branch(pair, us)
 
     for k, q in enumerate(_batch_cases(chunk)):
@@ -328,7 +328,7 @@ def test_batched_probes_match_single_probes(chunk, monkeypatch):
         alone = repr(probe(q))
         monkeypatch.setattr(probing, "_BATCH", (4, 3, 2)[k % 3])
         if k % 6 == 0:
-            monkeypatch.setattr(probing, "_BATCH_ENTRIES", 6 * len(q.quadratic))
+            monkeypatch.setattr(persistency, "UNION_ENTRIES", 6 * len(q.quadratic))
         assert repr(probe(q)) == alone
         monkeypatch.undo()
     assert {2, 3, 4} <= {size for size, _, _ in batches}

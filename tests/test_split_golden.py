@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quboprep import decompose
+from quboprep import decompose, persistency
 from quboprep.decompose import LeafSolver, default_leaf_solver, max_clique_split
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique
@@ -183,7 +183,7 @@ def test_outcomes_match_golden_with_small_unions(budget, monkeypatch):
         runs.append((len(offsets), len(union.qv)))
         return analyze_union(union, starts, offsets)
 
-    monkeypatch.setattr(decompose, "_UNION_ENTRIES", budget)
+    monkeypatch.setattr(persistency, "UNION_ENTRIES", budget)
     monkeypatch.setattr(decompose, "analyze_union", spy)
     cases = [c for c in _GOLDEN["random"] if c["mode"] == "persistency"][:40]
     for case in cases:
