@@ -206,6 +206,15 @@ def _level(
     return runs
 
 
+def _certified(adj: tuple, mask: int) -> bool:
+    """Whether 2·deg + 2 < m for each member of the m-vertex node ``mask``,
+    deg counted inside it; stops at the first member that fails."""
+    m, rest = mask.bit_count(), mask
+    while rest and 2 * (adj[(rest & -rest).bit_length() - 1] & mask).bit_count() + 2 < m:
+        rest &= rest - 1
+    return not rest
+
+
 def _plan(
     g: Graph, matrix: np.ndarray, threshold: int, use_persistency: bool, use_probing: bool
 ) -> dict[int, tuple]:
@@ -220,6 +229,16 @@ def _plan(
     ``use_probing`` each node is probed on its own.  An unfixed node splits
     on its member with the fewest neighbours inside it, the lowest vertex
     on a tie.  A mask met again is not expanded again.
+
+    Roof duality skips a node of m members with at most Δ neighbours each
+    inside it when m > 2Δ + 2 (:func:`_certified`).  The roof dual of its
+    clique QUBO is the LP of the standard linearization, whose optimal
+    vertices are half-integral (Nemhauser & Trotter, 1975).  One with S at
+    1 and T at 0 beats or ties all-½ only if |T| + 4·e(S) + 2·e(S, rest) ≤
+    |S|, e counting non-adjacent pairs, m − 1 − Δ or more at each vertex:
+    if |T| < m − 1 − Δ, each vertex of S adds at least 2 on the left (and
+    S = ∅ forces T = ∅); if |T| ≥ m − 1 − Δ > m/2, |T| exceeds |S|.  So
+    all-½ is the unique optimum: no strong or weak label, bound −m/2.
     """
     plan: dict[int, tuple] = {}
     adj = g.adjacency_bits
@@ -239,10 +258,14 @@ def _plan(
                     fixed = probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
                     fixes.append((members, fixed))
             else:
+                analyzed = [mask for mask in masks if not _certified(adj, mask)]
+                runs = _level(_membership(analyzed, g.n), pairs) if analyzed else []
                 fixes = []
-                for members, union, starts in _level(_membership(masks, g.n), pairs):
+                for members, union, starts in runs:
                     blocks = analyze_union(union, starts, [0] * len(members))
                     fixes += [(mem, weak) for mem, (_, weak, _) in zip(members, blocks)]
+                found = dict(zip(analyzed, fixes))
+                fixes = [found.get(mask) or (set_bits(mask), {}) for mask in masks]
             for mask, (members, fixed) in zip(masks, fixes):
                 v = None if fixed else min(members, key=lambda u: (adj[u] & mask).bit_count())
                 plan[mask] = _step(adj, mask, members, fixed, v)

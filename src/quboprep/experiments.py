@@ -184,11 +184,13 @@ def run_table3(
     """Max-cut persistency on g (random) and U (geometric) graphs.
 
     The parameter column is the expected average degree.  desk_scale shrinks
-    every row to n=200 keeping the degree.
+    every row to n=200 keeping the degree (twin rows are computed once).
     """
     base = [(f, 200 if desk_scale else n, d) for f, n, d in TABLE3_ROWS]
     tasks = [(f, n, d, s, with_probe) for f, n, d in base for s in range(seeds)]
-    return _pool_map(_table3_row, tasks, jobs)
+    unique = list(dict.fromkeys(tasks))
+    rows = dict(zip(unique, _pool_map(_table3_row, unique, jobs)))
+    return [dict(rows[task]) for task in tasks]
 
 
 def _fig2_row(args) -> dict:

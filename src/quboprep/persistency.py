@@ -165,11 +165,21 @@ def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
     Middle variables are taken in ascending order; one without a value gets
     the closure of x̄ (value 0) if that closure is consistent, else that of
     x (value 1).  A closure is the set of middle literals reachable from the
-    start literal; it is consistent when it reaches no literal valued 0 and
-    no frustrated variable, and not both literals of any variable.  Its
-    unvalued literals become 1 and their complements 0.  The literals valued
-    1 stay closed under reachability, so a variable whose closures both fail
-    is never valued later.
+    start literal ℓ; its unvalued literals become 1 and their complements 0,
+    so the literals valued 1 stay closed under reachability.  It is
+    consistent unless it reaches a frustrated literal or ℓ̄, because by skew
+    symmetry (a residual arc y → z comes with z̄ → ȳ):
+
+    (a) an unvalued ℓ reaches no literal z valued 0: ℓ ⇝ z gives z̄ ⇝ ℓ̄;
+    (b) a closure holds both literals of some y iff it holds ℓ̄: ℓ ⇝ y and
+        ℓ ⇝ ȳ give y ⇝ ℓ̄;
+    (c) a lone x, whose x̄ has no residual arc into a middle literal, has
+        the closure {x̄}: what the source reaches reaches no middle literal,
+        and an arc from x̄ to the sink or to the complement of a literal the
+        source reaches would let the source reach x.  No middle literal has
+        an arc into x (its partner would leave x̄), so x takes 0 before the
+        loop and keeps it.  As no failure depends on the values, a variable
+        whose closures both fail is never valued.
     """
     n_nodes = flow.network.num_nodes
     adj = flow.residual_adjacency()
@@ -194,35 +204,20 @@ def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
         frustrated = np.zeros(n_nodes, dtype=bool)
         frustrated[2:] = np.repeat(labels[2::2] == labels[3::2], 2)
         value = np.full(n_nodes, -1, dtype=np.int8)
-        in_reach = np.zeros(n_nodes, dtype=bool)
-        # A middle x̄ with no residual arc into a middle literal reaches none:
-        # what the source reaches reaches none, and an arc from x̄ to the
-        # sink or to the complement of a literal the source reaches would,
-        # by skew symmetry, let the source reach x.  So x̄'s closure is {x̄},
-        # which is consistent, and x takes 0 without a BFS.
         into_middle = np.zeros(len(adj.indices) + 1, dtype=np.int64)
         np.cumsum(middle[adj.indices], out=into_middle[1:])
         todo = middle_vars[~frustrated[2 * middle_vars + 2]]
         x_bar = 2 * todo + 3
-        alone = into_middle[adj.indptr[x_bar + 1]] == into_middle[adj.indptr[x_bar]]
-        for var, lone in zip(todo.tolist(), alone.tolist()):
+        lone = into_middle[adj.indptr[x_bar + 1]] == into_middle[adj.indptr[x_bar]]
+        value[x_bar[lone] - 1], value[x_bar[lone]] = 0, 1
+        for var in todo[~lone].tolist():
             if value[2 * var + 2] >= 0:
-                continue
-            if lone:
-                value[2 * var + 2], value[2 * var + 3] = 0, 1
                 continue
             # Prefer the orientation that sets this (lowest unresolved) var to 0.
             for start in (2 * var + 3, 2 * var + 2):
                 reach = breadth_first_order(adj, start, directed=True, return_predecessors=False)
                 reach = reach[middle[reach]]
-                in_reach[reach] = True
-                consistent = not (
-                    (value[reach] == 0).any()
-                    or frustrated[reach].any()
-                    or in_reach[reach ^ 1].any()
-                )
-                in_reach[reach] = False
-                if consistent:
+                if not (frustrated[reach].any() or (reach == start ^ 1).any()):
                     new = reach[value[reach] < 0]
                     value[new] = 1
                     value[new ^ 1] = 0

@@ -5,15 +5,14 @@ A problem enters the roof-dual pipeline once, through
 their denominators (so int and Fraction inputs share one path) and stored as
 flat int64 arrays, with the offset kept exact.  Probing keeps its working
 problem in this form: :meth:`IntArrays.fold` eliminates fixed and
-substituted variables, :meth:`IntArrays.plus` adds two problems by a
-``searchsorted`` merge, and every result is checked against the same
-magnitude limit.  :meth:`IntArrays.union` lays several problems side by
-side, for one max flow.  Every constructor keeps the quadratic keys
-``qi * num_vars + qj`` strictly increasing and drops zero entries, and the
-network layer relies on that order.  :func:`to_posiform` rewrites the
-arrays as a posiform: an exact constant plus strictly positive terms over
-literals x_i / x̄_i, each literal packed into the int code
-``2*var + complemented``.
+substituted variables, :meth:`IntArrays.plus` adds two problems, and every
+result is checked against the same magnitude limit.  :meth:`IntArrays.union`
+lays several problems side by side, for one max flow.  Every constructor
+keeps the quadratic keys ``qi * num_vars + qj`` strictly increasing and
+drops zero entries, and the network layer relies on that order.
+:func:`to_posiform` rewrites the arrays as a posiform: an exact constant
+plus strictly positive terms over literals x_i / x̄_i, each literal packed
+into the int code ``2*var + complemented``.
 """
 
 from __future__ import annotations
@@ -142,25 +141,15 @@ class IntArrays:
         )
 
     def plus(self, other: "IntArrays") -> "IntArrays":
-        """The sum of two problems over the same variables and scale: the
-        entries of ``other`` are added where ``self`` has their key and
-        inserted in key order where it does not."""
-        n = self.num_vars
-        mine, theirs = self.qi * n + self.qj, other.qi * n + other.qj
-        at = np.searchsorted(mine, theirs)
-        same = at < len(mine)
-        same[same] = mine[at[same]] == theirs[same]
-        qv = self.qv.copy()
-        qv[at[same]] += other.qv[same]
-        new = ~same
-        at = at[new]
+        """The sum of two problems over the same variables and scale, by
+        :meth:`merged` (its stable sort merges the two sorted key runs)."""
         return IntArrays.merged(
-            n,
+            self.num_vars,
             self.scale,
             self.lin + other.lin,
-            np.insert(self.qi, at, other.qi[new]),
-            np.insert(self.qj, at, other.qj[new]),
-            np.insert(qv, at, other.qv[new]),
+            np.concatenate([self.qi, other.qi]),
+            np.concatenate([self.qj, other.qj]),
+            np.concatenate([self.qv, other.qv]),
             self.offset + other.offset,
         )
 

@@ -440,6 +440,84 @@ def reference_labels(flow) -> tuple[dict[int, int], dict[int, int]]:
     return strong, weak
 
 
+def reference_extract_labels(flow) -> tuple[dict[int, int], dict[int, int]]:
+    """``persistency.extract_labels`` as it was before its closure test was
+    cut to a frustrated literal or the start's complement: every closure
+    also checked for a literal valued 0 and for both literals of a
+    variable, and lone variables were valued inside the loop.  Kept as its
+    differential oracle.
+
+    Middle variables are taken in ascending order; one without a value gets
+    the closure of x̄ (value 0) if that closure is consistent, else that of
+    x (value 1).  A closure is the set of middle literals reachable from the
+    start literal; it is consistent when it reaches no literal valued 0 and
+    no frustrated variable, and not both literals of any variable.  Its
+    unvalued literals become 1 and their complements 0.  The literals valued
+    1 stay closed under reachability, so a variable whose closures both fail
+    is never valued later.
+    """
+    n_nodes = flow.network.num_nodes
+    adj = flow.residual_adjacency()
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[breadth_first_order(adj, SOURCE, directed=True, return_predecessors=False)] = True
+    pos, neg = reached[2::2], reached[3::2]
+    both = np.flatnonzero(pos & neg)
+    if len(both):
+        raise AssertionError(
+            f"both literals of x{int(both[0])} reachable; max flow is not maximal"
+        )
+    resolved = pos | neg
+    strong_vars = np.flatnonzero(resolved)
+    strong = dict(zip(strong_vars.tolist(), pos[strong_vars].astype(int).tolist()))
+
+    weak = dict(strong)
+    middle_vars = np.flatnonzero(~resolved)
+    if len(middle_vars):
+        _, labels = connected_components(adj, directed=True, connection="strong")
+        middle = np.zeros(n_nodes, dtype=bool)
+        middle[2:] = np.repeat(~resolved, 2)
+        frustrated = np.zeros(n_nodes, dtype=bool)
+        frustrated[2:] = np.repeat(labels[2::2] == labels[3::2], 2)
+        value = np.full(n_nodes, -1, dtype=np.int8)
+        in_reach = np.zeros(n_nodes, dtype=bool)
+        # A middle x̄ with no residual arc into a middle literal reaches none:
+        # what the source reaches reaches none, and an arc from x̄ to the
+        # sink or to the complement of a literal the source reaches would,
+        # by skew symmetry, let the source reach x.  So x̄'s closure is {x̄},
+        # which is consistent, and x takes 0 without a BFS.
+        into_middle = np.zeros(len(adj.indices) + 1, dtype=np.int64)
+        np.cumsum(middle[adj.indices], out=into_middle[1:])
+        todo = middle_vars[~frustrated[2 * middle_vars + 2]]
+        x_bar = 2 * todo + 3
+        alone = into_middle[adj.indptr[x_bar + 1]] == into_middle[adj.indptr[x_bar]]
+        for var, lone in zip(todo.tolist(), alone.tolist()):
+            if value[2 * var + 2] >= 0:
+                continue
+            if lone:
+                value[2 * var + 2], value[2 * var + 3] = 0, 1
+                continue
+            # Prefer the orientation that sets this (lowest unresolved) var to 0.
+            for start in (2 * var + 3, 2 * var + 2):
+                reach = breadth_first_order(adj, start, directed=True, return_predecessors=False)
+                reach = reach[middle[reach]]
+                in_reach[reach] = True
+                consistent = not (
+                    (value[reach] == 0).any()
+                    or frustrated[reach].any()
+                    or in_reach[reach ^ 1].any()
+                )
+                in_reach[reach] = False
+                if consistent:
+                    new = reach[value[reach] < 0]
+                    value[new] = 1
+                    value[new ^ 1] = 0
+                    break
+        labelled = middle_vars[value[2 * middle_vars + 2] >= 0]
+        weak.update(zip(labelled.tolist(), value[2 * labelled + 2].tolist()))
+
+    return strong, weak
+
+
 @st.composite
 def class_and_fixes(draw):
     """A QUBO (int or Fraction, with offset), one relation class of two or

@@ -541,3 +541,51 @@ def test_bounded_leaves_match_the_unbounded_leaf_graph_path(case):
             bounded = max_clique_split(g, default_leaf_solver(threshold), **_MODES[mode])
         assert bounded == max_clique_split(g, on_graphs, **_MODES[mode])
         assert calls == _reference_needs(g, threshold, mode)
+
+
+@st.composite
+def _node_cases(draw):
+    """A nonempty node of a split tree: the whole of a G(m, p) graph with
+    m ≤ 60 and p ≤ 0.4, or a random mask over a sparser graph of 61–200
+    vertices."""
+    if draw(st.booleans()):
+        g = gen_gnp(draw(st.integers(1, 60)), draw(st.floats(0, 0.4)), draw(st.integers(0, 2**16)))
+        return g, (1 << g.n) - 1
+    n = draw(st.integers(61, 200))
+    g = gen_gnp(n, draw(st.floats(0, 0.1)), draw(st.integers(0, 2**16)))
+    return g, draw(st.integers(1, (1 << n) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_node_cases())
+def test_certified_nodes_have_no_labels_and_bound_minus_half_m(case):
+    """A node of m members whose most connected member has Δ neighbours in
+    it is certified exactly when m > 2Δ + 2, and then roof duality on its
+    clique QUBO finds no strong or weak label and the bound −m/2."""
+    g, mask = case
+    adj = g.adjacency_bits
+    members = [v for v in range(g.n) if mask >> v & 1]
+    most = max((bin(adj[v] & mask).count("1") for v in members), default=0)
+    certified = decompose._certified(adj, mask)
+    assert certified == (len(members) > 2 * most + 2)
+    if certified:
+        res = analyze(clique_qubo(g.induced(members)[0], decompose._ENCODING))
+        assert (res.strong, res.weak) == ({}, {})
+        assert 2 * res.bound == -len(members)
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, dense",
+    [(120, 0.03, 0, False), (100, 400 / 4950, 0, False), (100, 800 / 4950, 1, False),
+     (100, 1600 / 4950, 2, False), (70, 0.646, 1, True), (300, 0.02, 0, False)],
+)
+def test_certified_nodes_plan_as_analyzed_ones(n, p, seed, dense, monkeypatch):
+    """Skipping the analysis of certified nodes changes no plan entry, on
+    sparse graphs, where nodes are certified, and on a split-dense graph,
+    where none is."""
+    g = gen_gnp(n, p, seed)
+    plan = decompose._plan(g, _matrix(g), 15, True, False)
+    certified = sum(decompose._certified(g.adjacency_bits, mask) for mask in plan)
+    assert (certified == 0) == dense
+    monkeypatch.setattr(decompose, "_certified", lambda adj, mask: False)
+    assert plan == decompose._plan(g, _matrix(g), 15, True, False)

@@ -94,3 +94,17 @@ def test_table3_desk_rows_match_golden(tmp_path, capsys):
     golden = _untimed_rows(Path(__file__).parent / "data" / "table3_desk_golden.csv")
     assert len(golden) == 9
     assert _untimed_rows(tmp_path / "table3.csv") == golden
+
+
+@pytest.mark.parametrize("desk_scale, computed", [(True, 5), (False, 9)])
+def test_table3_computes_each_distinct_row_once(desk_scale, computed, monkeypatch):
+    """At desk scale the n = 500 and n = 1000 rows of a family and degree
+    become one task; it is computed once and its row repeated in place, as
+    a copy of its own."""
+    seen = []
+    monkeypatch.setattr(experiments, "_table3_row", lambda task: seen.append(task) or {"task": task})
+    rows = experiments.run_table3(seeds=1, desk_scale=desk_scale)
+    assert len(seen) == len(set(seen)) == computed
+    rows_in_order = [(f, 200 if desk_scale else n, d) for f, n, d in experiments.TABLE3_ROWS]
+    assert [row["task"][:3] for row in rows] == rows_in_order
+    assert len({id(row) for row in rows}) == len(rows)

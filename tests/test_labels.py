@@ -1,9 +1,13 @@
-"""Label extraction against the component-level reference, dict order included."""
+"""Label extraction against the component-level reference and against the
+closure loop it replaced, dict order included."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from quboprep import _fast
@@ -15,7 +19,7 @@ from quboprep.persistency import extract_labels
 from quboprep.posiform import IntArrays, Posiform
 from quboprep.problems import maxcut_ising
 
-from helpers import reference_labels, reference_network
+from helpers import reference_extract_labels, reference_labels, reference_network
 
 
 def _flow(q: Qubo) -> FlowResult:
@@ -60,7 +64,60 @@ def _odd_cycle_cuts():
 def _same_labels(flow: FlowResult) -> tuple[dict, dict]:
     got = extract_labels(flow)
     assert repr(got) == repr(reference_labels(flow))
+    assert repr(got) == repr(reference_extract_labels(flow))
     return got
+
+
+@st.composite
+def _qubos(draw, fractional: bool | None = None) -> Qubo:
+    """A QUBO on 1–10 variables with ±5 coefficients, over 1..4 when
+    ``fractional`` (drawn when None), and an offset."""
+    if fractional is None:
+        fractional = draw(st.booleans())
+    n = draw(st.integers(1, 10))
+    coeff = st.integers(-5, 5)
+    if fractional:
+        coeff = st.builds(Fraction, coeff, st.integers(1, 4))
+    lin = {i: draw(coeff) for i in range(n)}
+    quad = {(i, j): draw(coeff) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    return Qubo.from_terms(n, lin, quad, draw(coeff))
+
+
+@st.composite
+def _label_flows(draw) -> list[FlowResult]:
+    """The flows of one layout: a QUBO's network, the network of the
+    ``IntArrays.union`` of 1–4 int QUBOs (one scale), or the flow of each
+    ``analyze_branch`` call on a 1-, 2- or 4-pair ``BranchPair`` layout."""
+    kind = draw(st.sampled_from(["single", "union", "pairs"]))
+    if kind == "single":
+        return [_flow(draw(_qubos()))]
+    if kind == "union":
+        parts = [IntArrays.from_qubo(draw(_qubos(False))) for _ in range(draw(st.integers(1, 4)))]
+        return [max_flow(build_network(IntArrays.union(parts)))]
+    q = draw(_qubos())
+    pairs = draw(st.sampled_from([1, 2, 4]))
+    layout = BranchPair.of(IntArrays.from_qubo(q), pairs)
+    flows = []
+
+    def spy(flow):
+        flows.append(flow)
+        return extract_labels(flow)
+
+    probes = st.lists(st.integers(0, q.num_vars - 1), min_size=pairs, max_size=pairs)
+    with mock.patch.object(_fast, "extract_labels", spy):
+        for _ in range(draw(st.integers(1, 3))):
+            analyze_branch(layout, draw(probes))
+    return flows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_flows())
+def test_labels_match_the_full_closure_test(flows):
+    """Cutting the closure test to a frustrated literal or the start's
+    complement, and valuing lone variables first, changes no strong or weak
+    label and no dict order."""
+    for flow in flows:
+        _same_labels(flow)
 
 
 @pytest.mark.parametrize("chunk", range(8))
