@@ -98,7 +98,7 @@ def analyze_branch(
             caps[net.partner[rows]] = 0
     write_terminal_arcs(caps, net.indptr, lin)
     flow = max_flow(replace(net, caps=caps))
-    strong, weak = extract_labels(flow)
+    strong, weak = extract_labels(flow.residual_adjacency())
     deltas = [d for u in us for d in (0, int(arr.lin[u]))]
     constants = [
         arr.offset + Fraction(delta - negative, scale)

@@ -10,9 +10,16 @@ Every subproblem is a bitmask over the root graph's vertices: an induced
 subgraph is a mask AND with the root's neighbour masks.  A node's children
 depend only on its mask, so in every mode (plain, roof duality, probing)
 the tree of oversized nodes is first expanded breadth-first by
-:func:`_plan`, which with roof duality analyzes each level in one max
-flow per :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries, the
-budget that probe batches share.  The depth-first recursion then replays
+:func:`_plan`, which with roof duality analyzes each level in one maximum
+matching per :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries,
+the budget that probe batches share.  A node's clique QUBO has the
+implication network s → x_u → x̄_v → t: unit arcs from the source and into
+the sink, and arcs of capacity B = 2 on each non-adjacent pair, which is the
+bipartite double cover of the node's complement.  As B exceeds the unit
+that enters x_u, no middle arc saturates, so a maximum flow is a maximum
+matching of that cover (Nemhauser & Trotter, 1975), and the labels, which
+depend only on residual reachability, are those of every maximum flow
+(Picard & Queyranne, 1980).  The depth-first recursion then replays
 that plan and calls the leaf solver, so leaf calls, their order and the
 statistics are those of expanding node by node.  The root's boolean
 adjacency matrix is built once per call; a leaf's matrix is its rows and
@@ -42,12 +49,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import oracle, persistency
 from .errors import SolverValidationError
 from .graphs import Graph, set_bits
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
-from .persistency import analyze, analyze_union  # noqa: F401
+from .persistency import analyze  # noqa: F401
 from .posiform import IntArrays
 from .probing import probe
 from .problems import CliqueEncodingParams, clique_qubo
@@ -206,13 +215,72 @@ def _level(
     return runs
 
 
-def _certified(adj: tuple, mask: int) -> bool:
-    """Whether 2·deg + 2 < m for each member of the m-vertex node ``mask``,
-    deg counted inside it; stops at the first member that fails."""
-    m, rest = mask.bit_count(), mask
-    while rest and 2 * (adj[(rest & -rest).bit_length() - 1] & mask).bit_count() + 2 < m:
+def _csr(tails: np.ndarray, heads: np.ndarray, n: int) -> csr_matrix:
+    """The CSR over ``n`` nodes with one entry per arc tails[k] → heads[k]
+    (a stable counting sort by tail).  The arcs must be distinct: scipy's
+    strong components do not finish on a CSR with a repeated entry."""
+    order = np.argsort(tails.astype(np.min_scalar_type(n)), kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(len(tails)), heads[order], indptr), shape=(n, n))
+
+
+def _weak_labels(union: IntArrays, starts: np.ndarray) -> list[dict[int, int]]:
+    """The weak labels of :func:`~quboprep.persistency.analyze_union` for
+    each block of ``union``, a run of :func:`_level`, from one maximum
+    matching of its pairs in both orientations (see :func:`_plan`).
+
+    The matching is checked to be one: each matched pair is a pair of the
+    union, and no column is matched twice.  That it is maximum is checked
+    by :func:`~quboprep.persistency.extract_labels`, which raises when the
+    source reaches the sink (an augmenting path).  Its residual is written
+    over the 2m + 2 literal nodes directly: s → x_u and x̄_u → t unless u is
+    matched on both sides, x_u → s and t → x̄_u if u is matched on either
+    side, x_u → x̄_v on every pair, and x̄_v → x_u and x̄_u → x_v where u is
+    matched to v (once where v is also matched to u).
+    """
+    m, qi, qj = union.num_vars, union.qi, union.qj
+    rows, cols = np.concatenate([qi, qj]), np.concatenate([qj, qi])
+    mate = maximum_bipartite_matching(_csr(rows, cols, m), perm_type="column")
+    u = np.flatnonzero(mate >= 0)
+    v = mate[u].astype(np.int64)
+    matched = np.minimum(u, v) * m + np.maximum(u, v)
+    keys = np.append(qi * m + qj, -1)  # a search past the last key lands on -1
+    taken = np.bincount(v, minlength=m)
+    if (keys[np.searchsorted(keys[:-1], matched)] != matched).any() or taken.max(initial=0) > 1:
+        raise AssertionError("maximum_bipartite_matching returned no matching of the pairs")
+    sides = taken + (mate >= 0)
+    free, used = np.flatnonzero(sides < 2), np.flatnonzero(sides > 0)
+    once = (mate[v] != u) | (u < v)
+    u, v = u[once], v[once]
+    # s → x_u, x̄_u → t, x_u → s, t → x̄_u, x_u → x̄_v, x̄_v → x_u, x̄_u → x_v.
+    tails = np.concatenate([
+        np.zeros_like(free), 2 * free + 3, 2 * used + 2, np.ones_like(used),
+        2 * rows + 2, 2 * v + 3, 2 * u + 3,
+    ])
+    heads = np.concatenate([
+        2 * free + 2, np.ones_like(free), np.zeros_like(used), 2 * used + 3,
+        2 * cols + 3, 2 * u + 2, 2 * v + 2,
+    ])
+    _, weak = persistency.extract_labels(_csr(tails, heads, 2 * m + 2))
+    return persistency.split_labels(weak, starts.tolist())
+
+
+def _certified(adj: tuple, mask: int) -> int | None:
+    """The member of least degree inside the m-vertex node ``mask`` (the
+    lowest on a tie) when 2·deg + 2 < m for every member, else None;
+    stops at the first member that fails."""
+    m = mask.bit_count()
+    rest, best, least = mask, None, m
+    while rest:
+        u = (rest & -rest).bit_length() - 1
+        deg = (adj[u] & mask).bit_count()
+        if 2 * deg + 2 >= m:
+            return None
+        if deg < least:
+            best, least = u, deg
         rest &= rest - 1
-    return not rest
+    return best
 
 
 def _plan(
@@ -224,11 +292,25 @@ def _plan(
     Every mode expands the tree breadth-first, a level in blocks of at most
     _RUN_CELLS node-vertex and node-pair cells (or one node).  The plain
     split analyzes no node.  With persistency, :func:`_level` builds the
-    block's clique problems from its :func:`_membership` matrix, one
-    :func:`~quboprep.persistency.analyze_union` call per run; with
+    block's clique problems from its :func:`_membership` matrix, and each
+    run gets its weak labels from one :func:`_weak_labels` call; with
     ``use_probing`` each node is probed on its own.  An unfixed node splits
     on its member with the fewest neighbours inside it, the lowest vertex
     on a tie.  A mask met again is not expanded again.
+
+    A run's clique QUBO (−A·x_u on every member, B·x_u·x_v on every
+    non-adjacent pair, A = 1 < B = 2) gives the network of
+    :func:`~quboprep.persistency.analyze_union` the arcs s → x_u and
+    x̄_u → t of capacity A and x_u → x̄_v, x_v → x̄_u of capacity B per pair,
+    and no other arc of positive capacity.  So every flow path is
+    s → x_u → x̄_v → t, through the bipartite double cover of the pairs,
+    and it carries at most A into x_u: no middle arc saturates, and a
+    maximum flow is a maximum matching of the cover (Nemhauser & Trotter,
+    1975; Hopcroft & Karp, 1973, find it).  Symmetrizing that flow over
+    skew partners gives the residual that :func:`_weak_labels` writes.
+    Residual reachability is the same for every maximum flow (Picard &
+    Queyranne, 1980), and the labels depend on nothing else, so they equal
+    those of ``analyze_union``'s max flow, dict order included.
 
     Roof duality skips a node of m members with at most Δ neighbours each
     inside it when m > 2Δ + 2 (:func:`_certified`).  The roof dual of its
@@ -249,25 +331,24 @@ def _plan(
         todo = [m for m in dict.fromkeys(level) if m.bit_count() > threshold and m not in plan]
         for top in range(0, len(todo), step):
             masks = todo[top : top + step]
-            if not use_persistency:
-                fixes = [(set_bits(mask), None) for mask in masks]
-            elif use_probing:
-                fixes = []
+            fixes: dict[int, tuple] = {}
+            split: dict[int, int | None] = {}
+            if use_probing:
                 for mask in masks:
                     members, sub = _induced(matrix, mask)
-                    fixed = probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
-                    fixes.append((members, fixed))
-            else:
-                analyzed = [mask for mask in masks if not _certified(adj, mask)]
+                    fixes[mask] = members, probe(clique_qubo(_leaf(sub), _ENCODING)).reduction.fixed
+            elif use_persistency:
+                split = {mask: _certified(adj, mask) for mask in masks}
+                analyzed = [mask for mask, v in split.items() if v is None]
                 runs = _level(_membership(analyzed, g.n), pairs) if analyzed else []
-                fixes = []
-                for members, union, starts in runs:
-                    blocks = analyze_union(union, starts, [0] * len(members))
-                    fixes += [(mem, weak) for mem, (_, weak, _) in zip(members, blocks)]
-                found = dict(zip(analyzed, fixes))
-                fixes = [found.get(mask) or (set_bits(mask), {}) for mask in masks]
-            for mask, (members, fixed) in zip(masks, fixes):
-                v = None if fixed else min(members, key=lambda u: (adj[u] & mask).bit_count())
+                weak = [w for _, union, starts in runs for w in _weak_labels(union, starts)]
+                members = [mem for run in runs for mem in run[0]]
+                fixes = dict(zip(analyzed, zip(members, weak)))
+            for mask in masks:
+                members, fixed = fixes.get(mask, (None, None))
+                v = split.get(mask)
+                if v is None and not fixed:
+                    v = min(members or set_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
                 plan[mask] = _step(adj, mask, members, fixed, v)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan

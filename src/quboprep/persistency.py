@@ -1,16 +1,19 @@
 """Strong/weak persistency extraction from the residual implication network.
 
-All labels come from the residual graph of one symmetrized max flow, built
-once as a CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
+All labels come from the residual graph of one symmetrized max flow, as a
+CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
 :func:`analyze_union` runs several problems through one flow, on the network
 of their disjoint union, and :func:`split_blocks` hands each problem its own
-labels and bound.  :func:`analyze` is the one-block case, on the problem's
-own arrays; the split solver builds its unions directly and reads the weak
-labels off the blocks.  The blocks share only the source and the sink.  The
-sink is never reachable at a maximum flow, a middle literal reaches no
-middle literal of another block, and residual reachability is the same for
-every maximum flow (Picard & Queyranne, 1980), so every block gets exactly
-the result it gets alone.
+labels and bound (:func:`split_labels` splits a label dict by block).
+:func:`analyze` is the one-block case, on the problem's own arrays.  The
+split solver builds its unions of clique problems directly, writes the
+residual of their maximum matching, whose network is a bipartite double
+cover, and splits the weak labels of :func:`extract_labels` by block
+(:func:`~quboprep.decompose._weak_labels`).  The blocks share only the
+source and the sink.  The sink is never reachable at a maximum flow, a
+middle literal reaches no middle literal of another block, and residual
+reachability is the same for every maximum flow (Picard & Queyranne, 1980),
+so every block gets exactly the result it gets alone.
 
 Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
@@ -31,10 +34,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .model import Coeff, Qubo, Reduction, as_coeff, fix_variables
-from .network import SOURCE, FlowResult, build_network, max_flow
+from .network import SINK, SOURCE, FlowResult, build_network, max_flow
 from .posiform import IntArrays, to_posiform
 
 
@@ -116,7 +120,7 @@ def analyze_union(
     constants = [offset - _exact(s, p.scale) for offset, s in zip(offsets, sums)]
     net = build_network(union)
     flow = max_flow(net)
-    strong, weak = extract_labels(flow)
+    strong, weak = extract_labels(flow.residual_adjacency())
     return split_blocks(flow, strong, weak, starts.tolist(), constants)
 
 
@@ -144,23 +148,34 @@ def split_blocks(
     to each source arc's flow that of its partner, an arc into the sink from
     the same block, so the block's source arcs sum to twice its flow.
     """
-    out = [({}, {}) for _ in starts[1:]]
-    for labels, k in ((strong, 0), (weak, 1)):
-        lo = hi = 0
-        for j, v in labels.items():
-            if not lo <= j < hi:  # labels mostly come in runs of one block
-                b = bisect_right(starts, j) - 1
-                lo, hi, block = starts[b], starts[b + 1], out[b][k]
-            block[j - lo] = v
     scale = flow.network.scale
     source = np.zeros(2 * starts[-1] + 1, dtype=np.int64)
     np.cumsum(flow.flow2[: 2 * starts[-1]], out=source[1:])
     sums = np.diff(source[2 * np.asarray(starts)]).tolist()
-    return [(s, w, c + _exact(f // 2, scale)) for (s, w), c, f in zip(out, constants, sums)]
+    blocks = zip(split_labels(strong, starts), split_labels(weak, starts), constants, sums)
+    return [(s, w, c + _exact(f // 2, scale)) for s, w, c, f in blocks]
 
 
-def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
-    """Strong and weak variable labels from a symmetrized max-flow residual.
+def split_labels(labels: dict[int, int], starts: Sequence[int]) -> list[dict[int, int]]:
+    """``labels`` of a union split per block of variables ``starts[b]:starts[b
+    + 1]``, each in the block's own indices and in the union's dict order."""
+    out: list[dict[int, int]] = [{} for _ in starts[1:]]
+    lo = hi = 0
+    for j, v in labels.items():
+        if not lo <= j < hi:  # labels mostly come in runs of one block
+            b = bisect_right(starts, j) - 1
+            lo, hi, block = starts[b], starts[b + 1], out[b]
+        block[j - lo] = v
+    return out
+
+
+def extract_labels(adj: csr_matrix) -> tuple[dict[int, int], dict[int, int]]:
+    """Strong and weak variable labels from ``adj``, the residual graph of a
+    symmetrized maximum flow as a CSR over its 2N + 2 nodes with no repeated
+    entry (:meth:`~quboprep.network.FlowResult.residual_adjacency`).  They
+    depend only on which nodes reach which.  A residual in which the source
+    reaches the sink, or both literals of a variable, is not that of a
+    maximum flow and raises.
 
     Middle variables are taken in ascending order; one without a value gets
     the closure of x̄ (value 0) if that closure is consistent, else that of
@@ -181,10 +196,11 @@ def extract_labels(flow: FlowResult) -> tuple[dict[int, int], dict[int, int]]:
         loop and keeps it.  As no failure depends on the values, a variable
         whose closures both fail is never valued.
     """
-    n_nodes = flow.network.num_nodes
-    adj = flow.residual_adjacency()
+    n_nodes = adj.shape[0]
     reached = np.zeros(n_nodes, dtype=bool)
     reached[breadth_first_order(adj, SOURCE, directed=True, return_predecessors=False)] = True
+    if reached[SINK]:
+        raise AssertionError("the source reaches the sink; max flow is not maximal")
     pos, neg = reached[2::2], reached[3::2]
     both = np.flatnonzero(pos & neg)
     if len(both):

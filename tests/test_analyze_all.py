@@ -1,7 +1,8 @@
 """`analyze_union` runs many problems through one max flow, as blocks of
 their disjoint union (`IntArrays.union`); each problem must get exactly the
 result (repr-identical: labels in the same dict order, the same bound) that
-the single-problem pipeline gives it alone."""
+the single-problem pipeline gives it alone.  The split solver's matching
+route must give each node the weak labels of both."""
 
 import math
 from fractions import Fraction
@@ -24,7 +25,7 @@ def _alone(arr: IntArrays) -> PersistencyResult:
     p = to_posiform(arr)
     net = reference_network(p)
     flow = max_flow(net)
-    strong, weak = extract_labels(flow)
+    strong, weak = extract_labels(flow.residual_adjacency())
     bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
     return PersistencyResult(arr.num_vars, strong, weak, bound)
 
@@ -115,21 +116,29 @@ def _blocks(union: IntArrays, starts, offsets) -> list[IntArrays]:
 
 def test_every_split_dense_node_matches(monkeypatch):
     """All nodes the split solver analyzes on the split-dense benchmark
-    graph (seed 1), level by level in unions."""
+    graph (seed 1), level by level in unions: the matching route gives each
+    node the weak labels of ``analyze`` alone, and ``analyze_union`` on the
+    same unions gives each node the strong labels, weak labels and bound of
+    the single-problem pipeline."""
     batches = []
+    weak_labels = decompose._weak_labels
 
-    def record(union, starts, offsets):
-        blocks = analyze_union(union, starts, offsets)
-        batches.append((_blocks(union, starts, offsets), blocks))
-        return blocks
+    def record(union, starts):
+        weak = weak_labels(union, starts)
+        batches.append((union, starts, weak))
+        return weak
 
-    monkeypatch.setattr(decompose, "analyze_union", record)
+    monkeypatch.setattr(decompose, "_weak_labels", record)
     solver = decompose.default_leaf_solver(_workloads().SPLIT_THRESHOLD)
     decompose.max_clique_split(_bench_graph(1), solver)
-    assert sum(len(problems) for problems, _ in batches) > 1000
-    assert max(len(problems) for problems, _ in batches) > 20
-    for problems, blocks in batches:
-        assert len(problems) == len(blocks)
-        for arr, (strong, weak, bound) in zip(problems, blocks):
-            result = PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
+    assert sum(len(weak) for _, _, weak in batches) > 1000
+    assert max(len(weak) for _, _, weak in batches) > 20
+    for union, starts, weak in batches:
+        offsets = [0] * (len(starts) - 1)
+        problems = _blocks(union, starts, offsets)
+        blocks = analyze_union(union, starts, offsets)
+        assert len(problems) == len(weak) == len(blocks)
+        for arr, matched, (strong, weak_union, bound) in zip(problems, weak, blocks):
+            assert repr(matched) == repr(analyze(arr).weak)
+            result = PersistencyResult(arr.num_vars, strong, weak_union, as_coeff(bound))
             assert repr(result) == repr(_alone(arr))

@@ -92,12 +92,12 @@ def test_each_mode_runs_only_its_own_analysis(mode, monkeypatch):
 
         return wrapper
 
-    for name in ("analyze_union", "probe"):
+    for name in ("_weak_labels", "probe"):
         monkeypatch.setattr(decompose, name, spy(name, getattr(decompose, name)))
     g = gen_gnp(24, 0.6, 5)
     clique, _ = max_clique_split(g, default_leaf_solver(8), **_MODES[mode])
     assert len(clique) == len(exact_max_clique(g))
-    assert called == {"plain": set(), "persistency": {"analyze_union"}, "probing": {"probe"}}[mode]
+    assert called == {"plain": set(), "persistency": {"_weak_labels"}, "probing": {"probe"}}[mode]
 
 
 def test_empty_and_edgeless_graphs():
@@ -313,6 +313,84 @@ def test_level_builder_matches_the_reference_union(case):
         if hi < len(masks):
             first = reference_level_union(g, masks[hi : hi + 1])[0]
             assert len(union.qv) + len(first.qv) > budget
+
+
+@st.composite
+def _matching_cases(draw):
+    """A G(n, p) graph of 2–45 vertices, p from 0 to 1 with edgeless and
+    complete graphs among them, 1–6 nonempty masks over it (the whole graph
+    among them) and a union budget: the default, 0 or 60."""
+    n = draw(st.integers(2, 45))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    g = gen_gnp(n, p, draw(st.integers(0, 2**16)))
+    node = st.one_of(st.just((1 << n) - 1), st.integers(1, (1 << n) - 1))
+    masks = draw(st.lists(node, min_size=1, max_size=6))
+    budget = draw(st.sampled_from([persistency.UNION_ENTRIES, 0, 60]))
+    return g, masks, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_cases())
+def test_matching_route_matches_analyze_union(case):
+    """The weak labels that one maximum matching gives each node of a level
+    run are those of ``analyze_union`` on the run, dict order included."""
+    g, masks, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(persistency, "UNION_ENTRIES", budget)
+        runs = _level(_membership(masks, g.n), _pairs(g))
+    for members, union, starts in runs:
+        blocks = persistency.analyze_union(union, starts, [0] * len(members))
+        assert repr(decompose._weak_labels(union, starts)) == repr([weak for _, weak, _ in blocks])
+
+
+@pytest.mark.parametrize("fault", ["dropped", "non-pair", "column twice"])
+def test_matching_route_rejects_a_wrong_matching(fault, monkeypatch):
+    """A matching with one pair dropped is not maximum, so the source
+    reaches the sink; a vertex matched to itself or a column matched twice
+    is no matching of the pairs."""
+    match = decompose.maximum_bipartite_matching
+
+    def faulty(graph, perm_type):
+        mate = match(graph, perm_type=perm_type)
+        first, second = np.flatnonzero(mate >= 0)[:2]
+        if fault == "dropped":
+            mate[first] = -1
+        elif fault == "non-pair":
+            mate[first] = first
+        else:
+            mate[second] = mate[first]
+        return mate
+
+    monkeypatch.setattr(decompose, "maximum_bipartite_matching", faulty)
+    message = "not maximal" if fault == "dropped" else "no matching"
+    with pytest.raises(AssertionError, match=message):
+        max_clique_split(gen_gnp(40, 0.5, 3), default_leaf_solver(10))
+
+
+def test_roof_duality_levels_make_one_matching_and_no_flow(monkeypatch):
+    """On the split-dense benchmark graph, each level run makes one
+    matching and one label extraction, and no posiform, network or max
+    flow is built."""
+    calls = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (persistency, "to_posiform"), (persistency, "build_network"), (persistency, "max_flow"),
+        (persistency, "extract_labels"), (decompose, "maximum_bipartite_matching"),
+        (decompose, "_weak_labels"),
+    ]:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    max_clique_split(_bench_graph(1), default_leaf_solver(_workloads().SPLIT_THRESHOLD))
+    runs = calls["_weak_labels"]
+    assert runs > 20
+    made = ["extract_labels", "maximum_bipartite_matching", "_weak_labels"]
+    assert calls == dict.fromkeys(made, runs)
 
 
 def test_leaves_wider_than_64_vertices_equal_the_induced_subgraph(monkeypatch):
@@ -566,9 +644,11 @@ def test_certified_nodes_have_no_labels_and_bound_minus_half_m(case):
     adj = g.adjacency_bits
     members = [v for v in range(g.n) if mask >> v & 1]
     most = max((bin(adj[v] & mask).count("1") for v in members), default=0)
-    certified = decompose._certified(adj, mask)
+    split = decompose._certified(adj, mask)
+    certified = split is not None
     assert certified == (len(members) > 2 * most + 2)
     if certified:
+        assert split == reference_split_vertex(adj, mask)
         res = analyze(clique_qubo(g.induced(members)[0], decompose._ENCODING))
         assert (res.strong, res.weak) == ({}, {})
         assert 2 * res.bound == -len(members)
@@ -585,7 +665,7 @@ def test_certified_nodes_plan_as_analyzed_ones(n, p, seed, dense, monkeypatch):
     where none is."""
     g = gen_gnp(n, p, seed)
     plan = decompose._plan(g, _matrix(g), 15, True, False)
-    certified = sum(decompose._certified(g.adjacency_bits, mask) for mask in plan)
+    certified = sum(decompose._certified(g.adjacency_bits, mask) is not None for mask in plan)
     assert (certified == 0) == dense
-    monkeypatch.setattr(decompose, "_certified", lambda adj, mask: False)
+    monkeypatch.setattr(decompose, "_certified", lambda adj, mask: None)
     assert plan == decompose._plan(g, _matrix(g), 15, True, False)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from quboprep import _fast
@@ -62,7 +63,7 @@ def _odd_cycle_cuts():
 
 
 def _same_labels(flow: FlowResult) -> tuple[dict, dict]:
-    got = extract_labels(flow)
+    got = extract_labels(flow.residual_adjacency())
     assert repr(got) == repr(reference_labels(flow))
     assert repr(got) == repr(reference_extract_labels(flow))
     return got
@@ -99,12 +100,12 @@ def _label_flows(draw) -> list[FlowResult]:
     layout = BranchPair.of(IntArrays.from_qubo(q), pairs)
     flows = []
 
-    def spy(flow):
-        flows.append(flow)
-        return extract_labels(flow)
+    def spy(net):
+        flows.append(max_flow(net))
+        return flows[-1]
 
     probes = st.lists(st.integers(0, q.num_vars - 1), min_size=pairs, max_size=pairs)
-    with mock.patch.object(_fast, "extract_labels", spy):
+    with mock.patch.object(_fast, "max_flow", spy):
         for _ in range(draw(st.integers(1, 3))):
             analyze_branch(layout, draw(probes))
     return flows
@@ -142,11 +143,11 @@ def test_labels_match_reference_on_branch_layouts(pairs, monkeypatch):
     which extract_labels values without a BFS."""
     flows = []
 
-    def spy(flow):
-        flows.append(flow)
-        return extract_labels(flow)
+    def spy(net):
+        flows.append(max_flow(net))
+        return flows[-1]
 
-    monkeypatch.setattr(_fast, "extract_labels", spy)
+    monkeypatch.setattr(_fast, "max_flow", spy)
     for q in _random_cases(200 + pairs, 30) + _odd_cycle_cuts():
         layout = BranchPair.of(IntArrays.from_qubo(q), pairs)
         n = q.num_vars
@@ -156,7 +157,7 @@ def test_labels_match_reference_on_branch_layouts(pairs, monkeypatch):
     for flow in flows:
         _same_labels(flow)
         adj = flow.residual_adjacency()
-        strong, _ = extract_labels(flow)
+        strong, _ = extract_labels(adj)
         middle = np.ones(flow.network.num_nodes, dtype=bool)
         middle[:2] = False
         for var in strong:
@@ -188,9 +189,24 @@ def test_both_literals_reachable_raises():
     p = _hand_posiform(2, [(0, 1), (2, 1)], [(1, 3, 1)])
     net = reference_network(p)
     flow = FlowResult(net, 0, np.zeros(net.num_arcs, dtype=np.int64))
-    for labels in (extract_labels, reference_labels):
-        with pytest.raises(AssertionError, match="max flow is not maximal"):
-            labels(flow)
+    with pytest.raises(AssertionError, match="max flow is not maximal"):
+        extract_labels(flow.residual_adjacency())
+    with pytest.raises(AssertionError, match="max flow is not maximal"):
+        reference_labels(flow)
+
+
+def test_reachable_sink_raises():
+    """A zero flow on the network of −x0 − x1 + 2·x0·x1, which has the
+    augmenting path s → x0 → x̄1 → t; and a residual over one variable with
+    only s → x0 → t, where the sink is the one sign that the flow is not
+    maximum."""
+    net = build_network(IntArrays.from_qubo(Qubo.from_terms(2, {0: -1, 1: -1}, {(0, 1): 2})))
+    flow = FlowResult(net, 0, np.zeros(net.num_arcs, dtype=np.int64))
+    with pytest.raises(AssertionError, match="source reaches the sink"):
+        extract_labels(flow.residual_adjacency())
+    path = csr_matrix((np.ones(2), np.array([2, 1]), np.array([0, 1, 1, 2, 2])), shape=(4, 4))
+    with pytest.raises(AssertionError, match="source reaches the sink"):
+        extract_labels(path)
 
 
 def _reach_is_consistent(adj, start: int, middle: np.ndarray) -> bool:
@@ -209,7 +225,7 @@ def test_no_unfrustrated_variable_has_two_failing_closures():
         if flow.network.num_arcs == 0:
             continue
         adj = flow.residual_adjacency()
-        strong, _ = extract_labels(flow)
+        strong, _ = extract_labels(adj)
         _, comp = connected_components(adj, directed=True, connection="strong")
         middle = np.ones(flow.network.num_nodes, dtype=bool)
         middle[:2] = False

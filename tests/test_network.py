@@ -419,9 +419,17 @@ def _spy_on_build_network(monkeypatch, module) -> list:
 
 
 def test_layout_equals_the_reference_on_split_unions(monkeypatch):
-    """The ``analyze_union`` unions of the split-golden graphs, persistency
-    mode, and of the split-dense benchmark graph at seed 1."""
-    seen = _spy_on_build_network(monkeypatch, persistency)
+    """The level unions (``decompose._level``) of the split-golden graphs,
+    persistency mode, and of the split-dense benchmark graph at seed 1."""
+    seen = []
+    level = decompose._level
+
+    def spy(member, pairs):
+        runs = level(member, pairs)
+        seen.extend(union for _, union, _ in runs)
+        return runs
+
+    monkeypatch.setattr(decompose, "_level", spy)
     solver = decompose.default_leaf_solver(_workloads().SPLIT_THRESHOLD)
     decompose.max_clique_split(_bench_graph(1), solver)
     for case in _SPLIT_GOLDEN["random"]:
@@ -430,6 +438,8 @@ def test_layout_equals_the_reference_on_split_unions(monkeypatch):
             decompose.max_clique_split(g, decompose.default_leaf_solver(case["threshold"]))
     assert len(seen) > 100
     assert max(arr.num_vars for arr in seen) > 200
+    for arr in seen:
+        _assert_reference_layout(arr)
 
 
 @pytest.mark.parametrize("workload", ["probe-cfat", "probe-gcut", "probe-rational"])

@@ -33,7 +33,6 @@ from quboprep import decompose, persistency
 from quboprep.decompose import LeafSolver, default_leaf_solver, max_clique_split
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique
-from quboprep.persistency import analyze_union
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PATH = _ROOT / "tests" / "data" / "split_golden.json"
@@ -176,15 +175,16 @@ def test_golden_random_set_exercises_the_recursion():
 @pytest.mark.parametrize("budget", [0, 60])
 def test_outcomes_match_golden_with_small_unions(budget, monkeypatch):
     """With a union budget of a few quadratic entries, each level is cut
-    into many ``analyze_union`` calls; the outcomes must not change."""
+    into many matchings; the outcomes must not change."""
     runs = []
+    weak_labels = decompose._weak_labels
 
-    def spy(union, starts, offsets):
-        runs.append((len(offsets), len(union.qv)))
-        return analyze_union(union, starts, offsets)
+    def spy(union, starts):
+        runs.append((len(starts) - 1, len(union.qv)))
+        return weak_labels(union, starts)
 
     monkeypatch.setattr(persistency, "UNION_ENTRIES", budget)
-    monkeypatch.setattr(decompose, "analyze_union", spy)
+    monkeypatch.setattr(decompose, "_weak_labels", spy)
     cases = [c for c in _GOLDEN["random"] if c["mode"] == "persistency"][:40]
     for case in cases:
         g = gen_gnp(case["n"], case["p"], case["seed"])
