@@ -11,7 +11,6 @@ from .model import (
     Reduction,
     fix_variables,
     ising_to_qubo,
-    qubo_to_ising,
     read_qubo,
     substitute,
     write_qubo,
@@ -24,11 +23,9 @@ from .graphs import Graph, gen_cfat, gen_g, gen_gnp, gen_hamming, gen_u, perturb
 from .problems import (
     CliqueEncodingParams,
     clique_qubo,
-    cut_from_ising_energy,
     decode_clique,
     decode_cut,
     maxcut_ising,
-    maxcut_qubo,
 )
 from .decompose import LeafSolver, SplitStats, max_clique_split, splitting_savings
 from .oracle import brute_force_qubo, exact_max_clique, exact_max_cut, verify_persistency
@@ -58,7 +55,6 @@ __all__ = [
     "brute_force_qubo",
     "build_network",
     "clique_qubo",
-    "cut_from_ising_energy",
     "decode_clique",
     "decode_cut",
     "exact_max_clique",
@@ -73,10 +69,8 @@ __all__ = [
     "max_clique_split",
     "max_flow",
     "maxcut_ising",
-    "maxcut_qubo",
     "perturb",
     "probe",
-    "qubo_to_ising",
     "read_dimacs",
     "read_qubo",
     "roof_dual",

@@ -19,11 +19,12 @@ posiform.  One max flow then serves all 2k branches:
   order, that it gets alone (residual reachability among those literals is
   the same for every maximum flow: Picard & Queyranne, 1980).
 
-:func:`~quboprep.persistency.split_blocks`, shared with
-:func:`~quboprep.persistency.analyze_union`, splits labels and bounds by copy.
-A layout of one pair is the plain probe of one variable; probing lays out
-more pairs only once its working problem has stopped changing (see
-:class:`~quboprep.probing._ProbeState`).
+:func:`~quboprep.persistency.split_blocks` splits labels and bounds by copy;
+the layouts are the only multi-block flows in the package (a whole problem
+goes through :func:`~quboprep.persistency.analyze`, and a split level run
+through one maximum matching).  A layout of one pair is the plain probe
+of one variable; probing lays out more pairs only once its working problem
+has stopped changing (see :class:`~quboprep.probing._ProbeState`).
 
 Branches keep the problem's index space (the probed variable just loses its
 terms), so returned labels are in the problem's own indices.

@@ -200,6 +200,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.what == "min":
+        if args.input is None:
+            raise FormatError("oracle min needs --input")
         with open(args.input) as f:
             q = read_qubo(f)
         energy, minimizers = oracle.brute_force_qubo(q, enumerate_all=args.all)

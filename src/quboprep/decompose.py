@@ -10,9 +10,11 @@ Every subproblem is a bitmask over the root graph's vertices: an induced
 subgraph is a mask AND with the root's neighbour masks.  A node's children
 depend only on its mask, so in every mode (plain, roof duality, probing)
 the tree of oversized nodes is first expanded breadth-first by
-:func:`_plan`, which with roof duality analyzes each level in one maximum
-matching per :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries,
-the budget that probe batches share.  A node's clique QUBO has the
+:func:`_plan`.  With roof duality, :func:`_level` hands over each level in
+runs of at most :data:`~quboprep.persistency.UNION_ENTRIES` non-adjacent
+pairs (the budget that probe batches share), as the nodes' members, pairs
+and block starts, and :func:`_weak_labels` labels a run by one maximum
+matching, with no posiform, network or max flow.  A node's clique QUBO has the
 implication network s → x_u → x̄_v → t: unit arcs from the source and into
 the sink, and arcs of capacity B = 2 on each non-adjacent pair, which is the
 bipartite double cover of the node's complement.  As B exceeds the unit
@@ -57,7 +59,6 @@ from .errors import SolverValidationError
 from .graphs import Graph, set_bits
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
 from .persistency import analyze  # noqa: F401
-from .posiform import IntArrays
 from .probing import probe
 from .problems import CliqueEncodingParams, clique_qubo
 
@@ -171,18 +172,20 @@ def _membership(masks: list[int], n: int) -> np.ndarray:
 
 def _level(
     member: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
-) -> list[tuple[list[list[int]], IntArrays, np.ndarray]]:
+) -> list[tuple[list[list[int]], np.ndarray, np.ndarray, np.ndarray]]:
     """The clique problems of the split-tree nodes whose membership rows
     are ``member`` (:func:`_membership`), in runs of at most
-    :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries (a node
-    larger than that forms a run alone): for each run, each node's sorted
-    members, the disjoint union of their problems and its block starts.
+    :data:`~quboprep.persistency.UNION_ENTRIES` non-adjacent pairs (a node
+    with more than that forms a run alone): for each run, each node's
+    sorted members, the pairs ``qi`` < ``qj`` of the disjoint union of
+    their problems, and its block starts.
 
     ``pairs`` lists the root's non-adjacent pairs u < v in row-major order.
     Node b's member of rank k is variable ``starts[b] + k``, so a root pair
-    inside the node becomes the ranks of its ends: −A on every variable and
-    B on every such pair, the keys strictly increasing without a sort.  That
-    is ``IntArrays.union`` of each node's ``IntArrays.from_qubo(clique_qubo(
+    inside the node becomes the ranks of its ends, and the keys
+    ``qi * m + qj`` of a run of m variables strictly increase without a
+    sort.  The run's problem is −A on every variable and B on every pair:
+    ``IntArrays.union`` of each node's ``IntArrays.from_qubo(clique_qubo(
     g.induced(members)[0], _ENCODING))``.
     """
     pu, pv = pairs
@@ -207,11 +210,8 @@ def _level(
     runs = []
     for lo, hi in zip(cuts, cuts[1:]):
         base, a, b = bounds[lo], ends[lo], ends[hi]
-        lin = np.full(bounds[hi] - base, -_ENCODING.A, dtype=np.int64)
-        qv = np.full(b - a, _ENCODING.B, dtype=np.int64)
-        union = IntArrays(bounds[hi] - base, 1, lin, qi[a:b] - base, qj[a:b] - base, qv, 0)
         members = [cols[x:y] for x, y in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1])]
-        runs.append((members, union, starts[lo : hi + 1] - base))
+        runs.append((members, qi[a:b] - base, qj[a:b] - base, starts[lo : hi + 1] - base))
     return runs
 
 
@@ -225,27 +225,33 @@ def _csr(tails: np.ndarray, heads: np.ndarray, n: int) -> csr_matrix:
     return csr_matrix((np.ones(len(tails)), heads[order], indptr), shape=(n, n))
 
 
-def _weak_labels(union: IntArrays, starts: np.ndarray) -> list[dict[int, int]]:
-    """The weak labels of :func:`~quboprep.persistency.analyze_union` for
-    each block of ``union``, a run of :func:`_level`, from one maximum
-    matching of its pairs in both orientations (see :func:`_plan`).
+def _weak_labels(qi: np.ndarray, qj: np.ndarray, starts: np.ndarray) -> list[dict[int, int]]:
+    """The weak labels of :func:`~quboprep.persistency.analyze` for each
+    block of a run of :func:`_level`, whose clique problems have the pairs
+    ``qi`` < ``qj`` and block starts ``starts``, from one maximum matching
+    of its pairs in both orientations (see :func:`_plan`).
 
-    The matching is checked to be one: each matched pair is a pair of the
-    union, and no column is matched twice.  That it is maximum is checked
-    by :func:`~quboprep.persistency.extract_labels`, which raises when the
+    The pair keys ``qi * m + qj`` must strictly increase (a repeated pair
+    would repeat residual arcs, on which scipy's strong components never
+    finish), and the matching is checked to be one: each matched pair is a
+    pair of the run, and no column is matched twice; both raise otherwise.
+    That it is maximum is checked by
+    :func:`~quboprep.persistency.extract_labels`, which raises when the
     source reaches the sink (an augmenting path).  Its residual is written
     over the 2m + 2 literal nodes directly: s → x_u and x̄_u → t unless u is
     matched on both sides, x_u → s and t → x̄_u if u is matched on either
     side, x_u → x̄_v on every pair, and x̄_v → x_u and x̄_u → x_v where u is
     matched to v (once where v is also matched to u).
     """
-    m, qi, qj = union.num_vars, union.qi, union.qj
+    m = int(starts[-1])
+    keys = np.append(qi * m + qj, -1)  # a search past the last key lands on -1
+    if (qi >= qj).any() or (np.diff(keys[:-1]) <= 0).any():
+        raise AssertionError("the pairs of a level run are not strictly increasing pairs u < v")
     rows, cols = np.concatenate([qi, qj]), np.concatenate([qj, qi])
     mate = maximum_bipartite_matching(_csr(rows, cols, m), perm_type="column")
     u = np.flatnonzero(mate >= 0)
     v = mate[u].astype(np.int64)
     matched = np.minimum(u, v) * m + np.maximum(u, v)
-    keys = np.append(qi * m + qj, -1)  # a search past the last key lands on -1
     taken = np.bincount(v, minlength=m)
     if (keys[np.searchsorted(keys[:-1], matched)] != matched).any() or taken.max(initial=0) > 1:
         raise AssertionError("maximum_bipartite_matching returned no matching of the pairs")
@@ -299,8 +305,8 @@ def _plan(
     on a tie.  A mask met again is not expanded again.
 
     A run's clique QUBO (−A·x_u on every member, B·x_u·x_v on every
-    non-adjacent pair, A = 1 < B = 2) gives the network of
-    :func:`~quboprep.persistency.analyze_union` the arcs s → x_u and
+    non-adjacent pair, A = 1 < B = 2) gives its implication network
+    (:func:`~quboprep.network.build_network`) the arcs s → x_u and
     x̄_u → t of capacity A and x_u → x̄_v, x_v → x̄_u of capacity B per pair,
     and no other arc of positive capacity.  So every flow path is
     s → x_u → x̄_v → t, through the bipartite double cover of the pairs,
@@ -310,7 +316,9 @@ def _plan(
     skew partners gives the residual that :func:`_weak_labels` writes.
     Residual reachability is the same for every maximum flow (Picard &
     Queyranne, 1980), and the labels depend on nothing else, so they equal
-    those of ``analyze_union``'s max flow, dict order included.
+    those of a max flow on that network; split by block, they are those of
+    :func:`~quboprep.persistency.analyze` on each node alone, dict order
+    included.
 
     Roof duality skips a node of m members with at most Δ neighbours each
     inside it when m > 2Δ + 2 (:func:`_certified`).  The roof dual of its
@@ -341,7 +349,7 @@ def _plan(
                 split = {mask: _certified(adj, mask) for mask in masks}
                 analyzed = [mask for mask, v in split.items() if v is None]
                 runs = _level(_membership(analyzed, g.n), pairs) if analyzed else []
-                weak = [w for _, union, starts in runs for w in _weak_labels(union, starts)]
+                weak = [w for _, qi, qj, starts in runs for w in _weak_labels(qi, qj, starts)]
                 members = [mem for run in runs for mem in run[0]]
                 fixes = dict(zip(analyzed, zip(members, weak)))
             for mask in masks:

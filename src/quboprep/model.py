@@ -171,24 +171,6 @@ def ising_to_qubo(m: IsingModel) -> Qubo:
     return Qubo.from_terms(m.num_vars, lin, quad, offset)
 
 
-def qubo_to_ising(q: Qubo) -> IsingModel:
-    """Convert via x_i = (s_i + 1)/2; inverse of :func:`ising_to_qubo`."""
-    h: dict[int, Coeff] = {}
-    jj: dict[tuple[int, int], Coeff] = {}
-    offset = Fraction(q.offset)
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    for i, a in q.linear.items():
-        h[i] = h.get(i, 0) + a * half
-        offset += a * half
-    for (i, j), a in q.quadratic.items():
-        jj[(i, j)] = jj.get((i, j), 0) + a * quarter
-        h[i] = h.get(i, 0) + a * quarter
-        h[j] = h.get(j, 0) + a * quarter
-        offset += a * quarter
-    return IsingModel.from_terms(q.num_vars, h, jj, offset)
-
-
 def spins_to_binary(values: Sequence[int]) -> tuple[int, ...]:
     return tuple((s + 1) // 2 for s in values)
 

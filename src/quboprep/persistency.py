@@ -2,18 +2,18 @@
 
 All labels come from the residual graph of one symmetrized max flow, as a
 CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
-:func:`analyze_union` runs several problems through one flow, on the network
-of their disjoint union, and :func:`split_blocks` hands each problem its own
-labels and bound (:func:`split_labels` splits a label dict by block).
-:func:`analyze` is the one-block case, on the problem's own arrays.  The
-split solver builds its unions of clique problems directly, writes the
-residual of their maximum matching, whose network is a bipartite double
-cover, and splits the weak labels of :func:`extract_labels` by block
-(:func:`~quboprep.decompose._weak_labels`).  The blocks share only the
-source and the sink.  The sink is never reachable at a maximum flow, a
-middle literal reaches no middle literal of another block, and residual
-reachability is the same for every maximum flow (Picard & Queyranne, 1980),
-so every block gets exactly the result it gets alone.
+:func:`analyze` runs one problem through its posiform, its network, one
+flow and :func:`extract_labels`.  A flow over several disjoint problems
+that share only the source and the sink (the k-pair probe layouts of
+:mod:`~quboprep._fast`) is split by :func:`split_blocks`, which hands each
+problem its own labels and bound (:func:`split_labels` splits a label dict
+by block); the split solver splits the weak labels of its level runs, each
+the residual of one maximum matching, the same way
+(:func:`~quboprep.decompose._weak_labels`).  The sink is never reachable at
+a maximum flow, a middle literal reaches no middle literal of another
+block, and residual reachability is the same for every maximum flow
+(Picard & Queyranne, 1980), so every block gets exactly the result it gets
+alone.
 
 Strong labels: one BFS from the source; literals it reaches hold value 1 in
 every minimizer (their complements hold 0).  Weak labels extend the strong
@@ -89,39 +89,18 @@ def analyze(q: Qubo | IntArrays) -> PersistencyResult:
     """Roof-dual bound plus strong and weak persistencies of ``q``, given as
     a Qubo or as its scaled arrays."""
     arr = q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)
-    [(strong, weak, bound)] = analyze_union(arr, np.array([0, arr.num_vars]), [arr.offset])
-    return PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
-
-
-# Quadratic entries per disjoint union analyzed in one flow (a split level's
-# run, a probe batch's copies); a larger member runs alone.  Read at call time.
-UNION_ENTRIES = 1 << 15
-
-
-def analyze_union(
-    union: IntArrays, starts: np.ndarray, offsets: Sequence[Coeff]
-) -> list[tuple[dict[int, int], dict[int, int], Coeff]]:
-    """The strong labels, weak labels and bound of :func:`analyze` for each
-    block of ``union``, a disjoint union whose block b is variables
-    ``starts[b]:starts[b + 1]`` with offset ``offsets[b]``, all in one max
-    flow.
-
-    The union goes through one posiform rewrite, one network, one flow and
-    one label extraction; the blocks share only the source and the sink, so
-    :func:`split_blocks` gives each block exactly the result it gets alone.
-    """
-    p = to_posiform(union)
-    # Each block's posiform constant: its offset plus its negative linear
-    # part after the rewrite (the complemented linear terms of its block).
-    negative = np.zeros(p.num_vars + 1, dtype=np.int64)
-    odd = (p.lin_codes & 1) == 1
-    negative[(p.lin_codes[odd] >> 1) + 1] = p.lin_vals[odd]
-    sums = np.diff(np.cumsum(negative)[starts]).tolist()
-    constants = [offset - _exact(s, p.scale) for offset, s in zip(offsets, sums)]
-    net = build_network(union)
+    p = to_posiform(arr)
+    net = build_network(arr)
     flow = max_flow(net)
     strong, weak = extract_labels(flow.residual_adjacency())
-    return split_blocks(flow, strong, weak, starts.tolist(), constants)
+    bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
+    return PersistencyResult(arr.num_vars, strong, weak, bound)
+
+
+# Quadratic entries per disjoint union laid out for one flow or one
+# matching (a probe batch's copies, a split level's run); a larger member
+# runs alone.  Read at call time.
+UNION_ENTRIES = 1 << 15
 
 
 def _exact(value: int, scale: int) -> Coeff:

@@ -26,15 +26,17 @@ Conclusions are applied immediately, so later probes run on the shrunken
 problem; sweeps repeat until a fixpoint or ``max_passes``.  The shrunken
 problem and the implication penalties stay scaled int64 arrays throughout
 (see :class:`_ProbeState`); the reduced ``Qubo`` of the outcome is built
-once, from the input, when probing ends.  The two branches of a probe share
-one max flow on the pair network of the working problem
+once, from the input, when probing ends.  The working problem itself is
+analyzed by :func:`~quboprep.persistency.analyze`, on its own network.  The
+two branches of a probe share one max flow on the pair network of the
+working problem
 (:class:`~quboprep._fast.BranchPair`), laid out once per working problem and
 number of pairs; a probe only writes capacities into it.  Once the working
 problem has stayed unchanged for ``_BATCH`` (4) probes in a row, as in the
 stalled last sweep that ends almost every call, the next 4 unresolved
 variables of the sweep share one flow on a layout of 4 pairs (fewer when
 the copies would pass :data:`~quboprep.persistency.UNION_ENTRIES` quadratic
-entries, the budget that the split solver's level runs share).  Their
+entries, the budget that also bounds the split solver's level runs).  Their
 results are used in sweep order; the first probe that changes the working
 problem (an apply, or an implication that records a term) drops the rest,
 so every probe gets exactly the result it gets alone.  Resolved

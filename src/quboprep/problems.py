@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .model import Coeff, IsingModel, Qubo, _check_values, as_coeff, spins_to_binary
@@ -75,23 +74,12 @@ def clique_qubo(g: Graph, params: CliqueEncodingParams | None = None) -> Qubo:
     return Qubo.from_terms(g.n, linear, quadratic, offset)
 
 
-def maxcut_qubo(g: Graph) -> Qubo:
-    """Maximum Cut as minimization: energy -cut(x), so min energy = -maxcut."""
-    linear = {v: -g.degree(v) for v in range(g.n) if g.degree(v)}
-    quadratic = {e: 2 for e in g.edges}
-    return Qubo.from_terms(g.n, linear, quadratic, 0)
-
-
 def maxcut_ising(g: Graph) -> IsingModel:
     """Maximum Cut Ising form: minimize sum_{(u,v) in E} s_u s_v.
 
     cut = (|E| - energy) / 2 for any spin assignment.
     """
     return IsingModel.from_terms(g.n, {}, {e: 1 for e in g.edges}, 0)
-
-
-def cut_from_ising_energy(g: Graph, energy: Coeff) -> Coeff:
-    return as_coeff(Fraction(g.num_edges - energy, 2))
 
 
 def decode_clique(g: Graph, assignment) -> tuple[tuple[int, ...], bool]:

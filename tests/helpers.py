@@ -19,10 +19,11 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from quboprep import network
 from quboprep.errors import SizeGuardError
-from quboprep.model import Qubo
+from quboprep.model import Qubo, as_coeff
 from quboprep.network import SINK, SOURCE, ImplicationNetwork
-from quboprep.posiform import IntArrays, Posiform
-from quboprep.problems import clique_qubo
+from quboprep.persistency import PersistencyResult, extract_labels, split_blocks
+from quboprep.posiform import IntArrays, Posiform, to_posiform
+from quboprep.problems import CliqueEncodingParams, clique_qubo
 
 
 def edmonds_karp(num_nodes: int, arcs, source: int, sink: int) -> int:
@@ -582,6 +583,34 @@ def reference_level_union(g, masks: list[int]) -> tuple[IntArrays, list[list[int
     members = [reference_set_bits(mask) for mask in masks]
     arrs = [IntArrays.from_qubo(clique_qubo(g.induced(m)[0])) for m in members]
     return IntArrays.union(arrs), members
+
+
+def reference_union_analysis(problems: list[IntArrays]) -> list[PersistencyResult]:
+    """Each problem's result from one max flow over the disjoint union of
+    ``problems`` (``IntArrays.union``, which needs one scale), split back
+    per block by ``split_blocks``, each block's bound from its own posiform
+    constant: the block rule that the probe layouts rely on."""
+    union = IntArrays.union(problems)
+    starts = np.cumsum([0] + [arr.num_vars for arr in problems]).tolist()
+    flow = network.max_flow(network.build_network(union))
+    strong, weak = extract_labels(flow.residual_adjacency())
+    constants = [to_posiform(arr).constant for arr in problems]
+    blocks = split_blocks(flow, strong, weak, starts, constants)
+    return [
+        PersistencyResult(arr.num_vars, s, w, as_coeff(bound))
+        for arr, (s, w, bound) in zip(problems, blocks)
+    ]
+
+
+def level_run_union(qi: np.ndarray, qj: np.ndarray, starts: np.ndarray) -> IntArrays:
+    """The disjoint union of a split level run's clique problems (−A on
+    every variable, B on every pair; the complement-penalty defaults) from
+    the run's pairs and block starts, as ``decompose._level`` hands them
+    over."""
+    enc = CliqueEncodingParams.complement_penalty()
+    m = int(starts[-1])
+    lin = np.full(m, -enc.A, dtype=np.int64)
+    return IntArrays(m, 1, lin, qi, qj, np.full(len(qi), enc.B, dtype=np.int64), 0)
 
 
 def reference_color_order(vertices: list[int], adj) -> tuple[list[int], list[int]]:

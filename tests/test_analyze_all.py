@@ -1,8 +1,11 @@
-"""`analyze_union` runs many problems through one max flow, as blocks of
-their disjoint union (`IntArrays.union`); each problem must get exactly the
-result (repr-identical: labels in the same dict order, the same bound) that
-the single-problem pipeline gives it alone.  The split solver's matching
-route must give each node the weak labels of both."""
+"""One max flow over the disjoint union of many problems (`IntArrays.union`,
+sharing only the source and the sink) gives each problem exactly the result
+(repr-identical: labels in the same dict order, the same bound) that
+`analyze` and the single-problem pipeline give it alone, once the flow is
+split back per block (`split_blocks`): the rule that the k-pair probe
+layouts rely on, checked through the reference union analysis of
+`helpers.py`.  The split solver's matching route must give each node of a
+level run the weak labels of both."""
 
 import math
 from fractions import Fraction
@@ -13,10 +16,16 @@ import pytest
 from quboprep import decompose
 from quboprep.model import Qubo, as_coeff
 from quboprep.network import max_flow
-from quboprep.persistency import PersistencyResult, analyze, analyze_union, extract_labels
+from quboprep.persistency import PersistencyResult, analyze, extract_labels
 from quboprep.posiform import IntArrays, to_posiform
 
-from helpers import random_qubo, reference_network, with_fractions
+from helpers import (
+    level_run_union,
+    random_qubo,
+    reference_network,
+    reference_union_analysis,
+    with_fractions,
+)
 from test_split_golden import _bench_graph, _workloads
 
 
@@ -30,18 +39,8 @@ def _alone(arr: IntArrays) -> PersistencyResult:
     return PersistencyResult(arr.num_vars, strong, weak, bound)
 
 
-def _batch(problems: list[IntArrays]) -> list[PersistencyResult]:
-    """Each problem's result from one ``analyze_union`` of them all."""
-    starts = np.cumsum([0] + [arr.num_vars for arr in problems])
-    blocks = analyze_union(IntArrays.union(problems), starts, [arr.offset for arr in problems])
-    return [
-        PersistencyResult(arr.num_vars, strong, weak, as_coeff(bound))
-        for arr, (strong, weak, bound) in zip(problems, blocks)
-    ]
-
-
 def _assert_batch_matches(problems: list[IntArrays]) -> None:
-    results = _batch(problems)
+    results = reference_union_analysis(problems)
     assert len(results) == len(problems)
     for arr, result in zip(problems, results):
         assert repr(result) == repr(_alone(arr))
@@ -86,7 +85,7 @@ def test_fraction_batches_sharing_one_scale(seed):
     qs = [with_fractions(rng, _random_problem(rng)) for _ in range(int(rng.integers(1, 7)))]
     arrs = [IntArrays.from_qubo(q) for q in qs]
     scale = math.lcm(*(arr.scale for arr in arrs))
-    results = _batch([_at_scale(arr, scale) for arr in arrs])
+    results = reference_union_analysis([_at_scale(arr, scale) for arr in arrs])
     for arr, result in zip(arrs, results):
         assert repr(result) == repr(_alone(arr))
 
@@ -96,7 +95,7 @@ def test_mismatched_scales_raise():
     ints = IntArrays.from_qubo(Qubo.from_terms(2, {0: 1}, {(0, 1): -1}))
     assert halves.scale != ints.scale
     with pytest.raises(ValueError, match="scale"):
-        _batch([ints, halves])
+        reference_union_analysis([ints, halves])
 
 
 def _blocks(union: IntArrays, starts, offsets) -> list[IntArrays]:
@@ -116,16 +115,16 @@ def _blocks(union: IntArrays, starts, offsets) -> list[IntArrays]:
 
 def test_every_split_dense_node_matches(monkeypatch):
     """All nodes the split solver analyzes on the split-dense benchmark
-    graph (seed 1), level by level in unions: the matching route gives each
-    node the weak labels of ``analyze`` alone, and ``analyze_union`` on the
-    same unions gives each node the strong labels, weak labels and bound of
+    graph (seed 1), level by level in runs: the matching route gives each
+    node the weak labels of ``analyze`` alone, and one max flow over the
+    run's union gives each node the strong labels, weak labels and bound of
     the single-problem pipeline."""
     batches = []
     weak_labels = decompose._weak_labels
 
-    def record(union, starts):
-        weak = weak_labels(union, starts)
-        batches.append((union, starts, weak))
+    def record(qi, qj, starts):
+        weak = weak_labels(qi, qj, starts)
+        batches.append((level_run_union(qi, qj, starts), starts, weak))
         return weak
 
     monkeypatch.setattr(decompose, "_weak_labels", record)
@@ -134,11 +133,9 @@ def test_every_split_dense_node_matches(monkeypatch):
     assert sum(len(weak) for _, _, weak in batches) > 1000
     assert max(len(weak) for _, _, weak in batches) > 20
     for union, starts, weak in batches:
-        offsets = [0] * (len(starts) - 1)
-        problems = _blocks(union, starts, offsets)
-        blocks = analyze_union(union, starts, offsets)
-        assert len(problems) == len(weak) == len(blocks)
-        for arr, matched, (strong, weak_union, bound) in zip(problems, weak, blocks):
+        problems = _blocks(union, starts, [0] * (len(starts) - 1))
+        results = reference_union_analysis(problems)
+        assert len(problems) == len(weak) == len(results)
+        for arr, matched, result in zip(problems, weak, results):
             assert repr(matched) == repr(analyze(arr).weak)
-            result = PersistencyResult(arr.num_vars, strong, weak_union, as_coeff(bound))
             assert repr(result) == repr(_alone(arr))

@@ -239,6 +239,13 @@ def test_oracle_min_subcommand(tmp_path, capsys):
     assert "min_energy: -3" in out
 
 
+def test_oracle_min_without_input_is_an_input_error(capsys):
+    code, out, err = run(["oracle", "min"], capsys)
+    assert code == EXIT_PARSE
+    assert err == "error: oracle min needs --input\n"
+    assert out == ""
+
+
 def test_experiment_fig2_writes_csv(tmp_path, capsys):
     code, out, _ = run(
         ["experiment", "fig2", "--outdir", str(tmp_path), "--seeds", "1"],

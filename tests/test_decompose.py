@@ -1,6 +1,9 @@
 """Vertex-splitting solver tests: correctness, stats, validation."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,12 @@ from quboprep.persistency import analyze
 from quboprep.posiform import IntArrays
 from quboprep.problems import clique_qubo
 
-from helpers import reference_level_union, reference_split_vertex
+from helpers import (
+    level_run_union,
+    reference_level_union,
+    reference_split_vertex,
+    reference_union_analysis,
+)
 from test_split_golden import _MODES, _PROBING_MAX_N, _bench_graph, _fits, _workloads
 
 
@@ -255,10 +263,11 @@ def test_clique_arrays_match_the_qubo_route(g, mask):
     assert tuple(members) == labels
     assert _leaf(sub) == ref_graph
     # As the split solver does: the node's problem built from its mask.
-    [([built], arr, starts)] = _level(_membership([mask], g.n), _pairs(g))
+    [([built], qi, qj, starts)] = _level(_membership([mask], g.n), _pairs(g))
     assert (built, starts.tolist()) == (members, [0, len(members)])
     ref = IntArrays.from_qubo(clique_qubo(ref_graph))
-    assert arr.lin.dtype == arr.qi.dtype == arr.qj.dtype == arr.qv.dtype == np.int64
+    assert qi.dtype == qj.dtype == np.int64
+    arr = level_run_union(qi, qj, starts)
     assert _fields(arr, sort=False) == _fields(ref, sort=True)
     assert analyze(arr) == analyze(ref)
 
@@ -288,31 +297,29 @@ def _level_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_level_cases())
 def test_level_builder_matches_the_reference_union(case):
-    """Each run of ``_level`` is the union of its nodes' clique problems
-    built node by node, with the same arrays, dtypes and order; runs are
-    cut greedily at the union budget."""
+    """Each run of ``_level`` holds the pairs and block starts of the union
+    of its nodes' clique problems built node by node, with the same dtypes
+    and order; with −A and B they are that union.  Runs are cut greedily at
+    the union budget."""
     g, masks, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(persistency, "UNION_ENTRIES", budget)
         runs = _level(_membership(masks, g.n), _pairs(g))
-    bounds = np.cumsum([0] + [len(members) for members, _, _ in runs]).tolist()
+    bounds = np.cumsum([0] + [len(members) for members, _, _, _ in runs]).tolist()
     assert bounds[-1] == len(masks)
-    for (members, union, starts), lo, hi in zip(runs, bounds, bounds[1:]):
+    for (members, qi, qj, starts), lo, hi in zip(runs, bounds, bounds[1:]):
         assert lo < hi
         ref, ref_members = reference_level_union(g, masks[lo:hi])
         assert members == ref_members
         assert starts.tolist() == np.cumsum([0] + [len(m) for m in members]).tolist()
-        for name in ("lin", "qi", "qj", "qv"):
-            got, want = getattr(union, name), getattr(ref, name)
-            assert got.dtype == want.dtype == np.int64
-            assert got.tolist() == want.tolist()
-        assert (union.num_vars, union.scale, union.offset) == (ref.num_vars, ref.scale, ref.offset)
+        assert qi.dtype == qj.dtype == np.int64
+        assert _fields(level_run_union(qi, qj, starts), sort=False) == _fields(ref, sort=False)
         # Within the budget unless one node exceeds it alone, and no run
         # could take the next run's first node from it.
-        assert len(union.qv) <= budget or hi - lo == 1
+        assert len(qi) <= budget or hi - lo == 1
         if hi < len(masks):
             first = reference_level_union(g, masks[hi : hi + 1])[0]
-            assert len(union.qv) + len(first.qv) > budget
+            assert len(qi) + len(first.qv) > budget
 
 
 @st.composite
@@ -331,16 +338,44 @@ def _matching_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_matching_cases())
-def test_matching_route_matches_analyze_union(case):
+def test_matching_route_matches_the_reference_union(case):
     """The weak labels that one maximum matching gives each node of a level
-    run are those of ``analyze_union`` on the run, dict order included."""
+    run are those of one max flow over the run's union, split back per
+    node, dict order included."""
     g, masks, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(persistency, "UNION_ENTRIES", budget)
         runs = _level(_membership(masks, g.n), _pairs(g))
-    for members, union, starts in runs:
-        blocks = persistency.analyze_union(union, starts, [0] * len(members))
-        assert repr(decompose._weak_labels(union, starts)) == repr([weak for _, weak, _ in blocks])
+    for members, qi, qj, starts in runs:
+        nodes = [IntArrays.from_qubo(clique_qubo(g.induced(m)[0])) for m in members]
+        weak = [result.weak for result in reference_union_analysis(nodes)]
+        assert repr(decompose._weak_labels(qi, qj, starts)) == repr(weak)
+
+
+_REPEATED_PAIR = """
+import numpy as np
+from quboprep import decompose
+qi, qj = np.array([0, 0, 0, 1]), np.array([2, 2, 4, 2])
+try:
+    decompose._weak_labels(qi, qj, np.array([0, 5]))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_matching_route_rejects_a_repeated_pair():
+    """A run with a repeated pair would store residual arcs twice, and
+    scipy's strong components never finish on this one; the pairs are
+    checked first.  A subprocess with a timeout turns a hang into a
+    failure."""
+    src = str(Path(decompose.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _REPEATED_PAIR], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "not strictly increasing" in done.stdout
 
 
 @pytest.mark.parametrize("fault", ["dropped", "non-pair", "column twice"])

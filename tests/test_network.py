@@ -26,6 +26,7 @@ from helpers import (
     count_kernel_calls,
     exact_min,
     flow_fractions,
+    level_run_union,
     literal_node,
     network_flow_value,
     network_from_arcs,
@@ -426,7 +427,7 @@ def test_layout_equals_the_reference_on_split_unions(monkeypatch):
 
     def spy(member, pairs):
         runs = level(member, pairs)
-        seen.extend(union for _, union, _ in runs)
+        seen.extend(level_run_union(qi, qj, starts) for _, qi, qj, starts in runs)
         return runs
 
     monkeypatch.setattr(decompose, "_level", spy)

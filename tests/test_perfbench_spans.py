@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from quboprep._fast import BranchPair, analyze_branch
+from quboprep.experiments import problem_qubo
 from quboprep.graphs import Graph
 from quboprep.persistency import analyze
 from quboprep.posiform import IntArrays
 from quboprep.probing import probe
-from quboprep.problems import maxcut_qubo
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -48,7 +48,7 @@ def test_wrapped_call_sites_are_called():
     """A name that stays bound but is no longer called records no span."""
     tracer = _spans_module().Tracer()
     # Roof duality labels nothing on max-cut of C5, so probing must branch.
-    q = maxcut_qubo(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+    q = problem_qubo(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), "cut")
     with tracer.installed():
         analyze(q)
         analyze_branch(BranchPair.of(IntArrays.from_qubo(q)), [0])

@@ -62,6 +62,18 @@ def test_soundness_on_random_instances(seed):
     _assert_sound(q, analyze(q))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_bound_equals_roof_dual(seed):
+    """``analyze`` and ``roof_dual`` each take the posiform constant plus the
+    flow over the scale; both must give the same bound, repr for repr, on
+    the QUBOs above, their Fraction versions and their 2**32-scaled copies
+    (several capacity-scaling phases)."""
+    rng = np.random.default_rng(1000 + seed)
+    q = random_qubo(rng, int(rng.integers(2, 11)))
+    for case in (q, with_fractions(rng, q), scaled_qubo(q, 2**32)):
+        assert repr(analyze(case).bound) == repr(roof_dual(case))
+
+
 def test_scaled_problem_agrees_across_flow_paths():
     """2**32·q takes several capacity-scaling phases, q one; labels must
     agree and bounds scale exactly."""

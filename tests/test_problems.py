@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
+from quboprep.experiments import problem_qubo
 from quboprep.graphs import Graph, gen_gnp
-from quboprep.model import ising_to_qubo
 from quboprep.problems import (
     CliqueEncodingParams,
     clique_qubo,
-    cut_from_ising_energy,
     decode_clique,
     decode_cut,
     maxcut_ising,
-    maxcut_qubo,
 )
 
 from helpers import exact_min
@@ -78,30 +76,39 @@ class TestCliqueFixedSize:
 
 
 class TestMaxCut:
+    """The max-cut QUBO (``problem_qubo(g, "cut")``, the Ising form
+    Σ s_u·s_v over the edges) has energy |E| − 2·cut, so its minimum is
+    |E| − 2·maxcut."""
+
     def test_k2(self):
         g = Graph.from_edges(2, [(0, 1)])
-        assert exact_min(maxcut_qubo(g))[0] == -1
+        assert exact_min(problem_qubo(g, "cut"))[0] == 1 - 2 * 1
         m = maxcut_ising(g)
         assert m.energy((1, -1)) == -1
 
     def test_triangle(self):
-        q = maxcut_qubo(K3)
-        assert exact_min(q)[0] == -2
-        minimum = exact_min(ising_to_qubo(maxcut_ising(K3)))[0]
+        minimum = exact_min(problem_qubo(K3, "cut"))[0]
         assert minimum == -1
-        assert cut_from_ising_energy(K3, minimum) == 2
+        assert K3.num_edges - minimum == 2 * 2
 
     def test_c5(self):
-        assert -exact_min(maxcut_qubo(C5))[0] == 4
+        assert exact_min(problem_qubo(C5, "cut"))[0] == C5.num_edges - 2 * 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_qubo_and_ising_agree(self, seed):
+        """Energies agree with the Ising form and the cut on every
+        assignment, and the minimum gives the maximum cut."""
         rng = np.random.default_rng(200 + seed)
         g = gen_gnp(int(rng.integers(3, 10)), 0.5, seed)
-        mq = maxcut_qubo(g)
-        iq = ising_to_qubo(maxcut_ising(g))
-        maxcut = -exact_min(mq)[0]
-        assert cut_from_ising_energy(g, exact_min(iq)[0]) == maxcut
+        q, m = problem_qubo(g, "cut"), maxcut_ising(g)
+        cuts = []
+        for code in range(1 << g.n):
+            bits = tuple((code >> v) & 1 for v in range(g.n))
+            cut = decode_cut(g, bits)[1]
+            assert q.energy(bits) == m.energy(tuple(2 * b - 1 for b in bits))
+            assert q.energy(bits) == g.num_edges - 2 * cut
+            cuts.append(cut)
+        assert exact_min(q)[0] == g.num_edges - 2 * max(cuts)
 
 
 class TestDecoders:
@@ -125,7 +132,7 @@ class TestDecoders:
         for _ in range(20):
             spins = tuple(int(s) for s in rng.choice([-1, 1], C5.n))
             _, value = decode_cut(C5, spins)
-            assert value == cut_from_ising_energy(C5, m.energy(spins))
+            assert 2 * value == C5.num_edges - m.energy(spins)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -179,9 +179,9 @@ def test_outcomes_match_golden_with_small_unions(budget, monkeypatch):
     runs = []
     weak_labels = decompose._weak_labels
 
-    def spy(union, starts):
-        runs.append((len(starts) - 1, len(union.qv)))
-        return weak_labels(union, starts)
+    def spy(qi, qj, starts):
+        runs.append((len(starts) - 1, len(qi)))
+        return weak_labels(qi, qj, starts)
 
     monkeypatch.setattr(persistency, "UNION_ENTRIES", budget)
     monkeypatch.setattr(decompose, "_weak_labels", spy)
