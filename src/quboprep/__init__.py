@@ -15,9 +15,9 @@ from .model import (
     substitute,
     write_qubo,
 )
-from .posiform import IntArrays, Posiform, to_posiform
-from .network import FlowResult, ImplicationNetwork, build_network, max_flow, roof_dual
-from .persistency import PersistencyResult, analyze
+from .posiform import IntArrays
+from .network import FlowResult, ImplicationNetwork, build_network, max_flow
+from .persistency import PersistencyResult, analyze, roof_dual
 from .probing import ProbeOutcome, probe
 from .graphs import Graph, gen_cfat, gen_g, gen_gnp, gen_hamming, gen_u, perturb, read_dimacs, write_dimacs
 from .problems import (
@@ -27,7 +27,7 @@ from .problems import (
     decode_cut,
     maxcut_ising,
 )
-from .decompose import LeafSolver, SplitStats, max_clique_split, splitting_savings
+from .decompose import LeafSolver, SplitStats, max_clique_split
 from .oracle import brute_force_qubo, exact_max_clique, exact_max_cut, verify_persistency
 from .errors import FormatError, QuboprepError, SizeGuardError, SolverValidationError
 
@@ -43,7 +43,6 @@ __all__ = [
     "IsingModel",
     "LeafSolver",
     "PersistencyResult",
-    "Posiform",
     "ProbeOutcome",
     "Qubo",
     "QuboprepError",
@@ -74,9 +73,7 @@ __all__ = [
     "read_dimacs",
     "read_qubo",
     "roof_dual",
-    "splitting_savings",
     "substitute",
-    "to_posiform",
     "verify_persistency",
     "write_dimacs",
     "write_qubo",

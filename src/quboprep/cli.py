@@ -1,8 +1,8 @@
 """Command-line front end: reduce problems, run experiments, solve instances.
 
-Exit codes: 0 success, 2 input/parse and usage errors (split flags outside
-``solve clique --split`` or together too), 3 oracle size-guard violations,
-4 solution-validation failures.
+Exit codes: 0 success, 2 input errors (an ``OSError`` or a parse error) and
+usage errors (split flags outside ``solve clique --split`` or together too),
+3 oracle size-guard violations, 4 solution-validation failures.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ EXIT_GUARD = 3
 EXIT_VALIDATION = 4
 EXIT_CODES = {
     FormatError: EXIT_PARSE,
-    FileNotFoundError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
     SizeGuardError: EXIT_GUARD,
     SolverValidationError: EXIT_VALIDATION,
 }

@@ -115,22 +115,6 @@ class SplitStats:
     vertices_eliminated_by_persistency: int = 0
 
 
-@dataclass(frozen=True)
-class SavingsRow:
-    """Leaf-call comparison of the two split modes on one graph."""
-
-    graph_id: int
-    n_qpbo: int
-    n_no_qpbo: int
-    clique_size: int
-
-    @property
-    def ratio(self) -> float:
-        if self.n_no_qpbo == 0:
-            return 0.0
-        return (self.n_qpbo - self.n_no_qpbo) / self.n_no_qpbo
-
-
 def _induced(matrix: np.ndarray, mask: int) -> tuple[list[int], np.ndarray]:
     """Sorted members of ``mask`` and the submatrix of the root's ``matrix``
     at their rows and columns, indexed by position among the members."""
@@ -438,26 +422,3 @@ def max_clique_split(
         raise AssertionError("split recursion assembled a non-clique")
     return clique, stats
 
-
-def splitting_savings(
-    graphs: Iterable[Graph],
-    solver: LeafSolver | None = None,
-) -> list[SavingsRow]:
-    """Run both split modes per graph and report the leaf-call ratio
-    (n_qpbo - n_no_qpbo) / n_no_qpbo; negative means persistency saved calls."""
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("need at least one graph")
-    solver = default_leaf_solver() if solver is None else solver
-    rows = []
-    for gid, g in enumerate(graphs):
-        with_clique, with_stats = max_clique_split(g, solver, use_persistency=True)
-        without_clique, without_stats = max_clique_split(g, solver, use_persistency=False)
-        if len(with_clique) != len(without_clique):
-            raise AssertionError(
-                f"graph {gid}: split modes disagree "
-                f"({len(with_clique)} vs {len(without_clique)})"
-            )
-        row = SavingsRow(gid, with_stats.n_calls, without_stats.n_calls, len(with_clique))
-        rows.append(row)
-    return rows

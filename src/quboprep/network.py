@@ -1,4 +1,4 @@
-"""Implication network of a QUBO's posiform, exact max flow, and the roof dual.
+"""Implication network of a QUBO's posiform and its exact max flow.
 
 Nodes: 0 is the source (the constant-1 literal), 1 the sink (its
 complement); literal with code c sits at node c + 2.  The complement of any
@@ -26,19 +26,19 @@ by construction; no reader needs the reverse's index, so it is not stored.
 no arcs to a reverse-closed CSR, so its flow matrix lines up with the arcs
 by position (checked on every call); the net flow on an arc's reverse is
 its negative, and the residual graph is a mask over the same index arrays.
+The roof-dual bound and the persistencies are read from that flow in
+:mod:`~quboprep.persistency`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .model import Coeff, Qubo, as_coeff
-from .posiform import IntArrays, posiform_lin, to_posiform
+from .posiform import IntArrays, posiform_lin
 
 SOURCE = 0
 SINK = 1
@@ -194,11 +194,3 @@ def max_flow(net: ImplicationNetwork) -> FlowResult:
     value = int(flows[: net.indptr[SOURCE + 1]].sum())
     return FlowResult(net, value, flows + flows[net.partner])
 
-
-def roof_dual(q: Qubo) -> Coeff:
-    """Max-flow lower bound on min_x q(x); exact when q is submodular."""
-    arr = IntArrays.from_qubo(q)
-    p = to_posiform(arr)
-    net = build_network(arr)
-    result = max_flow(net)
-    return as_coeff(p.constant + Fraction(result.flow_value, net.scale))

@@ -1,9 +1,10 @@
-"""Strong/weak persistency extraction from the residual implication network.
+"""Roof-dual bound and strong/weak persistencies of the implication network.
 
 All labels come from the residual graph of one symmetrized max flow, as a
 CSR (:meth:`~quboprep.network.FlowResult.residual_adjacency`).
-:func:`analyze` runs one problem through its posiform, its network, one
-flow and :func:`extract_labels`.  A flow over several disjoint problems
+:func:`roof_dual` runs one problem through its network and one flow to the
+bound; :func:`analyze` takes that step (:func:`_roof_flow`) and adds
+:func:`extract_labels`.  A flow over several disjoint problems
 that share only the source and the sink (the k-pair probe layouts of
 :mod:`~quboprep._fast`) is split by :func:`split_blocks`, which hands each
 problem its own labels and bound (:func:`split_labels` splits a label dict
@@ -85,15 +86,26 @@ class PersistencyResult:
         return "\n".join(lines)
 
 
+def _roof_flow(arr: IntArrays) -> tuple[FlowResult, Coeff]:
+    """Maximum flow of ``arr``'s network and the roof-dual bound: the
+    posiform constant plus the flow value in energy units."""
+    p = to_posiform(arr)
+    net = build_network(arr)
+    flow = max_flow(net)
+    return flow, as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
+
+
+def roof_dual(q: Qubo) -> Coeff:
+    """Max-flow lower bound on min_x q(x); exact when q is submodular."""
+    return _roof_flow(IntArrays.from_qubo(q))[1]
+
+
 def analyze(q: Qubo | IntArrays) -> PersistencyResult:
     """Roof-dual bound plus strong and weak persistencies of ``q``, given as
     a Qubo or as its scaled arrays."""
     arr = q if isinstance(q, IntArrays) else IntArrays.from_qubo(q)
-    p = to_posiform(arr)
-    net = build_network(arr)
-    flow = max_flow(net)
+    flow, bound = _roof_flow(arr)
     strong, weak = extract_labels(flow.residual_adjacency())
-    bound = as_coeff(p.constant + Fraction(flow.flow_value, net.scale))
     return PersistencyResult(arr.num_vars, strong, weak, bound)
 
 

@@ -30,7 +30,7 @@ from quboprep import (
     roof_dual,
 )
 from quboprep.decompose import default_leaf_solver, max_clique_split
-from quboprep.experiments import degree_to_density_pct, make_graph
+from quboprep.experiments import FIG3_EDGE_GRID, degree_to_density_pct, make_graph, run_fig3
 from quboprep.persistency import analyze, reduce as reduce_by
 
 from conftest import record_acceptance
@@ -231,35 +231,27 @@ def test_criterion_5c_insert_strong_monotone():
 
 # --- criterion 6: Fig. 3 at desk scale ----------------------------------------
 
-FIG3_GRID = [400, 800, 1600, 2400, 3200]
-
 
 @pytest.fixture(scope="module")
 def fig3_mean_ratios():
-    means = {}
-    solver = default_leaf_solver(15)
-    for m_expected in FIG3_GRID:
-        p = m_expected / (100 * 99 / 2)
-        ratios = []
-        for seed in SEEDS:
-            g = gen_gnp(100, p, seed)
-            _, stats_with = max_clique_split(g, solver, use_persistency=True)
-            _, stats_without = max_clique_split(g, solver, use_persistency=False)
-            ratios.append(
-                (stats_with.n_calls - stats_without.n_calls) / stats_without.n_calls
-            )
-        means[m_expected] = sum(ratios) / len(ratios)
-    return means
+    """Mean leaf-call ratio per edge count over the rows that ``quboprep
+    experiment fig3`` writes (n = 100, threshold 15, seeds 0–4), each ratio
+    taken from the row's integer leaf-call counts."""
+    ratios = {m: [] for m in FIG3_EDGE_GRID}
+    for row in run_fig3():
+        n_qpbo, n_no_qpbo = row["n_qpbo"], row["n_no_qpbo"]
+        ratios[row["expected_edges"]].append((n_qpbo - n_no_qpbo) / n_no_qpbo)
+    return {m: sum(r) / len(r) for m, r in ratios.items()}
 
 
 def test_criterion_6a_sparsest_mean_ratio_nonpositive(fig3_mean_ratios):
-    sparsest = fig3_mean_ratios[FIG3_GRID[0]]
+    sparsest = fig3_mean_ratios[FIG3_EDGE_GRID[0]]
     check("6a fig3 sparsest mean ratio<=0", sparsest <= 0.0, f"mean={sparsest:.3f}")
 
 
 def test_criterion_6b_savings_largest_at_sparse_end(fig3_mean_ratios):
     # Paper claim; measured savings instead peak at the dense end (see notes).
-    sparsest = fig3_mean_ratios[FIG3_GRID[0]]
+    sparsest = fig3_mean_ratios[FIG3_EDGE_GRID[0]]
     ok = sparsest == min(fig3_mean_ratios.values())
     check(
         "6b fig3 savings largest at sparse end",

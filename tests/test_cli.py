@@ -78,6 +78,40 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+_INPUT_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [["oracle", "min"], ["oracle", "clique"], ["reduce"]],
+    ids=["oracle-min", "oracle-clique", "reduce"],
+)
+
+
+@_INPUT_COMMANDS
+def test_directory_input_exit_code(command, tmp_path, capsys):
+    code, out, err = run(command + ["--input", str(tmp_path)], capsys)
+    assert code == EXIT_PARSE
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert out == ""
+
+
+@_INPUT_COMMANDS
+def test_unreadable_input_exit_code(command, tmp_path, capsys, monkeypatch):
+    # A file mode does not stop root from reading, so open itself refuses.
+    target = tmp_path / "locked"
+    target.write_text("p qubo 1 1\n0 0 -1\n")
+    real_open = open
+
+    def refusing_open(path, *args, **kwargs):
+        if str(path) == str(target):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing_open)
+    code, out, err = run(command + ["--input", str(target)], capsys)
+    assert code == EXIT_PARSE
+    assert err == f"error: [Errno 13] Permission denied: '{target}'\n"
+    assert out == ""
+
+
 def test_missing_family_args_exit_code(capsys):
     code, _, err = run(["reduce", "--family", "cfat"], capsys)
     assert code == EXIT_PARSE

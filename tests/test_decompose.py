@@ -19,9 +19,9 @@ from quboprep.decompose import (
     _membership,
     default_leaf_solver,
     max_clique_split,
-    splitting_savings,
 )
 from quboprep.errors import SolverValidationError
+from quboprep.experiments import _fig3_row
 from quboprep.graphs import Graph, gen_gnp
 from quboprep.oracle import exact_max_clique, max_clique_within
 from quboprep.persistency import analyze
@@ -185,29 +185,31 @@ def test_threshold_validation():
 
 
 def test_savings_rows():
-    graphs = [gen_gnp(30, 0.7, s) for s in range(2)]
-    rows = splitting_savings(graphs, default_leaf_solver(8))
-    assert [r.graph_id for r in rows] == [0, 1]
-    for row in rows:
-        assert row.n_no_qpbo >= 1
-        assert row.ratio == (row.n_qpbo - row.n_no_qpbo) / row.n_no_qpbo
+    """fig3 rows (n = 30, threshold 8) run both split modes on their graph."""
+    for seed in range(2):
+        row = _fig3_row((30, 300, seed, 8))
+        g = gen_gnp(30, 300 / (30 * 29 / 2), seed)
+        clique, with_stats = max_clique_split(g, default_leaf_solver(8), use_persistency=True)
+        _, plain_stats = max_clique_split(g, default_leaf_solver(8), use_persistency=False)
+        assert (row["n_qpbo"], row["n_no_qpbo"]) == (with_stats.n_calls, plain_stats.n_calls)
+        assert row["n_no_qpbo"] >= 1
+        ratio = (row["n_qpbo"] - row["n_no_qpbo"]) / row["n_no_qpbo"]
+        assert row["ratio"] == f"{ratio:.4f}"
+        assert row["clique_size"] == len(clique)
 
 
 def test_savings_below_threshold_is_zero():
-    rows = splitting_savings([gen_gnp(10, 0.5, 0)], default_leaf_solver(20))
-    assert rows[0].n_qpbo == rows[0].n_no_qpbo == 1
-    assert rows[0].ratio == 0.0
-
-
-def test_savings_requires_graphs():
-    with pytest.raises(ValueError):
-        splitting_savings([])
+    row = _fig3_row((10, 22, 0, 20))
+    assert row["n_qpbo"] == row["n_no_qpbo"] == 1
+    assert row["ratio"] == "0.0000"
 
 
 def test_dense_graph_gets_persistency_savings():
     g = gen_gnp(40, 0.85, 3)
-    rows = splitting_savings([g], default_leaf_solver(10))
-    assert rows[0].n_qpbo <= rows[0].n_no_qpbo
+    clique, with_stats = max_clique_split(g, default_leaf_solver(10), use_persistency=True)
+    plain, plain_stats = max_clique_split(g, default_leaf_solver(10), use_persistency=False)
+    assert len(clique) == len(plain)
+    assert with_stats.n_calls <= plain_stats.n_calls
 
 
 def test_long_split_chains_do_not_hit_the_recursion_limit():

@@ -7,7 +7,9 @@ import pytest
 
 from quboprep import experiments
 from quboprep.cli import main
+from quboprep.decompose import SplitStats
 from quboprep.experiments import (
+    _fig3_row,
     degree_to_density_pct,
     make_graph,
     problem_qubo,
@@ -60,6 +62,16 @@ def test_fig3_rows_carry_parameters(tmp_path, monkeypatch):
     write_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert "seed" in header and "ratio" in header
+
+
+def test_fig3_row_rejects_split_modes_that_disagree(monkeypatch):
+    def split(g, solver, use_persistency):
+        clique = (0, 1) if use_persistency else (0,)
+        return clique, SplitStats(n_calls=1)
+
+    monkeypatch.setattr(experiments, "max_clique_split", split)
+    with pytest.raises(AssertionError, match=r"split modes disagree \(2 vs 1\)"):
+        _fig3_row((20, 30, 0, 6))
 
 
 def test_write_csv_requires_rows(tmp_path):

@@ -14,7 +14,8 @@ from quboprep import _fast, decompose, network, persistency
 from quboprep._fast import BranchPair, analyze_branch
 from quboprep.graphs import gen_gnp
 from quboprep.model import Qubo
-from quboprep.network import SINK, SOURCE, build_network, max_flow, roof_dual
+from quboprep.network import SINK, SOURCE, build_network, max_flow
+from quboprep.persistency import roof_dual
 from quboprep.posiform import IntArrays, to_posiform
 from quboprep.probing import probe
 
