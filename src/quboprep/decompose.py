@@ -57,6 +57,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from . import oracle, persistency
 from .errors import SolverValidationError
 from .graphs import Graph, set_bits
+from .network import check_int32_index
 # ``analyze`` stays bound here: perfbench/spans.py wraps it by name.
 from .persistency import analyze  # noqa: F401
 from .probing import probe
@@ -156,13 +157,14 @@ def _membership(masks: list[int], n: int) -> np.ndarray:
 
 def _level(
     member: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
-) -> list[tuple[list[list[int]], np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[list[list[int]], np.ndarray, np.ndarray, np.ndarray, list[int]]]:
     """The clique problems of the split-tree nodes whose membership rows
     are ``member`` (:func:`_membership`), in runs of at most
     :data:`~quboprep.persistency.UNION_ENTRIES` non-adjacent pairs (a node
     with more than that forms a run alone): for each run, each node's
     sorted members, the pairs ``qi`` < ``qj`` of the disjoint union of
-    their problems, and its block starts.
+    their problems, its block starts, and each node's split vertex (−1 for
+    a node with no member).
 
     ``pairs`` lists the root's non-adjacent pairs u < v in row-major order.
     Node b's member of rank k is variable ``starts[b] + k``, so a root pair
@@ -171,11 +173,17 @@ def _level(
     sort.  The run's problem is −A on every variable and B on every pair:
     ``IntArrays.union`` of each node's ``IntArrays.from_qubo(clique_qubo(
     g.induced(members)[0], _ENCODING))``.
+
+    A node's split vertex is its member with the fewest neighbours inside
+    it, the lowest vertex on a tie.  It is counted from the same pairs:
+    variable k is in ``qi`` or ``qj`` once per member it is not adjacent
+    to, and a segment maximum per node of count·M + (M − 1 − k), over the
+    block's M variables, picks the largest count, then the lowest k.
     """
     pu, pv = pairs
     inside = member[:, pu]
     inside &= member[:, pv]
-    entries = inside.sum(1)
+    entries = np.count_nonzero(inside, axis=1)
     cuts, total = [], 0
     for r, count in enumerate(entries.tolist()):
         if not cuts or total + count > persistency.UNION_ENTRIES:
@@ -184,29 +192,40 @@ def _level(
         total += count
     cuts.append(len(member))
     starts = np.zeros(len(member) + 1, dtype=np.int64)
-    np.cumsum(member.sum(1), out=starts[1:])
+    np.cumsum(np.count_nonzero(member, axis=1), out=starts[1:])
     index = np.cumsum(member, axis=1) + (starts[:-1, None] - 1)
     rows, p = np.nonzero(inside)
     qi, qj = index[rows, pu[p]], index[rows, pv[p]]
     ends = [0, *np.cumsum(entries).tolist()]
-    cols = np.nonzero(member)[1].tolist()
-    bounds = starts.tolist()
+    cols = np.nonzero(member)[1]
+    total = int(starts[-1])
+    split = np.full(len(member), -1, dtype=np.int64)
+    if total:
+        count = np.bincount(qi, minlength=total) + np.bincount(qj, minlength=total)
+        key = count * total + np.arange(total - 1, -1, -1)
+        filled = np.flatnonzero(np.diff(starts))
+        split[filled] = cols[total - 1 - np.maximum.reduceat(key, starts[filled]) % total]
+    cols, bounds, split = cols.tolist(), starts.tolist(), split.tolist()
     runs = []
     for lo, hi in zip(cuts, cuts[1:]):
         base, a, b = bounds[lo], ends[lo], ends[hi]
         members = [cols[x:y] for x, y in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1])]
-        runs.append((members, qi[a:b] - base, qj[a:b] - base, starts[lo : hi + 1] - base))
+        runs.append(
+            (members, qi[a:b] - base, qj[a:b] - base, starts[lo : hi + 1] - base, split[lo:hi])
+        )
     return runs
 
 
 def _csr(tails: np.ndarray, heads: np.ndarray, n: int) -> csr_matrix:
     """The CSR over ``n`` nodes with one entry per arc tails[k] → heads[k]
-    (a stable counting sort by tail).  The arcs must be distinct: scipy's
-    strong components do not finish on a CSR with a repeated entry."""
+    (a stable counting sort by tail), its indices int32 so that scipy does
+    not scan and downcast them.  The arcs must be distinct: scipy's strong
+    components do not finish on a CSR with a repeated entry."""
+    check_int32_index(max(n, len(tails)))
     order = np.argsort(tails.astype(np.min_scalar_type(n)), kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    return csr_matrix((np.ones(len(tails)), heads[order], indptr), shape=(n, n))
+    return csr_matrix((np.ones(len(tails)), heads[order].astype(np.int32), indptr), shape=(n, n))
 
 
 def _weak_labels(qi: np.ndarray, qj: np.ndarray, starts: np.ndarray) -> list[dict[int, int]]:
@@ -286,7 +305,10 @@ def _plan(
     run gets its weak labels from one :func:`_weak_labels` call; with
     ``use_probing`` each node is probed on its own.  An unfixed node splits
     on its member with the fewest neighbours inside it, the lowest vertex
-    on a tie.  A mask met again is not expanded again.
+    on a tie: :func:`_level` counts it from an analyzed node's pairs,
+    :func:`_certified` finds it for a certified node, and the plain and
+    probing modes take a popcount per member.  A mask met again is not
+    expanded again.
 
     A run's clique QUBO (−A·x_u on every member, B·x_u·x_v on every
     non-adjacent pair, A = 1 < B = 2) gives its implication network
@@ -333,9 +355,10 @@ def _plan(
                 split = {mask: _certified(adj, mask) for mask in masks}
                 analyzed = [mask for mask, v in split.items() if v is None]
                 runs = _level(_membership(analyzed, g.n), pairs) if analyzed else []
-                weak = [w for _, qi, qj, starts in runs for w in _weak_labels(qi, qj, starts)]
+                weak = [w for _, qi, qj, starts, _ in runs for w in _weak_labels(qi, qj, starts)]
                 members = [mem for run in runs for mem in run[0]]
                 fixes = dict(zip(analyzed, zip(members, weak)))
+                split.update(zip(analyzed, (v for run in runs for v in run[4])))
             for mask in masks:
                 members, fixed = fixes.get(mask, (None, None))
                 v = split.get(mask)

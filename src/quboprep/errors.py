@@ -22,8 +22,9 @@ class FormatError(QuboprepError):
 
 class SizeGuardError(QuboprepError):
     """A hard size guard was exceeded: an oracle was asked to enumerate too
-    many variables, or coefficients are too large in magnitude for exact
-    int64 arithmetic (Σ|a|·scale ≥ 2**62)."""
+    many variables, coefficients are too large in magnitude for exact
+    int64 arithmetic (Σ|a|·scale ≥ 2**62), or a graph's indices do not fit
+    int32 (more than 2**31 − 1 arcs)."""
 
 
 class SolverValidationError(QuboprepError):

@@ -38,10 +38,20 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
+from .errors import SizeGuardError
 from .posiform import IntArrays, posiform_lin
 
 SOURCE = 0
 SINK = 1
+# The largest entry an int32 index array holds.  Read at call time.
+INT32_INDEX_MAX = 2**31 - 1
+
+
+def check_int32_index(top: int) -> None:
+    """Raise SizeGuardError unless index arrays whose entries are at most
+    ``top`` fit int32, so that no cast to int32 wraps an index around."""
+    if top > INT32_INDEX_MAX:
+        raise SizeGuardError(f"indices up to {top} do not fit int32 (at most {INT32_INDEX_MAX})")
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,15 @@ def build_network(arr: IntArrays) -> ImplicationNetwork:
     term u·v.  Their slots, their skew partners', their reverses' and the
     reverses' partners' form four blocks, so an arc's partner is the same
     offset in block ``b ^ 1``, and an arc's head is the tail of the same
-    offset in block ``b ^ 2``.
+    offset in block ``b ^ 2``.  Heads and row pointers are int32; a network
+    whose node or arc count passes int32 raises SizeGuardError.
     """
     n, m = arr.num_vars, len(arr.qv)
     qi, qj = arr.qi, arr.qj
     keys = qi * n + qj
     if (keys[1:] <= keys[:-1]).any():
         raise ValueError("build_network needs strictly increasing keys qi * num_vars + qj")
+    check_int32_index(max(2 * n + 2, 4 * (2 * n + m)))
     lin = posiform_lin(arr)
     below, above = np.bincount(qj, minlength=n), np.bincount(qi, minlength=n)
     indptr = np.zeros(2 * n + 3, dtype=np.int64)
@@ -150,13 +162,15 @@ class FlowResult:
 
     def residual_adjacency(self) -> csr_matrix:
         """CSR over nodes with an entry per positive-residual arc: the
-        network's own CSR under a mask.  The data are float64 ones, the
-        dtype csgraph works in, so traversals do not copy them."""
+        network's own CSR under a mask.  The data are float64 ones and the
+        indices int32 (bounded by the network's, which fit int32), the
+        dtypes csgraph works in, so neither scipy's constructor nor a
+        traversal scans or copies them."""
         net = self.network
         kept = np.flatnonzero(2 * net.caps - self.flow2 > 0)
+        indptr = np.searchsorted(kept, net.indptr).astype(np.int32)
         return csr_matrix(
-            (np.ones(len(kept)), net.heads[kept], np.searchsorted(kept, net.indptr)),
-            shape=(net.num_nodes, net.num_nodes),
+            (np.ones(len(kept)), net.heads[kept], indptr), shape=(net.num_nodes, net.num_nodes)
         )
 
 

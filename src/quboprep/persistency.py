@@ -21,8 +21,8 @@ every minimizer (their complements hold 0).  Weak labels extend the strong
 ones over the unlabeled "middle" literals.  One SCC pass finds the frustrated
 variables, whose two literals share a component; they stay unresolved.  The
 other middle variables are oriented greedily, each orientation applied only
-together with its full implication closure (one BFS from the chosen
-literal), which guarantees the autarky property: overwriting any assignment
+together with its full implication closure (one search from the chosen
+literal over the unfrustrated middle literals), which guarantees the autarky property: overwriting any assignment
 with the weak values never increases energy, so at least one minimizer
 agrees with every reported weak value simultaneously.
 """
@@ -178,14 +178,21 @@ def extract_labels(adj: csr_matrix) -> tuple[dict[int, int], dict[int, int]]:
 
     (a) an unvalued ℓ reaches no literal z valued 0: ℓ ⇝ z gives z̄ ⇝ ℓ̄;
     (b) a closure holds both literals of some y iff it holds ℓ̄: ℓ ⇝ y and
-        ℓ ⇝ ȳ give y ⇝ ℓ̄;
-    (c) a lone x, whose x̄ has no residual arc into a middle literal, has
-        the closure {x̄}: what the source reaches reaches no middle literal,
-        and an arc from x̄ to the sink or to the complement of a literal the
-        source reaches would let the source reach x.  No middle literal has
-        an arc into x (its partner would leave x̄), so x takes 0 before the
-        loop and keeps it.  As no failure depends on the values, a variable
-        whose closures both fail is never valued.
+        ℓ ⇝ ȳ give y ⇝ ℓ̄.
+
+    As no failure depends on the values, a variable whose closures both
+    fail is never valued.  A path from a middle literal y that leaves the
+    middle literals never comes back: an arc from y into the sink or into
+    the complement of a literal the source reaches would let the source
+    reach ȳ, so the path leaves through the source or a literal the source
+    reaches, and the source reaches all that follows.  So a closure is
+    searched among the literals of the unfrustrated middle variables alone,
+    on their own rows, gathered through ``indptr`` rather than by a pass
+    over every residual arc; it fails when it holds ℓ̄ or a literal with an
+    arc into a frustrated one.  The search enters no valued literal: by (a)
+    none is valued 0, and those valued 1 are closed and reach no frustrated
+    literal.  So a lone x, whose x̄ has no residual arc into a middle
+    literal, gets the closure {x̄} in one step.
     """
     n_nodes = adj.shape[0]
     reached = np.zeros(n_nodes, dtype=bool)
@@ -206,33 +213,52 @@ def extract_labels(adj: csr_matrix) -> tuple[dict[int, int], dict[int, int]]:
     middle_vars = np.flatnonzero(~resolved)
     if len(middle_vars):
         _, labels = connected_components(adj, directed=True, connection="strong")
-        middle = np.zeros(n_nodes, dtype=bool)
-        middle[2:] = np.repeat(~resolved, 2)
         frustrated = np.zeros(n_nodes, dtype=bool)
         frustrated[2:] = np.repeat(labels[2::2] == labels[3::2], 2)
-        value = np.full(n_nodes, -1, dtype=np.int8)
-        into_middle = np.zeros(len(adj.indices) + 1, dtype=np.int64)
-        np.cumsum(middle[adj.indices], out=into_middle[1:])
         todo = middle_vars[~frustrated[2 * middle_vars + 2]]
-        x_bar = 2 * todo + 3
-        lone = into_middle[adj.indptr[x_bar + 1]] == into_middle[adj.indptr[x_bar]]
-        value[x_bar[lone] - 1], value[x_bar[lone]] = 0, 1
-        for var in todo[~lone].tolist():
-            if value[2 * var + 2] >= 0:
-                continue
-            # Prefer the orientation that sets this (lowest unresolved) var to 0.
-            for start in (2 * var + 3, 2 * var + 2):
-                reach = breadth_first_order(adj, start, directed=True, return_predecessors=False)
-                reach = reach[middle[reach]]
-                if not (frustrated[reach].any() or (reach == start ^ 1).any()):
-                    new = reach[value[reach] < 0]
-                    value[new] = 1
-                    value[new ^ 1] = 0
-                    break
-        labelled = middle_vars[value[2 * middle_vars + 2] >= 0]
-        weak.update(zip(labelled.tolist(), value[2 * labelled + 2].tolist()))
+        values = _closures(adj, todo, frustrated)
+        weak.update((var, val) for var, val in zip(todo.tolist(), values) if val >= 0)
 
     return strong, weak
+
+
+def _closures(adj: csr_matrix, todo: np.ndarray, frustrated: np.ndarray) -> list[int]:
+    """The value (−1 for none) that :func:`extract_labels`'s closures give
+    each unfrustrated middle variable of ``todo`` (ascending), searched on
+    the rows of their literals alone: x_k of ``todo[k]`` is local node 2k
+    and x̄_k node 2k + 1, so a complement is still ``^ 1``."""
+    nodes = np.stack([2 * todo + 2, 2 * todo + 3], axis=1).ravel()
+    local = np.full(len(frustrated), -1, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    lo, size = adj.indptr[nodes], adj.indptr[nodes + 1] - adj.indptr[nodes]
+    ends = np.cumsum(size)
+    heads = adj.indices[np.arange(size.sum()) + np.repeat(lo - (ends - size), size)]
+    tails = np.repeat(np.arange(len(nodes)), size)
+    bad = np.zeros(len(nodes), dtype=bool)
+    bad[tails[frustrated[heads]]] = True
+    inner = local[heads] >= 0
+    ptr = np.searchsorted(tails[inner], np.arange(len(nodes) + 1)).tolist()
+    succ, bad = local[heads[inner]].tolist(), bad.tolist()
+    value = [-1] * len(nodes)
+    for x in range(0, len(nodes), 2):
+        if value[x] >= 0:
+            continue
+        # Prefer the orientation that sets this (lowest unresolved) var to 0.
+        for start in (x + 1, x):
+            reach, stack = {start}, [start]
+            while stack:
+                y = stack.pop()
+                if bad[y] or y == start ^ 1:
+                    break
+                for z in succ[ptr[y] : ptr[y + 1]]:
+                    if value[z] < 0 and z not in reach:
+                        reach.add(z)
+                        stack.append(z)
+            else:
+                for y in reach:
+                    value[y], value[y ^ 1] = 1, 0
+                break
+    return value[::2]
 
 
 def reduce(q: Qubo, result: PersistencyResult, mode: str = "weak") -> Reduction:

@@ -441,7 +441,7 @@ def reference_labels(flow) -> tuple[dict[int, int], dict[int, int]]:
     return strong, weak
 
 
-def reference_extract_labels(flow) -> tuple[dict[int, int], dict[int, int]]:
+def reference_extract_labels(adj) -> tuple[dict[int, int], dict[int, int]]:
     """``persistency.extract_labels`` as it was before its closure test was
     cut to a frustrated literal or the start's complement: every closure
     also checked for a literal valued 0 and for both literals of a
@@ -455,10 +455,10 @@ def reference_extract_labels(flow) -> tuple[dict[int, int], dict[int, int]]:
     no frustrated variable, and not both literals of any variable.  Its
     unvalued literals become 1 and their complements 0.  The literals valued
     1 stay closed under reachability, so a variable whose closures both fail
-    is never valued later.
+    is never valued later.  ``adj`` is the residual CSR, as
+    ``extract_labels`` takes it.
     """
-    n_nodes = flow.network.num_nodes
-    adj = flow.residual_adjacency()
+    n_nodes = adj.shape[0]
     reached = np.zeros(n_nodes, dtype=bool)
     reached[breadth_first_order(adj, SOURCE, directed=True, return_predecessors=False)] = True
     pos, neg = reached[2::2], reached[3::2]

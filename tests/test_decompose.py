@@ -265,8 +265,9 @@ def test_clique_arrays_match_the_qubo_route(g, mask):
     assert tuple(members) == labels
     assert _leaf(sub) == ref_graph
     # As the split solver does: the node's problem built from its mask.
-    [([built], qi, qj, starts)] = _level(_membership([mask], g.n), _pairs(g))
+    [([built], qi, qj, starts, [v])] = _level(_membership([mask], g.n), _pairs(g))
     assert (built, starts.tolist()) == (members, [0, len(members)])
+    assert v == reference_split_vertex(g.adjacency_bits, mask)
     ref = IntArrays.from_qubo(clique_qubo(ref_graph))
     assert qi.dtype == qj.dtype == np.int64
     arr = level_run_union(qi, qj, starts)
@@ -307,9 +308,9 @@ def test_level_builder_matches_the_reference_union(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(persistency, "UNION_ENTRIES", budget)
         runs = _level(_membership(masks, g.n), _pairs(g))
-    bounds = np.cumsum([0] + [len(members) for members, _, _, _ in runs]).tolist()
+    bounds = np.cumsum([0] + [len(members) for members, *_ in runs]).tolist()
     assert bounds[-1] == len(masks)
-    for (members, qi, qj, starts), lo, hi in zip(runs, bounds, bounds[1:]):
+    for (members, qi, qj, starts, _), lo, hi in zip(runs, bounds, bounds[1:]):
         assert lo < hi
         ref, ref_members = reference_level_union(g, masks[lo:hi])
         assert members == ref_members
@@ -348,10 +349,56 @@ def test_matching_route_matches_the_reference_union(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(persistency, "UNION_ENTRIES", budget)
         runs = _level(_membership(masks, g.n), _pairs(g))
-    for members, qi, qj, starts in runs:
+    for members, qi, qj, starts, _ in runs:
         nodes = [IntArrays.from_qubo(clique_qubo(g.induced(m)[0])) for m in members]
         weak = [result.weak for result in reference_union_analysis(nodes)]
         assert repr(decompose._weak_labels(qi, qj, starts)) == repr(weak)
+
+
+@st.composite
+def _split_vertex_cases(draw):
+    """A circulant graph on 1–90 vertices (regular, so a whole-graph node
+    ties on every member), 1–8 nodes over it: the whole graph, random
+    masks, single vertices, greedy cliques (no pair inside) and empty
+    masks; and a union budget small enough to cut most levels into runs."""
+    n = draw(st.integers(1, 90))
+    offsets = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=4))
+    edges = {tuple(sorted((u, (u + d) % n))) for u in range(n) for d in offsets}
+    g = Graph.from_edges(n, sorted((u, v) for u, v in edges if u != v))
+    adj = g.adjacency_bits
+
+    def clique(order):
+        mask = 0
+        for v in order:
+            if adj[v] & mask == mask:
+                mask |= 1 << v
+        return mask
+
+    node = st.one_of(
+        st.just((1 << n) - 1),
+        st.just(0),
+        st.integers(0, n - 1).map(lambda v: 1 << v),
+        st.integers(1, (1 << n) - 1),
+        st.permutations(range(n)).map(clique),
+    )
+    masks = draw(st.lists(node, min_size=1, max_size=8))
+    return g, masks, draw(st.sampled_from([0, 1, 7, 60]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_vertex_cases())
+def test_level_split_vertices_match_the_reference(case):
+    """``_level``'s split vertex of each node, counted from the run's
+    pairs, is the member with the fewest neighbours inside it and the
+    lowest vertex on a tie, across run and block starts; −1 for an empty
+    node."""
+    g, masks, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(persistency, "UNION_ENTRIES", budget)
+        runs = _level(_membership(masks, g.n), _pairs(g))
+    got = [v for *_, split in runs for v in split]
+    adj = g.adjacency_bits
+    assert got == [reference_split_vertex(adj, mask) if mask else -1 for mask in masks]
 
 
 _REPEATED_PAIR = """

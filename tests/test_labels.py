@@ -65,7 +65,7 @@ def _odd_cycle_cuts():
 def _same_labels(flow: FlowResult) -> tuple[dict, dict]:
     got = extract_labels(flow.residual_adjacency())
     assert repr(got) == repr(reference_labels(flow))
-    assert repr(got) == repr(reference_extract_labels(flow))
+    assert repr(got) == repr(reference_extract_labels(flow.residual_adjacency()))
     return got
 
 
@@ -115,8 +115,8 @@ def _label_flows(draw) -> list[FlowResult]:
 @given(_label_flows())
 def test_labels_match_the_full_closure_test(flows):
     """Cutting the closure test to a frustrated literal or the start's
-    complement, and valuing lone variables first, changes no strong or weak
-    label and no dict order."""
+    complement, and searching closures over the unfrustrated middle
+    literals alone, changes no strong or weak label and no dict order."""
     for flow in flows:
         _same_labels(flow)
 
@@ -140,7 +140,7 @@ def test_labels_match_reference_with_frustrated_variables():
 def test_labels_match_reference_on_branch_layouts(pairs, monkeypatch):
     """The flows of probe branch layouts, whose probed variables are
     isolated in every copy; many middle x̄ there reach no middle literal,
-    which extract_labels values without a BFS."""
+    which extract_labels values in one search step."""
     flows = []
 
     def spy(net):
@@ -238,3 +238,43 @@ def test_no_unfrustrated_variable_has_two_failing_closures():
             checked += 1
             assert _reach_is_consistent(adj, x, middle) or _reach_is_consistent(adj, x_bar, middle)
     assert checked > 0
+
+
+def _residual(num_vars: int, arcs, unpaired=()) -> csr_matrix:
+    """A residual CSR over the 2·num_vars + 2 nodes with the arcs (y, z),
+    each with its skew partner z̄ → ȳ, and the ``unpaired`` arcs without."""
+    arcs = sorted({*arcs, *((z ^ 1, y ^ 1) for y, z in arcs), *unpaired})
+    tails = np.array([y for y, _ in arcs], dtype=np.int32)
+    heads = np.array([z for _, z in arcs], dtype=np.int32)
+    n = 2 * num_vars + 2
+    indptr = np.searchsorted(tails, np.arange(n + 1)).astype(np.int32)
+    return csr_matrix((np.ones(len(heads)), heads, indptr), shape=(n, n))
+
+
+# Nodes: s = 0, t = 1, x_k = 2k + 2 and x̄_k = 2k + 3.  Variable 0 has no arc
+# in any case, so the x̄ rows read do not start at the first row.
+@pytest.mark.parametrize(
+    "residual, labels",
+    [
+        # x̄1's only arc runs to the sink.  Its skew partner s → x1 would make
+        # x1 strong, so it is left out; x̄2 → x3 pairs with x̄3 → x2.
+        (_residual(4, [(7, 8)], unpaired=[(5, 1)]),
+         ({}, {0: 0, 1: 0, 2: 0, 3: 1})),
+        # s → x1 (with x̄1 → t); x̄2's only arc runs to x1, which the source
+        # reaches, and x̄3 follows with no arc at all.
+        (_residual(4, [(0, 4), (7, 4)]), ({1: 1}, {1: 1, 0: 0, 2: 0, 3: 0})),
+        # x̄1 → x2 (with x̄2 → x1): one arc each into a middle literal.
+        (_residual(3, [(5, 6)]), ({}, {0: 0, 1: 0, 2: 1})),
+        # x3 ⇄ x̄3 (frustrated) and x̄1 → x3: x̄1's closure fails, x1's holds.
+        (_residual(4, [(8, 9), (9, 8), (5, 8)]), ({}, {0: 0, 1: 1, 2: 0})),
+    ],
+    ids=["into-sink", "into-reached", "into-middle", "into-frustrated"],
+)
+def test_closures_on_hand_made_residuals(residual, labels):
+    """Residuals whose x̄ rows run only to the sink, only to a literal the
+    source reaches, once into a middle literal, or into a frustrated one:
+    the lone variables (valued 0 in one search step) and every label are
+    those of the full closure test, dict order included."""
+    got = extract_labels(residual)
+    assert repr(got) == repr(labels)
+    assert repr(got) == repr(reference_extract_labels(residual))

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from quboprep import _fast, decompose, network, persistency
 from quboprep._fast import BranchPair, analyze_branch
+from quboprep.errors import SizeGuardError
 from quboprep.graphs import gen_gnp
 from quboprep.model import Qubo
 from quboprep.network import SINK, SOURCE, build_network, max_flow
@@ -147,6 +148,7 @@ def test_residual_adjacency_matches_residual_caps(seed):
     want = {arc for arc, r in residual_caps(result).items() if r > 0}
     assert got == want
     assert adj.dtype == np.float64
+    assert adj.indices.dtype == adj.indptr.dtype == np.int32
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -407,6 +409,33 @@ def test_layout_rejects_unsorted_keys():
         build_network(swapped)
 
 
+def test_int32_index_bound_raises_at_the_bound():
+    network.check_int32_index(2**31 - 1)
+    with pytest.raises(SizeGuardError, match="do not fit int32"):
+        network.check_int32_index(2**31)
+
+
+def test_index_arrays_past_int32_raise(monkeypatch):
+    """A network or a split residual CSR whose largest index passes the
+    int32 bound raises instead of wrapping.  The bound is lowered to the
+    sizes of small ones, which build at the bound and raise one below it."""
+    arr = IntArrays.from_qubo(Qubo.from_terms(3, {0: 1}, {(0, 1): 2, (1, 2): -1}))
+    arcs = build_network(arr).num_arcs
+    tails, heads = np.array([0, 0, 2]), np.array([1, 2, 3])
+    monkeypatch.setattr(network, "INT32_INDEX_MAX", arcs)
+    assert build_network(arr).num_arcs == arcs
+    monkeypatch.setattr(network, "INT32_INDEX_MAX", arcs - 1)
+    with pytest.raises(SizeGuardError):
+        build_network(arr)
+    monkeypatch.setattr(network, "INT32_INDEX_MAX", 4)
+    csr = decompose._csr(tails, heads, 4)
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    assert csr.indptr.tolist() == [0, 2, 2, 3, 3]
+    monkeypatch.setattr(network, "INT32_INDEX_MAX", 3)
+    with pytest.raises(SizeGuardError):
+        decompose._csr(tails, heads, 4)
+
+
 def _spy_on_build_network(monkeypatch, module) -> list:
     """Check every network ``module`` builds against the reference."""
     seen = []
@@ -428,7 +457,7 @@ def test_layout_equals_the_reference_on_split_unions(monkeypatch):
 
     def spy(member, pairs):
         runs = level(member, pairs)
-        seen.extend(level_run_union(qi, qj, starts) for _, qi, qj, starts in runs)
+        seen.extend(level_run_union(qi, qj, starts) for _, qi, qj, starts, _ in runs)
         return runs
 
     monkeypatch.setattr(decompose, "_level", spy)
