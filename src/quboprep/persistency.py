@@ -160,13 +160,18 @@ def split_labels(labels: dict[int, int], starts: Sequence[int]) -> list[dict[int
     return out
 
 
-def extract_labels(adj: csr_matrix) -> tuple[dict[int, int], dict[int, int]]:
+def extract_labels(adj: csr_matrix, mirror: bool = False) -> tuple[dict[int, int], ...]:
     """Strong and weak variable labels from ``adj``, the residual graph of a
     symmetrized maximum flow as a CSR over its 2N + 2 nodes with no repeated
     entry (:meth:`~quboprep.network.FlowResult.residual_adjacency`).  They
     depend only on which nodes reach which.  A residual in which the source
     reaches the sink, or both literals of a variable, is not that of a
-    maximum flow and raises.
+    maximum flow and raises.  With ``mirror`` a third dict follows: the weak
+    labels of the same greedy in the other orientation, which tries x
+    before x̄, from the same search and SCC pass.  Complemented, they are
+    the weak labels of the residual with every x_k and x̄_k swapped, the
+    residual of the problem with every variable complemented (see
+    :mod:`~quboprep._fast`).
 
     Middle variables are taken in ascending order; one without a value gets
     the closure of x̄ (value 0) if that closure is consistent, else that of
@@ -209,24 +214,28 @@ def extract_labels(adj: csr_matrix) -> tuple[dict[int, int], dict[int, int]]:
     strong_vars = np.flatnonzero(resolved)
     strong = dict(zip(strong_vars.tolist(), pos[strong_vars].astype(int).tolist()))
 
-    weak = dict(strong)
+    weaks = [dict(strong) for _ in range(1 + mirror)]
     middle_vars = np.flatnonzero(~resolved)
     if len(middle_vars):
         _, labels = connected_components(adj, directed=True, connection="strong")
         frustrated = np.zeros(n_nodes, dtype=bool)
         frustrated[2:] = np.repeat(labels[2::2] == labels[3::2], 2)
         todo = middle_vars[~frustrated[2 * middle_vars + 2]]
-        values = _closures(adj, todo, frustrated)
-        weak.update((var, val) for var, val in zip(todo.tolist(), values) if val >= 0)
+        todo_list = todo.tolist()
+        for weak, values in zip(weaks, _closures(adj, todo, frustrated, mirror)):
+            weak.update((var, val) for var, val in zip(todo_list, values) if val >= 0)
 
-    return strong, weak
+    return (strong, *weaks)
 
 
-def _closures(adj: csr_matrix, todo: np.ndarray, frustrated: np.ndarray) -> list[int]:
+def _closures(
+    adj: csr_matrix, todo: np.ndarray, frustrated: np.ndarray, mirror: bool
+) -> list[list[int]]:
     """The value (−1 for none) that :func:`extract_labels`'s closures give
     each unfrustrated middle variable of ``todo`` (ascending), searched on
     the rows of their literals alone: x_k of ``todo[k]`` is local node 2k
-    and x̄_k node 2k + 1, so a complement is still ``^ 1``."""
+    and x̄_k node 2k + 1, so a complement is still ``^ 1``.  One list per
+    orientation: x̄ first, then, with ``mirror``, x first."""
     nodes = np.stack([2 * todo + 2, 2 * todo + 3], axis=1).ravel()
     local = np.full(len(frustrated), -1, dtype=np.int64)
     local[nodes] = np.arange(len(nodes))
@@ -239,26 +248,30 @@ def _closures(adj: csr_matrix, todo: np.ndarray, frustrated: np.ndarray) -> list
     inner = local[heads] >= 0
     ptr = np.searchsorted(tails[inner], np.arange(len(nodes) + 1)).tolist()
     succ, bad = local[heads[inner]].tolist(), bad.tolist()
-    value = [-1] * len(nodes)
-    for x in range(0, len(nodes), 2):
-        if value[x] >= 0:
-            continue
-        # Prefer the orientation that sets this (lowest unresolved) var to 0.
-        for start in (x + 1, x):
-            reach, stack = {start}, [start]
-            while stack:
-                y = stack.pop()
-                if bad[y] or y == start ^ 1:
+    out = []
+    for first, second in ((1, 0), (0, 1))[: 1 + mirror]:
+        value = [-1] * len(nodes)
+        for x in range(0, len(nodes), 2):
+            if value[x] >= 0:
+                continue
+            # x̄ first prefers the orientation that sets this (lowest
+            # unresolved) var to 0.
+            for start in (x + first, x + second):
+                reach, stack = {start}, [start]
+                while stack:
+                    y = stack.pop()
+                    if bad[y] or y == start ^ 1:
+                        break
+                    for z in succ[ptr[y] : ptr[y + 1]]:
+                        if value[z] < 0 and z not in reach:
+                            reach.add(z)
+                            stack.append(z)
+                else:
+                    for y in reach:
+                        value[y], value[y ^ 1] = 1, 0
                     break
-                for z in succ[ptr[y] : ptr[y + 1]]:
-                    if value[z] < 0 and z not in reach:
-                        reach.add(z)
-                        stack.append(z)
-            else:
-                for y in reach:
-                    value[y], value[y ^ 1] = 1, 0
-                break
-    return value[::2]
+        out.append(value[::2])
+    return out
 
 
 def reduce(q: Qubo, result: PersistencyResult, mode: str = "weak") -> Reduction:

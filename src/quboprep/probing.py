@@ -31,7 +31,10 @@ analyzed by :func:`~quboprep.persistency.analyze`, on its own network.  The
 two branches of a probe share one max flow on the pair network of the
 working problem
 (:class:`~quboprep._fast.BranchPair`), laid out once per working problem and
-number of pairs; a probe only writes capacities into it.  Once the working
+number of pairs; a probe only writes capacities into it.  A flip-symmetric
+working problem (E(x) = E(x̄), as max cut's) is laid out mirrored, with one
+copy per probe instead of two: the branch x_u := 1 is read from the flow of
+x_u := 0.  Once the working
 problem has stayed unchanged for ``_BATCH`` (4) probes in a row, as in the
 stalled last sweep that ends almost every call, the next 4 unresolved
 variables of the sweep share one flow on a layout of 4 pairs (fewer when
@@ -172,7 +175,8 @@ class _ProbeState:
         ``ahead`` yields the variables the sweep probes after u, in order,
         if nothing changes.  Once the working problem has stayed unchanged for
         :data:`_BATCH` probes, u and the next ``_BATCH - 1`` of them share one
-        flow (fewer when their copies would pass
+        flow (fewer when the copies of the working problem that their layout
+        holds, one per probe when mirrored and two otherwise, would pass
         :data:`~quboprep.persistency.UNION_ENTRIES` quadratic entries), and
         their results wait in ``_batch`` until they are probed or the
         working problem changes.  The flow reuses ``_layout`` while that
@@ -181,12 +185,17 @@ class _ProbeState:
         if u in self._batch:
             return self._batch.pop(u)
         w = self.working()
+        layout = self._layout
+        # The first probe on a working problem lays it out with one pair;
+        # a batch, which comes later, reads the copies per probe from that.
+        if layout is None or layout.arr is not w:
+            layout = self._layout = BranchPair.of(w)
         k = 1
         if self._steady > _BATCH:
-            k = max(1, min(_BATCH, persistency.UNION_ENTRIES // max(1, 2 * len(w.qv))))
+            per_probe = (1 if layout.mirrored else 2) * len(w.qv)
+            k = max(1, min(_BATCH, persistency.UNION_ENTRIES // max(1, per_probe)))
         us = [u, *islice(ahead, k - 1)]
-        layout = self._layout
-        if layout is None or layout.arr is not w or layout.pairs != len(us):
+        if layout.pairs != len(us):
             layout = self._layout = BranchPair.of(w, len(us))
         out = analyze_branch(layout, us)
         self._batch = {v: out[2 * p : 2 * p + 2] for p, v in enumerate(us)}

@@ -5,6 +5,7 @@ alike; and a layout of k pairs must give each probe exactly what a layout
 of one pair gives it."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from quboprep import _fast, persistency
 from quboprep._fast import BranchPair, IntArrays, analyze_branch
-from quboprep.model import Qubo, fix_variables
+from quboprep.model import IsingModel, Qubo, fix_variables, ising_to_qubo, substitute
 from quboprep.network import SOURCE, max_flow
 from quboprep.persistency import analyze
 from quboprep.probing import _ProbeState
@@ -23,15 +24,21 @@ from helpers import count_kernel_calls, random_qubo, scaled_qubo, with_fractions
 _INT32_MAX = 2**31 - 1
 
 
+def _assert_branches_match_fixed_out(q: Qubo, us, branches) -> None:
+    """Entry 2p + b of ``branches`` is the fixed-out problem x_{us[p]} := b
+    analyzed alone."""
+    for c, (strong, weak, bound) in enumerate(branches):
+        red = fix_variables(q, {us[c // 2]: c % 2})
+        ref = analyze(red.reduced)
+        assert bound == ref.bound + red.delta
+        assert repr(strong) == repr({red.surviving[j]: v for j, v in ref.strong.items()})
+        assert repr(weak) == repr({red.surviving[j]: v for j, v in ref.weak.items()})
+
+
 def _assert_pair_matches_single(q: Qubo) -> None:
     pair = BranchPair.of(IntArrays.from_qubo(q))
     for u in range(q.num_vars):
-        for b, (strong, weak, bound) in enumerate(analyze_branch(pair, [u])):
-            red = fix_variables(q, {u: b})
-            ref = analyze(red.reduced)
-            assert bound == ref.bound + red.delta
-            assert repr(strong) == repr({red.surviving[j]: v for j, v in ref.strong.items()})
-            assert repr(weak) == repr({red.surviving[j]: v for j, v in ref.weak.items()})
+        _assert_branches_match_fixed_out(q, [u], analyze_branch(pair, [u]))
 
 
 def _source_total(net) -> int:
@@ -125,3 +132,68 @@ def test_batch_matches_batches_of_one(case):
     single = BranchPair.of(arr)
     alone = [branch for u in us for branch in analyze_branch(single, [u])]
     assert repr(batch) == repr(alone)
+
+
+@st.composite
+def _flip_symmetric_cases(draw):
+    """The QUBO of a zero-field Ising model (int, Fraction or 2^40-scaled
+    couplings, and an offset), sometimes with a random relation class
+    substituted in, which keeps E(x) = E(x̄); and the variables of one 1-,
+    2- or 4-probe batch (repeats allowed)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 9))
+    density = draw(st.floats(0.1, 1.0))
+    kind = draw(st.sampled_from(["int", "fraction", "scaled"]))
+    couplings = {}
+    for key in ((i, j) for i in range(n) for j in range(i + 1, n)):
+        if rng.random() < density:
+            a = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            if kind == "fraction":
+                a = Fraction(a, int(rng.integers(1, 5)))
+            couplings[key] = a * 2**40 if kind == "scaled" else a
+    offset = draw(st.integers(-3, 3)) * (2**40 if kind == "scaled" else 1)
+    q = ising_to_qubo(IsingModel.from_terms(n, {}, couplings, offset))
+    if draw(st.booleans()):
+        members = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+        rep = min(members)
+        q = substitute(q, {m: (rep, draw(st.booleans())) for m in members if m != rep}).reduced
+    k = draw(st.sampled_from([1, 2, 4]))
+    return q, draw(st.lists(st.integers(0, q.num_vars - 1), min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flip_symmetric_cases())
+def test_mirrored_layout_matches_fixed_out_analysis(case):
+    """A flip-symmetric problem's layout holds one copy per probe, and each
+    branch read from it, x_u := 1 included, is the fixed-out problem
+    analyzed alone; the whole result equals the two-copy layout's."""
+    q, us = case
+    arr = IntArrays.from_qubo(q)
+    pair = BranchPair.of(arr, len(us))
+    assert pair.mirrored
+    assert pair.net.num_vars == len(us) * q.num_vars
+    branches = analyze_branch(pair, us)
+    _assert_branches_match_fixed_out(q, us, branches)
+    with mock.patch.object(_fast, "flip_symmetric", return_value=False):
+        two_copies = BranchPair.of(arr, len(us))
+    assert not two_copies.mirrored
+    assert repr(branches) == repr(analyze_branch(two_copies, us))
+
+
+def test_flip_symmetry_test_is_exact_past_float_precision():
+    """Two problems with a coupling of 2^55 whose linear coefficients differ
+    by one unit each way: both pass the E(1…1) = E(0…0) guard, and float64
+    sums call both symmetric, but only the first is, and only it is
+    mirrored.  Both match their fixed-out analyses."""
+    big = 2**55
+    symmetric = Qubo.from_terms(2, {0: -big // 2, 1: -big // 2}, {(0, 1): big})
+    off = Qubo.from_terms(2, {0: -big // 2 + 1, 1: -big // 2 - 1}, {(0, 1): big})
+    for q, mirrored in ((symmetric, True), (off, False)):
+        arr = IntArrays.from_qubo(q)
+        assert int(arr.lin.sum()) + int(arr.qv.sum()) == 0
+        ends = np.concatenate([arr.qi, arr.qj])
+        floats = 2 * arr.lin + np.bincount(ends, np.tile(arr.qv, 2), arr.num_vars)
+        assert not floats.any()
+        assert _fast.flip_symmetric(arr) is mirrored
+        assert BranchPair.of(arr).mirrored is mirrored
+        _assert_pair_matches_single(q)

@@ -15,7 +15,7 @@ from quboprep import _fast
 from quboprep._fast import BranchPair, analyze_branch
 from quboprep.graphs import Graph
 from quboprep.model import Qubo, ising_to_qubo
-from quboprep.network import FlowResult, build_network, max_flow
+from quboprep.network import SINK, SOURCE, FlowResult, build_network, max_flow
 from quboprep.persistency import extract_labels
 from quboprep.posiform import IntArrays, Posiform
 from quboprep.problems import maxcut_ising
@@ -278,3 +278,43 @@ def test_closures_on_hand_made_residuals(residual, labels):
     got = extract_labels(residual)
     assert repr(got) == repr(labels)
     assert repr(got) == repr(reference_extract_labels(residual))
+    _same_mirrored_labels(residual)
+
+
+def _swap_literals(adj: csr_matrix) -> csr_matrix:
+    """``adj`` with every literal pair x_k ↔ x̄_k relabelled (the source and
+    the sink stay): the residual of the problem with every variable
+    complemented."""
+    perm = np.arange(adj.shape[0]) ^ 1
+    perm[:2] = [SOURCE, SINK]
+    coo = adj.tocoo()
+    return csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=adj.shape)
+
+
+def _complemented(labels: dict[int, int]) -> dict[int, int]:
+    return {k: 1 - v for k, v in labels.items()}
+
+
+def _same_mirrored_labels(adj: csr_matrix) -> None:
+    """extract_labels' mirror orientation (x before x̄), complemented, is the
+    reference's weak labels of ``adj`` with every literal pair swapped,
+    dict order included; its first two dicts are the plain call's."""
+    strong, weak, flipped = extract_labels(adj, mirror=True)
+    assert repr((strong, weak)) == repr(extract_labels(adj))
+    ref_strong, ref_weak = reference_extract_labels(_swap_literals(adj))
+    assert repr(_complemented(strong)) == repr(ref_strong)
+    assert repr(_complemented(flipped)) == repr(ref_weak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_flows())
+def test_mirror_orientation_is_the_swapped_reference(flows):
+    """On any residual, the greedy that tries x first is the greedy that
+    tries x̄ first on the residual with x_k and x̄_k swapped."""
+    for flow in flows:
+        _same_mirrored_labels(flow.residual_adjacency())
+
+
+def test_mirror_orientation_with_frustrated_variables():
+    for q in _odd_cycle_cuts():
+        _same_mirrored_labels(_flow(q).residual_adjacency())

@@ -314,12 +314,16 @@ def _batch_cases(chunk: int):
 def test_batched_probes_match_single_probes(chunk, monkeypatch):
     """Outcomes are repr-identical with up to 4 (or 3, or 2) probes per max
     flow and with one; every batch of more than one pair stays within the
-    entries budget, which every sixth case cuts to about 3 pairs."""
+    entries budget, which every sixth case cuts to about 3 pairs.  The
+    budget counts the copies the layout holds: one per probe when mirrored
+    (the spin glasses), two otherwise."""
     batches = []
     analyze_branch = probing.analyze_branch
 
     def spy(pair, us):
-        batches.append((len(us), 2 * len(us) * len(pair.arr.qv), persistency.UNION_ENTRIES))
+        copies = pair.net.num_vars // pair.arr.num_vars
+        assert copies == len(us) * (1 if pair.mirrored else 2)
+        batches.append((len(us), copies * len(pair.arr.qv), persistency.UNION_ENTRIES))
         return analyze_branch(pair, us)
 
     for k, q in enumerate(_batch_cases(chunk)):
@@ -333,6 +337,27 @@ def test_batched_probes_match_single_probes(chunk, monkeypatch):
         monkeypatch.undo()
     assert {2, 3, 4} <= {size for size, _, _ in batches}
     assert all(entries <= budget for size, entries, budget in batches if size > 1)
+
+
+@pytest.mark.parametrize("field, pairs", [(0.0, 2), (1.0, 1)])
+def test_batch_budget_counts_the_copies_a_layout_holds(field, pairs, monkeypatch):
+    """A budget of twice the working problem's entries fits two probes of a
+    spin glass with no fields, whose layout is mirrored (one copy per
+    probe), and one probe of a spin glass with a field on every spin."""
+    q = _spin_glass(np.random.default_rng(4600), 8, 0.6, field)
+    state = probing._ProbeState(q)
+    monkeypatch.setattr(persistency, "UNION_ENTRIES", 2 * len(state.working().qv))
+    layouts = []
+    analyze_branch = probing.analyze_branch
+
+    def spy(pair, us):
+        layouts.append((pair.mirrored, len(us)))
+        return analyze_branch(pair, us)
+
+    monkeypatch.setattr(probing, "analyze_branch", spy)
+    for u in range(probing._BATCH + 1):
+        state.analyze_branches(u, iter(range(u + 1, q.num_vars)))
+    assert layouts[-1] == (not field, pairs)
 
 
 def test_batch_results_never_outlive_their_working_problem(monkeypatch):
