@@ -219,8 +219,7 @@ def _level(
 def _csr(tails: np.ndarray, heads: np.ndarray, n: int) -> csr_matrix:
     """The CSR over ``n`` nodes with one entry per arc tails[k] → heads[k]
     (a stable counting sort by tail), its indices int32 so that scipy does
-    not scan and downcast them.  The arcs must be distinct: scipy's strong
-    components do not finish on a CSR with a repeated entry."""
+    not scan and downcast them."""
     check_int32_index(max(n, len(tails)))
     order = np.argsort(tails.astype(np.min_scalar_type(n)), kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -241,55 +240,94 @@ def _weak_labels(qi: np.ndarray, qj: np.ndarray, starts: np.ndarray) -> list[dic
     That it is maximum is checked by
     :func:`~quboprep.persistency.extract_labels`, which raises when the
     source reaches the sink (an augmenting path).  Its residual is written
-    over the 2m + 2 literal nodes directly: s → x_u and x̄_u → t unless u is
-    matched on both sides, x_u → s and t → x̄_u if u is matched on either
-    side, x_u → x̄_v on every pair, and x̄_v → x_u and x̄_u → x_v where u is
-    matched to v (once where v is also matched to u).
+    row by row by :func:`_residual`.
     """
     m = int(starts[-1])
     keys = np.append(qi * m + qj, -1)  # a search past the last key lands on -1
     if (qi >= qj).any() or (np.diff(keys[:-1]) <= 0).any():
         raise AssertionError("the pairs of a level run are not strictly increasing pairs u < v")
-    rows, cols = np.concatenate([qi, qj]), np.concatenate([qj, qi])
-    mate = maximum_bipartite_matching(_csr(rows, cols, m), perm_type="column")
+    biadjacency = _csr(np.concatenate([qi, qj]), np.concatenate([qj, qi]), m)
+    mate = maximum_bipartite_matching(biadjacency, perm_type="column")
     u = np.flatnonzero(mate >= 0)
     v = mate[u].astype(np.int64)
     matched = np.minimum(u, v) * m + np.maximum(u, v)
     taken = np.bincount(v, minlength=m)
     if (keys[np.searchsorted(keys[:-1], matched)] != matched).any() or taken.max(initial=0) > 1:
         raise AssertionError("maximum_bipartite_matching returned no matching of the pairs")
-    sides = taken + (mate >= 0)
-    free, used = np.flatnonzero(sides < 2), np.flatnonzero(sides > 0)
+    _, weak = persistency.extract_labels(_residual(biadjacency, mate, taken))
+    return persistency.split_labels(weak, starts.tolist())
+
+
+def _residual(biadjacency: csr_matrix, mate: np.ndarray, taken: np.ndarray) -> csr_matrix:
+    """The residual of the symmetrized flow of the matching ``mate`` (row u
+    matched to column ``mate[u]``, −1 for none; ``taken`` counts each
+    column's matches, at most one) of the run whose pair graph is
+    ``biadjacency``, as a CSR over its 2m + 2 literal nodes with int32
+    indices and no repeated entry, written straight into its rows.
+
+    Vertex u is used if it is matched on either side, and free unless it
+    is matched on both.  Row s holds s → x_u for every free u and row t
+    holds t → x̄_u for every used u.  Row x_u holds x_u → s if u is used,
+    then x_u → x̄_v for each v of the biadjacency's row u, at the
+    biadjacency's positions plus one offset per row.  Row x̄_u holds
+    x̄_u → t if u is free, then x̄_u → x_w where w is matched to u, then
+    x̄_u → x_v where u is matched to v, written once where the two agree.
+    """
+    m = len(mate)
+    ptr, heads = biadjacency.indptr, biadjacency.indices
+    degree = np.diff(ptr)
+    u = np.flatnonzero(mate >= 0)
+    v = mate[u].astype(np.int64)
     once = (mate[v] != u) | (u < v)
     u, v = u[once], v[once]
-    # s → x_u, x̄_u → t, x_u → s, t → x̄_u, x_u → x̄_v, x̄_v → x_u, x̄_u → x_v.
-    tails = np.concatenate([
-        np.zeros_like(free), 2 * free + 3, 2 * used + 2, np.ones_like(used),
-        2 * rows + 2, 2 * v + 3, 2 * u + 3,
-    ])
-    heads = np.concatenate([
-        2 * free + 2, np.ones_like(free), np.zeros_like(used), 2 * used + 3,
-        2 * cols + 3, 2 * u + 2, 2 * v + 2,
-    ])
-    _, weak = persistency.extract_labels(_csr(tails, heads, 2 * m + 2))
-    return persistency.split_labels(weak, starts.tolist())
+    sides = taken + (mate >= 0)
+    free, used = sides < 2, sides > 0
+    n_free, n_used = int(np.count_nonzero(free)), int(np.count_nonzero(used))
+    n_arcs = 2 * (n_free + n_used + len(u)) + len(heads)
+    check_int32_index(max(2 * m + 2, n_arcs))
+    back = np.bincount(v, minlength=m)
+    length = np.empty(2 * m + 2, dtype=np.int32)
+    length[:2] = n_free, n_used
+    length[2::2] = used + degree
+    length[3::2] = free + back + np.bincount(u, minlength=m)
+    indptr = np.zeros(2 * m + 3, dtype=np.int32)
+    np.cumsum(length, out=indptr[1:])
+    x, xbar = indptr[2:-1:2], indptr[3::2]
+    free_at, used_at = np.flatnonzero(free), np.flatnonzero(used)
+    indices = np.empty(n_arcs, dtype=np.int32)
+    indices[:n_free] = 2 * free_at + 2
+    indices[n_free : n_free + n_used] = 2 * used_at + 3
+    indices[x[used_at]] = 0
+    indices[np.arange(len(heads)) + np.repeat(x + used - ptr[:-1], degree)] = 2 * heads + 3
+    indices[xbar[free_at]] = 1
+    slot = xbar + free
+    indices[slot[v]] = 2 * u + 2
+    indices[slot[u] + back[u]] = 2 * v + 2
+    return csr_matrix((np.ones(n_arcs), indices, indptr), shape=(2 * m + 2, 2 * m + 2))
+
+
+def _least_degree(adj: tuple, mask: int, limit: int) -> int | None:
+    """The member of least degree inside the node ``mask`` (the lowest on a
+    tie), or None at the first member of ``limit`` or more neighbours
+    inside it."""
+    rest, best, least = mask, None, limit
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        deg = (adj[u] & mask).bit_count()
+        if deg >= limit:
+            return None
+        if deg < least:
+            best, least = u, deg
+        rest ^= low
+    return best
 
 
 def _certified(adj: tuple, mask: int) -> int | None:
     """The member of least degree inside the m-vertex node ``mask`` (the
     lowest on a tie) when 2·deg + 2 < m for every member, else None;
     stops at the first member that fails."""
-    m = mask.bit_count()
-    rest, best, least = mask, None, m
-    while rest:
-        u = (rest & -rest).bit_length() - 1
-        deg = (adj[u] & mask).bit_count()
-        if 2 * deg + 2 >= m:
-            return None
-        if deg < least:
-            best, least = u, deg
-        rest &= rest - 1
-    return best
+    return _least_degree(adj, mask, (mask.bit_count() - 1) // 2)
 
 
 def _plan(
@@ -305,10 +343,10 @@ def _plan(
     run gets its weak labels from one :func:`_weak_labels` call; with
     ``use_probing`` each node is probed on its own.  An unfixed node splits
     on its member with the fewest neighbours inside it, the lowest vertex
-    on a tie: :func:`_level` counts it from an analyzed node's pairs,
-    :func:`_certified` finds it for a certified node, and the plain and
-    probing modes take a popcount per member.  A mask met again is not
-    expanded again.
+    on a tie: :func:`_level` counts it from an analyzed node's pairs, and
+    :func:`_least_degree`'s one bit loop finds it for a certified node
+    (:func:`_certified`) and in the plain and probing modes.  A mask met
+    again is not expanded again.
 
     A run's clique QUBO (−A·x_u on every member, B·x_u·x_v on every
     non-adjacent pair, A = 1 < B = 2) gives its implication network
@@ -319,7 +357,7 @@ def _plan(
     and it carries at most A into x_u: no middle arc saturates, and a
     maximum flow is a maximum matching of the cover (Nemhauser & Trotter,
     1975; Hopcroft & Karp, 1973, find it).  Symmetrizing that flow over
-    skew partners gives the residual that :func:`_weak_labels` writes.
+    skew partners gives the residual that :func:`_residual` writes.
     Residual reachability is the same for every maximum flow (Picard &
     Queyranne, 1980), and the labels depend on nothing else, so they equal
     those of a max flow on that network; split by block, they are those of
@@ -363,7 +401,7 @@ def _plan(
                 members, fixed = fixes.get(mask, (None, None))
                 v = split.get(mask)
                 if v is None and not fixed:
-                    v = min(members or set_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+                    v = _least_degree(adj, mask, mask.bit_count())
                 plan[mask] = _step(adj, mask, members, fixed, v)
         level = [child for mask in todo for child in plan[mask][2]]
     return plan

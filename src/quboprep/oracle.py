@@ -116,8 +116,20 @@ def _color_order(cand: int, outside, floor: int) -> tuple[list[int], list[int]]:
     counts as bounds, leaving out colors up to ``floor``.  Each class is peeled
     off what is left: take the lowest vertex v, keep ``outside[v]`` (neither v
     nor a neighbour), repeat.  These are first-fit's classes over the vertices
-    in ascending order."""
-    ordered, bounds, color = [], [], 0
+    in ascending order.  Each class takes at least one vertex, so the k
+    vertices left after color c get colors up to c + k at most: peeling stops
+    once c + k <= ``floor``, as none of them would be kept."""
+    color = 0
+    while cand and color < floor:
+        if color + cand.bit_count() <= floor:
+            return [], []
+        color += 1
+        q = cand
+        while q:
+            low = q & -q
+            cand ^= low
+            q &= outside[low.bit_length() - 1]
+    ordered, bounds = [], []
     while cand:
         color += 1
         q = cand
@@ -126,8 +138,7 @@ def _color_order(cand: int, outside, floor: int) -> tuple[list[int], list[int]]:
             cand ^= low
             v = low.bit_length() - 1
             q &= outside[v]
-            if color > floor:
-                ordered.append(v)
+            ordered.append(v)
         bounds += [color] * (len(ordered) - len(bounds))
     return ordered, bounds
 
@@ -144,9 +155,13 @@ def max_clique_within(adj, outside, cand: int, need: int = 0) -> int:
 
     A positive ``need`` bounds the search by the clique it has to beat: it
     starts from the bound ``need - 1``, with no greedy clique, and returns 0
-    when ``cand`` holds no clique of ``need`` vertices.  Otherwise the
-    unbounded search runs, so a clique that is returned is the one that
-    ``need <= 0`` returns.  The split solver bounds each leaf this way and
+    when ``cand`` holds no clique of ``need`` vertices.  When the first
+    coloring has fewer than ``need`` colors, that 0 comes right after it,
+    before the search is built; otherwise the search starts from that
+    coloring (each node's candidates are colored before the node is
+    expanded).  When the bounded search finds a clique, the unbounded search
+    runs, so a clique that is returned is the one that ``need <= 0``
+    returns.  The split solver bounds each leaf this way and
     still counts every leaf in ``SplitStats.n_calls``; a custom leaf solver
     gets no bound and still sees every leaf."""
     if need > 0:
@@ -154,11 +169,13 @@ def max_clique_within(adj, outside, cand: int, need: int = 0) -> int:
     else:
         best_mask = _greedy_clique(adj, cand)
         best_size = best_mask.bit_count()
+    # A vertex of color <= best_size cannot lead to a larger clique.
+    ordered, bounds = _color_order(cand, outside, best_size)
+    if need > 0 and not ordered:
+        return 0
 
-    def expand(cand_mask: int, current_mask: int, size: int) -> None:
+    def expand(cand_mask: int, current_mask: int, size: int, ordered: list, bounds: list) -> None:
         nonlocal best_mask, best_size
-        # A vertex of color <= best_size - size cannot lead to a larger clique.
-        ordered, bounds = _color_order(cand_mask, outside, best_size - size)
         for k in range(len(ordered) - 1, -1, -1):
             if size + bounds[k] <= best_size:
                 return
@@ -166,13 +183,13 @@ def max_clique_within(adj, outside, cand: int, need: int = 0) -> int:
             new_mask = current_mask | (1 << v)
             new_cand = cand_mask & adj[v]
             if new_cand:
-                expand(new_cand, new_mask, size + 1)
+                coloring = _color_order(new_cand, outside, best_size - size - 1)
+                expand(new_cand, new_mask, size + 1, *coloring)
             elif size + 1 > best_size:
                 best_mask, best_size = new_mask, size + 1
             cand_mask &= ~(1 << v)
 
-    if cand:
-        expand(cand, 0, 0)
+    expand(cand, 0, 0, ordered, bounds)
     if need > 0:
         return max_clique_within(adj, outside, cand) if best_mask else 0
     if any(best_mask & outside[v] for v in set_bits(best_mask)):

@@ -613,6 +613,36 @@ def level_run_union(qi: np.ndarray, qj: np.ndarray, starts: np.ndarray) -> IntAr
     return IntArrays(m, 1, lin, qi, qj, np.full(len(qi), enc.B, dtype=np.int64), 0)
 
 
+def reference_split_residual(qi, qj, mate) -> list[tuple[int, int]]:
+    """The arcs (tail, head) of a split level run's matching residual over
+    its 2m + 2 literal nodes (x_u is node 2u + 2, x̄_u node 2u + 3), for
+    the run's pairs ``qi`` < ``qj`` and the matching ``mate`` (row u to
+    column ``mate[u]``, −1 for none), as seven arc families: s → x_u and
+    x̄_u → t unless u is matched on both sides, x_u → s and t → x̄_u if u
+    is matched on either side, x_u → x̄_v and x_v → x̄_u on every pair, and
+    x̄_v → x_u and x̄_u → x_v where u is matched to v (once where v is also
+    matched to u).  The arc list ``decompose._weak_labels`` sorted into a
+    CSR before ``decompose._residual`` wrote the rows itself; kept as its
+    differential oracle."""
+    mate = [int(w) for w in mate]
+    sides = [int(w >= 0) for w in mate]
+    for w in mate:
+        if w >= 0:
+            sides[w] += 1
+    arcs = []
+    for u, side in enumerate(sides):
+        if side < 2:
+            arcs += [(0, 2 * u + 2), (2 * u + 3, 1)]
+        if side > 0:
+            arcs += [(2 * u + 2, 0), (1, 2 * u + 3)]
+    for u, v in zip(np.asarray(qi).tolist(), np.asarray(qj).tolist()):
+        arcs += [(2 * u + 2, 2 * v + 3), (2 * v + 2, 2 * u + 3)]
+    for u, v in enumerate(mate):
+        if v >= 0 and (mate[v] != u or u < v):
+            arcs += [(2 * v + 3, 2 * u + 2), (2 * u + 3, 2 * v + 2)]
+    return arcs
+
+
 def reference_color_order(vertices: list[int], adj) -> tuple[list[int], list[int]]:
     """Greedy coloring; returns vertices ordered by color with bounds.
 

@@ -31,6 +31,7 @@ from quboprep.problems import clique_qubo
 from helpers import (
     level_run_union,
     reference_level_union,
+    reference_split_residual,
     reference_split_vertex,
     reference_union_analysis,
 )
@@ -353,6 +354,42 @@ def test_matching_route_matches_the_reference_union(case):
         nodes = [IntArrays.from_qubo(clique_qubo(g.induced(m)[0])) for m in members]
         weak = [result.weak for result in reference_union_analysis(nodes)]
         assert repr(decompose._weak_labels(qi, qj, starts)) == repr(weak)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_cases(), st.sampled_from([0, 1, 7, 60]))
+def test_residual_rows_match_the_seven_arc_families(case, budget):
+    """Each row of the residual that ``_weak_labels`` writes for a level
+    run holds the arcs of that row in the seven-family arc list, each
+    once, with int32 indices; a small union budget cuts levels into many
+    runs.  No labels are extracted, so a repeated entry fails here rather
+    than hang scipy's strong components."""
+    g, masks, _ = case
+    made = []
+    residual = decompose._residual
+
+    def spy(biadjacency, mate, taken):
+        made.append((mate, residual(biadjacency, mate, taken)))
+        return made[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_residual", spy)
+        mp.setattr(persistency, "extract_labels", lambda adj: ({}, {}))
+        mp.setattr(persistency, "UNION_ENTRIES", budget)
+        runs = _level(_membership(masks, g.n), _pairs(g))
+        for _, qi, qj, starts, _ in runs:
+            decompose._weak_labels(qi, qj, starts)
+    for (_, qi, qj, starts, _), (mate, got) in zip(runs, made, strict=True):
+        m = int(starts[-1])
+        assert got.shape == (2 * m + 2, 2 * m + 2)
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        want = [set() for _ in range(2 * m + 2)]
+        for tail, head in reference_split_residual(qi, qj, mate):
+            want[tail].add(head)
+        for row, heads in enumerate(want):
+            entries = got.indices[got.indptr[row] : got.indptr[row + 1]].tolist()
+            assert len(entries) == len(set(entries))
+            assert set(entries) == heads
 
 
 @st.composite

@@ -436,6 +436,33 @@ def test_index_arrays_past_int32_raise(monkeypatch):
         decompose._csr(tails, heads, 4)
 
 
+def test_split_residual_past_int32_raises(monkeypatch):
+    """A split level run's residual CSR builds with the int32 bound at its
+    arc count and raises one below it, inside ``decompose._residual``; the
+    bound is lowered, so nothing large is allocated."""
+    g = gen_gnp(12, 0.5, 0)
+    pairs = np.nonzero(np.triu(~decompose._membership(g.adjacency_bits, g.n), 1))
+    ((_, qi, qj, starts, _),) = decompose._level(decompose._membership([(1 << g.n) - 1], g.n), pairs)
+    calls, made = [], []
+    residual = decompose._residual
+
+    def spy(*args):
+        calls.append(args)
+        made.append(residual(*args))
+        return made[-1]
+
+    monkeypatch.setattr(decompose, "_residual", spy)
+    weak = decompose._weak_labels(qi, qj, starts)
+    arcs = made[0].nnz
+    assert arcs > 2 * starts[-1] + 2
+    monkeypatch.setattr(network, "INT32_INDEX_MAX", arcs)
+    assert decompose._weak_labels(qi, qj, starts) == weak
+    monkeypatch.setattr(network, "INT32_INDEX_MAX", arcs - 1)
+    with pytest.raises(SizeGuardError):
+        decompose._weak_labels(qi, qj, starts)
+    assert (len(calls), len(made)) == (3, 2)
+
+
 def _spy_on_build_network(monkeypatch, module) -> list:
     """Check every network ``module`` builds against the reference."""
     seen = []

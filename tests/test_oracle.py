@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quboprep import oracle
 from quboprep.errors import SizeGuardError
 from quboprep.graphs import Graph, gen_cfat, gen_gnp, set_bits
 from quboprep.model import Qubo
@@ -125,12 +126,13 @@ class TestExactMaxClique:
     def test_peeled_colors_match_first_fit(self, g, data):
         """Classes peeled off a candidate mask are first-fit's classes, in the
         same order and with the same bounds; colors up to the floor are left
-        out."""
+        out, all of them when the floor reaches the color count."""
         cand = data.draw(st.integers(0, (1 << g.n) - 1))
-        floor = data.draw(st.integers(0, g.n))
         adj = g.adjacency_bits
         outside = [~(a | 1 << v) for v, a in enumerate(adj)]
         ordered, bounds = reference_color_order(set_bits(cand), adj)
+        colors = max(bounds, default=0)
+        floor = data.draw(st.one_of(st.integers(0, g.n), st.integers(colors, colors + 2)))
         assert _color_order(cand, outside, 0) == (ordered, bounds)
         kept = [k for k, b in enumerate(bounds) if b > floor]
         assert _color_order(cand, outside, floor) == (
@@ -176,6 +178,33 @@ class TestExactMaxClique:
         )
         got = max_clique_within(adj, outside, cand, need)
         assert got == (want if size >= need else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=40), st.data())
+    def test_leaf_that_nothing_passes_is_colored_once(self, g, data):
+        """A bounded search whose first coloring has fewer colors than
+        ``need`` returns 0 after that one :func:`_color_order` call.  One
+        that some vertex passes, with no clique of ``need`` vertices, colors
+        below the root and the root itself once."""
+        cand = data.draw(st.integers(0, (1 << g.n) - 1))
+        adj = g.adjacency_bits
+        outside = [~(a | 1 << v) for v, a in enumerate(adj)]
+        colors = max(_color_order(cand, outside, 0)[1], default=0)
+        size = max_clique_within(adj, outside, cand).bit_count()
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return _color_order(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_color_order", spy)
+            assert max_clique_within(adj, outside, cand, colors + data.draw(st.integers(1, 3))) == 0
+            assert calls == [cand]
+            if size < colors:
+                calls.clear()
+                assert max_clique_within(adj, outside, cand, colors) == 0
+                assert len(calls) > 1 and calls.count(cand) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(graphs(max_n=40), st.data())
